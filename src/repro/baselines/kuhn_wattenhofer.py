@@ -18,7 +18,7 @@ from repro.coloring.lists import uniform_lists
 from repro.coloring.palette import Palette
 from repro.coloring.edge_coloring import PartialEdgeColoring
 from repro.core.solver import compute_initial_edge_coloring
-from repro.graphs.line_graph import line_graph_adjacency
+from repro.graphs.index import EdgeIndex
 from repro.graphs.properties import max_degree
 from repro.primitives.color_reduction import kuhn_wattenhofer_reduction
 from repro.primitives.greedy_class import greedy_by_classes
@@ -32,15 +32,15 @@ def kuhn_wattenhofer_coloring(
     delta = max_degree(graph)
     palette = Palette.of_size(max(1, 2 * delta - 1))
     lists = uniform_lists(graph, palette)
-    coloring = PartialEdgeColoring(graph, lists)
+    index = EdgeIndex(graph)
+    coloring = PartialEdgeColoring(graph, lists, index=index)
 
     classes, class_palette, linial_rounds = compute_initial_edge_coloring(
-        graph, seed=seed
+        graph, seed=seed, index=index
     )
-    adjacency = line_graph_adjacency(graph)
     kw_rounds = 0
-    if adjacency:
-        reduction = kuhn_wattenhofer_reduction(adjacency, classes)
+    if len(index):
+        reduction = kuhn_wattenhofer_reduction(index.adjacency(), classes)
         classes = reduction.colors
         class_palette = reduction.palette_size
         kw_rounds = reduction.rounds

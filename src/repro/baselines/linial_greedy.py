@@ -16,6 +16,7 @@ from repro.coloring.lists import uniform_lists
 from repro.coloring.palette import Palette
 from repro.coloring.edge_coloring import PartialEdgeColoring
 from repro.core.solver import compute_initial_edge_coloring
+from repro.graphs.index import EdgeIndex
 from repro.graphs.properties import max_degree
 from repro.primitives.greedy_class import greedy_by_classes
 
@@ -28,10 +29,11 @@ def linial_greedy_coloring(
     delta = max_degree(graph)
     palette = Palette.of_size(max(1, 2 * delta - 1))
     lists = uniform_lists(graph, palette)
-    coloring = PartialEdgeColoring(graph, lists)
+    index = EdgeIndex(graph)
+    coloring = PartialEdgeColoring(graph, lists, index=index)
 
     classes, class_palette, linial_rounds = compute_initial_edge_coloring(
-        graph, seed=seed
+        graph, seed=seed, index=index
     )
     sweep = greedy_by_classes(coloring, classes, class_count=class_palette)
     return BaselineResult(

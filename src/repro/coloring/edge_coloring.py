@@ -27,7 +27,7 @@ import networkx as nx
 from repro.errors import ColoringValidationError, InvalidInstanceError
 from repro.coloring.lists import ListAssignment
 from repro.graphs.edges import Edge, edge_set
-from repro.graphs.line_graph import line_graph_adjacency
+from repro.graphs.index import EdgeIndex
 
 
 class PartialEdgeColoring:
@@ -49,19 +49,28 @@ class PartialEdgeColoring:
     are validating.
     """
 
-    def __init__(self, graph: nx.Graph, lists: ListAssignment) -> None:
+    def __init__(
+        self,
+        graph: nx.Graph,
+        lists: ListAssignment,
+        *,
+        index: EdgeIndex | None = None,
+    ) -> None:
         self._graph = graph
         self._lists = lists
-        self._adjacency = line_graph_adjacency(graph)
-        missing = [e for e in self._adjacency if e not in lists]
+        self._index = EdgeIndex(graph) if index is None else index
+        missing = [e for e in self._index.edges if e not in lists]
         if missing:
             raise InvalidInstanceError(
                 f"edges without lists: {sorted(missing, key=repr)[:3]!r}"
             )
+        self._position = self._index.position
+        self._rows = self._index.rows()
         self._colors: dict[Edge, int] = {}
-        # For each edge, the set of colors already used by its colored
+        # Per edge id, the colors already used by its colored
         # neighbors; maintained incrementally on every assignment.
-        self._blocked: dict[Edge, set[int]] = {e: set() for e in self._adjacency}
+        self._blocked: list[set[int]] = [set() for _ in self._rows]
+        self._colored = [False] * len(self._rows)
 
     # ------------------------------------------------------------------
     # Read API
@@ -75,6 +84,11 @@ class PartialEdgeColoring:
     def lists(self) -> ListAssignment:
         return self._lists
 
+    @property
+    def index(self) -> EdgeIndex:
+        """The compiled line graph this coloring maintains its state on."""
+        return self._index
+
     def color_of(self, edge: Edge) -> int | None:
         """Return the color of ``edge`` or ``None`` if uncolored."""
         return self._colors.get(edge)
@@ -83,18 +97,20 @@ class PartialEdgeColoring:
         return edge in self._colors
 
     def colored_edges(self) -> list[Edge]:
-        """Return the colored edges (sorted, for determinism)."""
-        return sorted(self._colors, key=repr)
+        """Return the colored edges (sorted by ``repr``, for determinism)."""
+        return self._in_repr_order(True)
 
     def uncolored_edges(self) -> list[Edge]:
-        """Return the uncolored edges (sorted, for determinism)."""
-        return sorted(
-            (e for e in self._adjacency if e not in self._colors), key=repr
-        )
+        """Return the uncolored edges (sorted by ``repr``, for determinism)."""
+        return self._in_repr_order(False)
+
+    def _in_repr_order(self, colored: bool) -> list[Edge]:
+        edges, flags = self._index.edges, self._colored
+        return [edges[i] for i in self._index.repr_order if flags[i] == colored]
 
     def is_complete(self) -> bool:
         """Return ``True`` when every edge has a color."""
-        return len(self._colors) == len(self._adjacency)
+        return len(self._colors) == len(self._rows)
 
     def residual_list(self, edge: Edge) -> frozenset[int]:
         """Return ``L_e`` minus the colors used by colored neighbors.
@@ -102,15 +118,17 @@ class PartialEdgeColoring:
         This is the list the *residual instance* gives to ``edge``; the
         paper's procedures always work against residual lists.
         """
-        return self._lists.list_of(edge) - frozenset(self._blocked[edge])
+        return self._lists.list_of(edge) - self._blocked[self._position[edge]]
 
     def residual_degree(self, edge: Edge) -> int:
         """Return the number of *uncolored* neighbors of ``edge``."""
-        return sum(1 for n in self._adjacency[edge] if n not in self._colors)
+        colored = self._colored
+        return sum(1 for n in self._rows[self._position[edge]] if not colored[n])
 
     def neighbors(self, edge: Edge) -> list[Edge]:
         """Return the line-graph neighbors of ``edge``."""
-        return self._adjacency[edge]
+        edges = self._index.edges
+        return [edges[n] for n in self._rows[self._position[edge]]]
 
     def as_dict(self) -> dict[Edge, int]:
         """Return a snapshot of the colors assigned so far."""
@@ -129,7 +147,8 @@ class PartialEdgeColoring:
             If the edge is already colored, the color is not in the
             edge's (original) list, or a neighbor already uses it.
         """
-        if edge not in self._adjacency:
+        i = self._position.get(edge)
+        if i is None:
             raise InvalidInstanceError(f"unknown edge {edge!r}")
         if edge in self._colors:
             raise ColoringValidationError(
@@ -139,14 +158,16 @@ class PartialEdgeColoring:
             raise ColoringValidationError(
                 f"color {color} is not in the list of edge {edge!r}"
             )
-        if color in self._blocked[edge]:
+        if color in self._blocked[i]:
             raise ColoringValidationError(
                 f"color {color} is already used by a neighbor of {edge!r}"
             )
         self._colors[edge] = color
-        for neighbor in self._adjacency[edge]:
-            if neighbor not in self._colors:
-                self._blocked[neighbor].add(color)
+        self._colored[i] = True
+        blocked, colored = self._blocked, self._colored
+        for n in self._rows[i]:
+            if not colored[n]:
+                blocked[n].add(color)
 
     def assign_batch(self, assignments: Iterable[tuple[Edge, int]]) -> None:
         """Assign several colors; the batch must be conflict-free.

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import ColoringValidationError
 from repro.coloring.lists import ListAssignment
-from repro.graphs.edges import Edge, edge_set
-from repro.graphs.line_graph import line_graph_adjacency
+from repro.graphs.edges import Edge
+from repro.graphs.index import EdgeIndex
 
 
 def check_proper_edge_coloring(
@@ -36,30 +37,29 @@ def check_proper_edge_coloring(
         colored; when ``False`` the mapping may cover a subset, but
         properness is still enforced on the covered part.
     """
-    edges = edge_set(graph)
-    edge_lookup = set(edges)
+    index = EdgeIndex(graph)
     for edge in coloring:
-        if edge not in edge_lookup:
+        if edge not in index.position:
             raise ColoringValidationError(
                 f"colored edge {edge!r} does not exist in the graph"
             )
     if require_total:
-        missing = [e for e in edges if e not in coloring]
+        missing = [e for e in index.edges if e not in coloring]
         if missing:
             raise ColoringValidationError(
                 f"{len(missing)} edges are uncolored, e.g. {missing[:3]!r}"
             )
-    adjacency = line_graph_adjacency(graph)
-    for edge, neighbors in adjacency.items():
-        if edge not in coloring:
-            continue
-        for other in neighbors:
-            if other in coloring and other > edge:
-                if coloring[edge] == coloring[other]:
-                    raise ColoringValidationError(
-                        f"edges {edge!r} and {other!r} share a node and the "
-                        f"color {coloring[edge]}"
-                    )
+    same = index.same_value_slots(coloring)
+    if not same.any():
+        return
+    edges = index.edges
+    for i, j in zip(index.slot_owners()[same].tolist(), index.neighbors[same].tolist()):
+        edge, other = edges[i], edges[j]
+        if other > edge:
+            raise ColoringValidationError(
+                f"edges {edge!r} and {other!r} share a node and the "
+                f"color {coloring[edge]}"
+            )
 
 
 def check_list_edge_coloring(
@@ -102,17 +102,17 @@ def measure_defects(
     For a *proper* coloring all defects are 0; for a defective coloring
     this is the quantity the paper bounds by ``deg(e) / (2β)``.
     """
-    adjacency = line_graph_adjacency(graph)
-    defects: dict[Edge, int] = {}
-    for edge, neighbors in adjacency.items():
-        if edge not in assignment:
-            continue
-        defects[edge] = sum(
-            1
-            for other in neighbors
-            if other in assignment and assignment[other] == assignment[edge]
-        )
-    return defects
+    return _defects(EdgeIndex(graph), assignment)
+
+
+def _defects(index: EdgeIndex, assignment: Mapping[Edge, int]) -> dict[Edge, int]:
+    same = index.same_value_slots(assignment)
+    counts = np.bincount(index.slot_owners()[same], minlength=len(index)).tolist()
+    return {
+        edge: count
+        for edge, count in zip(index.edges, counts)
+        if edge in assignment
+    }
 
 
 def check_defective_coloring(
@@ -138,16 +138,15 @@ def check_defective_coloring(
         (the paper's ``O(β²)``, instantiated with explicit constants by
         the caller).
     """
-    edges = edge_set(graph)
-    missing = [e for e in edges if e not in assignment]
+    index = EdgeIndex(graph)
+    missing = [e for e in index.edges if e not in assignment]
     if missing:
         raise ColoringValidationError(
             f"{len(missing)} edges lack a defective color, e.g. {missing[:3]!r}"
         )
-    adjacency = line_graph_adjacency(graph)
-    defects = measure_defects(graph, assignment)
-    for edge, defect in defects.items():
-        degree = len(adjacency[edge])
+    defects = _defects(index, assignment)
+    for edge, degree in zip(index.edges, index.degrees.tolist()):
+        defect = defects[edge]
         allowed = defect_bound(degree)
         if defect > allowed:
             raise ColoringValidationError(

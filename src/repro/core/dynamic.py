@@ -25,8 +25,8 @@ from repro.coloring.palette import Palette
 from repro.coloring.verify import check_proper_edge_coloring
 from repro.core.params import ParameterPolicy
 from repro.core.solver import SolveResult, solve_list_edge_coloring
-from repro.graphs.edges import Edge, edge_key, edge_set
-from repro.graphs.line_graph import line_graph_adjacency
+from repro.graphs.edges import Edge, edge_key
+from repro.graphs.index import EdgeIndex
 from repro.graphs.properties import max_degree, validate_simple_graph
 
 
@@ -84,8 +84,8 @@ def extend_coloring(
             f"existing colors outside the palette, e.g. {missing_palette[:3]!r}"
         )
 
-    adjacency = line_graph_adjacency(graph)
-    pending = [edge for edge in edge_set(graph) if edge not in existing]
+    index = EdgeIndex(graph)
+    pending = [edge for edge in index.edges if edge not in existing]
     if not pending:
         return SolveResult(
             coloring=dict(existing),
@@ -100,9 +100,12 @@ def extend_coloring(
     # least residual-degree + 1 colors when the palette is 2Δ-1.
     residual_lists: dict[Edge, frozenset[int]] = {}
     ambient = palette.as_set
+    edges, rows = index.edges, index.rows()
     for edge in pending:
         blocked = {
-            existing[n] for n in adjacency[edge] if n in existing
+            existing[edges[n]]
+            for n in rows[index.position[edge]]
+            if edges[n] in existing
         }
         residual_lists[edge] = frozenset(ambient - blocked)
 

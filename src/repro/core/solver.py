@@ -49,8 +49,8 @@ from repro.core.ledger import RoundLedger
 from repro.core.params import ParameterPolicy, scaled_policy
 from repro.core.slack_reduction import SlackLoopStats, select_active_edges
 from repro.core.space_reduction import reduce_color_space
-from repro.graphs.edges import Edge, edge_set
-from repro.graphs.line_graph import line_graph_adjacency
+from repro.graphs.edges import Edge
+from repro.graphs.index import Csr, EdgeIndex
 from repro.graphs.properties import assign_unique_ids, max_degree
 from repro.model.edge_network import edge_identifier
 from repro.primitives.color_reduction import kuhn_wattenhofer_reduction
@@ -89,17 +89,18 @@ class RecursiveSolver:
         ledger: RoundLedger,
         *,
         depth: int = 0,
+        index: EdgeIndex | None = None,
     ) -> None:
         self.graph = graph
         self.lists = lists
-        self.master = PartialEdgeColoring(graph, lists)
-        self.adjacency = line_graph_adjacency(graph)
+        self.index = EdgeIndex(graph) if index is None else index
+        self.master = PartialEdgeColoring(graph, lists, index=self.index)
         self.initial = dict(initial_coloring)
         self.policy = policy
         self.ledger = ledger
         self.depth = depth
         self.slack_stats = SlackLoopStats()
-        missing = [e for e in self.adjacency if e not in self.initial]
+        missing = [e for e in self.index.edges if e not in self.initial]
         if missing:
             raise InvalidInstanceError(
                 f"edges without an initial color: {missing[:3]!r}"
@@ -114,15 +115,10 @@ class RecursiveSolver:
 
     def _induced_degrees(
         self, edges: Sequence[Edge]
-    ) -> tuple[dict[Edge, list[Edge]], dict[Edge, int]]:
-        """Line-graph adjacency and degrees induced by ``edges``."""
-        chosen = set(edges)
-        adjacency = {
-            edge: [n for n in self.adjacency[edge] if n in chosen]
-            for edge in edges
-        }
-        degrees = {edge: len(neighbors) for edge, neighbors in adjacency.items()}
-        return adjacency, degrees
+    ) -> tuple[Csr, dict[Edge, int]]:
+        """The line graph induced by ``edges`` (a subset of the index) and its degrees."""
+        induced = self.index.induced(self.index.ids(edges))
+        return induced, dict(zip(edges, induced.degrees.tolist()))
 
     def _effective_list(
         self, edge: Edge, work_lists: Mapping[Edge, frozenset[int]]
@@ -139,18 +135,22 @@ class RecursiveSolver:
         edges: Sequence[Edge],
         work_lists: Mapping[Edge, frozenset[int]],
         reason: str,
+        induced: tuple[Csr, dict[Edge, int]] | None = None,
     ) -> None:
         """Color ``edges`` by a class sweep; defer infeasible edges.
+
+        ``induced`` is ``self._induced_degrees(edges)`` when the caller
+        already holds it (its ``edges`` are then all uncolored).
 
         Cost: ``O(log* X)`` (Linial from the ambient X-coloring) plus
         ``O(Δ̄ log Δ̄)`` (optional KW compression) plus one round per
         class — the paper's ``O(log* X)`` base case for constant Δ̄.
         """
-        current = self._uncolored(edges)
+        current = self._uncolored(edges) if induced is None else edges
         if not current:
             return
         self.ledger.bump(f"base_case/{reason}")
-        adjacency, degrees = self._induced_degrees(current)
+        adjacency, degrees = induced or self._induced_degrees(current)
         dbar = max(degrees.values(), default=0)
 
         seed = {edge: self.initial[edge] for edge in current}
@@ -164,7 +164,7 @@ class RecursiveSolver:
             and dbar >= 1
             and class_count > 2 * (dbar + 2)
         ):
-            reduction = kuhn_wattenhofer_reduction(adjacency, classes)
+            reduction = kuhn_wattenhofer_reduction(adjacency.adjacency(), classes)
             classes = reduction.colors
             class_count = reduction.palette_size
             rounds += reduction.rounds
@@ -198,22 +198,18 @@ class RecursiveSolver:
         current = self._uncolored(edges)
         if not current:
             return
-        _adjacency, degrees = self._induced_degrees(current)
+        induced = self._induced_degrees(current)
+        degrees = induced[1]
         dbar = max(degrees.values(), default=0)
         iteration_cap = 2 * math.ceil(math.log2(dbar + 2)) + 4
 
         for _iteration in range(iteration_cap):
-            current = self._uncolored(current)
-            if not current:
-                return
-            _adjacency, degrees = self._induced_degrees(current)
-            dbar = max(degrees.values(), default=0)
             if (
                 dbar <= self.policy.base_degree_threshold
                 or len(palette) <= self.policy.base_palette_threshold
                 or depth >= self.policy.max_depth
             ):
-                self._base_case(current, work_lists, "slack1 bottom")
+                self._base_case(current, work_lists, "slack1 bottom", induced)
                 return
 
             beta = self.policy.beta(dbar, len(palette))
@@ -222,10 +218,10 @@ class RecursiveSolver:
             self.ledger.bump("lem42/iterations")
             self.ledger.record_max("max_depth_seen", depth)
 
-            subgraph = nx.Graph()
-            subgraph.add_edges_from(current)
             seed = {edge: self.initial[edge] for edge in current}
-            defective = defective_edge_coloring(subgraph, beta, seed)
+            defective = defective_edge_coloring(
+                self.graph, beta, seed, index=self.index, edges=current
+            )
             self.ledger.charge(
                 f"Lemma 4.2 defective coloring (β={beta})", defective.rounds
             )
@@ -273,15 +269,18 @@ class RecursiveSolver:
             remaining = self._uncolored(current)
             if not remaining:
                 return
-            _adjacency, new_degrees = self._induced_degrees(remaining)
+            induced = self._induced_degrees(remaining)
+            new_degrees = induced[1]
             new_dbar = max(new_degrees.values(), default=0)
             if new_dbar >= dbar and len(remaining) >= len(current):
                 # No progress: the theory regime did not engage; finish
                 # deterministically rather than looping.
                 self.ledger.bump("lem42/no_progress_fallbacks")
-                self._base_case(remaining, work_lists, "slack1 no-progress")
+                self._base_case(
+                    remaining, work_lists, "slack1 no-progress", induced
+                )
                 return
-            current = remaining
+            current, degrees, dbar = remaining, new_degrees, new_dbar
 
         self._base_case(
             self._uncolored(current), work_lists, "slack1 iteration cap"
@@ -303,19 +302,20 @@ class RecursiveSolver:
         current = self._uncolored(edges)
         if not current:
             return
-        adjacency, degrees = self._induced_degrees(current)
+        induced = self._induced_degrees(current)
+        adjacency, degrees = induced
         dbar = max(degrees.values(), default=0)
         if (
             dbar <= self.policy.base_degree_threshold
             or len(palette) <= self.policy.base_palette_threshold
             or depth >= self.policy.max_depth
         ):
-            self._base_case(current, work_lists, "relaxed bottom")
+            self._base_case(current, work_lists, "relaxed bottom", induced)
             return
 
         p = self.policy.split(dbar, len(palette))
         if p < 2 or p > len(palette) // 2:
-            self._base_case(current, work_lists, "relaxed p infeasible")
+            self._base_case(current, work_lists, "relaxed p infeasible", induced)
             return
 
         effective = {
@@ -353,7 +353,7 @@ class RecursiveSolver:
             effective,
             palette,
             p,
-            adjacency,
+            adjacency.adjacency(),
             degrees,
             self.initial,
             solve_index_instance,
@@ -393,7 +393,7 @@ class RecursiveSolver:
     def solve_internal(self, depth: int | None = None) -> dict[Edge, int]:
         """Solve this solver's whole instance; returns edge -> color."""
         start_depth = self.depth if depth is None else depth
-        all_edges = edge_set(self.graph)
+        all_edges = list(self.index.edges)
         work_lists = {edge: self.lists.list_of(edge) for edge in all_edges}
         self._solve_slack1(all_edges, work_lists, self.lists.palette, start_depth)
 
@@ -426,21 +426,24 @@ def compute_initial_edge_coloring(
     *,
     seed: int | None = None,
     ledger: RoundLedger | None = None,
+    index: EdgeIndex | None = None,
 ) -> tuple[dict[Edge, int], int, int]:
     """Compute the initial ``O(Δ̄²)``-edge coloring (Section 4.3, step 1).
 
-    Runs the Linial reduction on the line graph, seeded by edge IDs
-    derived from node IDs.  Returns ``(coloring, palette_size, rounds)``
-    and charges the rounds to ``ledger`` if given.  Round count is
-    ``O(log* n)``.
+    Runs the Linial reduction on the line graph (``index``, compiled
+    from ``graph`` unless the caller already holds it), seeded by edge
+    IDs derived from node IDs.  Returns ``(coloring, palette_size,
+    rounds)`` and charges the rounds to ``ledger`` if given.  Round
+    count is ``O(log* n)``.
     """
+    if index is None:
+        index = EdgeIndex(graph)
     ids = assign_unique_ids(graph, seed=seed)
     max_id = max(ids.values(), default=0)
-    adjacency = line_graph_adjacency(graph)
     edge_ids = {
-        edge: edge_identifier(edge, ids, max_id) for edge in adjacency
+        edge: edge_identifier(edge, ids, max_id) for edge in index.edges
     }
-    result = linial_reduce(adjacency, edge_ids)
+    result = linial_reduce(index, edge_ids)
     if ledger is not None:
         ledger.charge("initial Linial edge coloring (O(log* n))", result.rounds)
     return result.colors, result.palette_size, result.rounds
@@ -481,10 +484,11 @@ def solve_list_edge_coloring(
     if policy is None:
         policy = scaled_policy()
     ledger = RoundLedger()
+    index = EdgeIndex(graph)
 
     if initial_coloring is None:
         initial_coloring, initial_palette, _rounds = compute_initial_edge_coloring(
-            graph, seed=seed, ledger=ledger
+            graph, seed=seed, ledger=ledger, index=index
         )
     elif initial_palette is None:
         initial_palette = (
@@ -492,7 +496,7 @@ def solve_list_edge_coloring(
         )
 
     solver = RecursiveSolver(
-        graph, lists, initial_coloring, policy, ledger, depth=0
+        graph, lists, initial_coloring, policy, ledger, depth=0, index=index
     )
     coloring = solver.solve_internal()
     check_list_edge_coloring(graph, lists, coloring)

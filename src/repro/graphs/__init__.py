@@ -12,9 +12,11 @@ provides
 * the named family registry (:mod:`repro.graphs.families`) — the single
   ``(family, size, seed) -> graph`` table behind the CLI, the sweep
   harness, and :class:`repro.api.InstanceSpec`;
-* line-graph construction (:mod:`repro.graphs.line_graph`) — the
-  algorithms reason about the *edge degree* ``deg(e)``, i.e. the degree
-  of ``e`` in the line graph;
+* the compiled line graph (:class:`~repro.graphs.index.EdgeIndex`) —
+  the algorithms reason about the *edge degree* ``deg(e)``, i.e. the
+  degree of ``e`` in the line graph, and run on it as dense edge ids
+  with CSR neighbor rows; :mod:`repro.graphs.line_graph` keeps the
+  dict and networkx views of it;
 * structural measurements (:mod:`repro.graphs.properties`) such as
   ``Δ`` and ``Δ̄`` (the paper's maximum edge degree).
 """
@@ -49,6 +51,7 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
 )
+from repro.graphs.index import Csr, EdgeIndex
 from repro.graphs.line_graph import edge_degree, line_graph_adjacency, max_edge_degree
 from repro.graphs.properties import (
     assign_unique_ids,
@@ -86,6 +89,8 @@ __all__ = [
     "random_tree",
     "star_graph",
     "torus_graph",
+    "Csr",
+    "EdgeIndex",
     "edge_degree",
     "line_graph_adjacency",
     "max_edge_degree",

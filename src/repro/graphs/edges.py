@@ -9,6 +9,7 @@ classic ``(u, v)`` vs ``(v, u)`` bug family entirely.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator
 
 import networkx as nx
@@ -41,10 +42,17 @@ def edge_set(graph: nx.Graph) -> list[Edge]:
     Sorting gives deterministic iteration order to every algorithm that
     enumerates edges, which keeps simulated executions reproducible.
     """
-    return sorted(
-        (edge_key(u, v) for u, v in graph.edges()),
-        key=lambda e: (_sort_key(e[0]), _sort_key(e[1])),
-    )
+    keys = {node: _sort_key(node) for node in graph.nodes()}
+    keyed = []
+    for u, v in graph.edges():
+        if u == v:
+            raise InvalidInstanceError(
+                f"self-loop edge ({u!r}, {v!r}) is not allowed"
+            )
+        ku, kv = keys[u], keys[v]
+        keyed.append(((ku, kv), (u, v)) if ku <= kv else ((kv, ku), (v, u)))
+    keyed.sort(key=itemgetter(0))
+    return [edge for _, edge in keyed]
 
 
 def incident_edges(graph: nx.Graph, node: Hashable) -> list[Edge]:

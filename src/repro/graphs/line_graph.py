@@ -17,7 +17,8 @@ from typing import Hashable, Iterable, Mapping
 import networkx as nx
 
 from repro.errors import InvalidInstanceError
-from repro.graphs.edges import Edge, edge_key, edge_set
+from repro.graphs.edges import Edge, edge_key
+from repro.graphs.index import EdgeIndex
 
 
 def edge_degree(graph: nx.Graph, edge: Edge) -> int:
@@ -44,22 +45,14 @@ def max_edge_degree(graph: nx.Graph) -> int:
 def line_graph_adjacency(graph: nx.Graph) -> dict[Edge, list[Edge]]:
     """Return the adjacency of the line graph over canonical edges.
 
-    Two edges are adjacent iff they share an endpoint.  Neighbor lists
-    are sorted, giving deterministic iteration to the simulated
-    algorithms that run *on* the line graph (Linial's coloring, the
-    greedy class sweep).
+    Two edges are adjacent iff they share an endpoint.  Keys follow the
+    edge order of :func:`~repro.graphs.edges.edge_set` and neighbor
+    lists are sorted by ``repr``, giving deterministic iteration to the
+    simulated algorithms that run *on* the line graph.  A dict view of
+    :class:`~repro.graphs.index.EdgeIndex`; code that already holds an
+    index should use it directly.
     """
-    adjacency: dict[Edge, list[Edge]] = {}
-    for edge in edge_set(graph):
-        u, v = edge
-        neighbors = set()
-        for endpoint in (u, v):
-            for other in graph.neighbors(endpoint):
-                candidate = edge_key(endpoint, other)
-                if candidate != edge:
-                    neighbors.add(candidate)
-        adjacency[edge] = sorted(neighbors, key=repr)
-    return adjacency
+    return EdgeIndex(graph).adjacency()
 
 
 def line_graph(graph: nx.Graph) -> nx.Graph:
@@ -83,14 +76,10 @@ def induced_edge_degrees(
     color subspace), an edge's *new* degree counts only neighbors in
     the same part.
     """
-    chosen = set(subset)
-    adjacency = line_graph_adjacency(graph)
-    degrees: dict[Edge, int] = {}
-    for edge in chosen:
-        if edge not in adjacency:
-            raise InvalidInstanceError(f"edge {edge!r} not present in graph")
-        degrees[edge] = sum(1 for other in adjacency[edge] if other in chosen)
-    return degrees
+    index = EdgeIndex(graph)
+    ids = index.ids(set(subset))
+    degrees = index.induced(ids).degrees.tolist()
+    return {index.edges[i]: degree for i, degree in zip(ids, degrees)}
 
 
 def conflicting_pairs(
@@ -100,15 +89,11 @@ def conflicting_pairs(
 
     The generic "find monochromatic conflicts" query: validators use it
     for proper colorings (result must be empty) and defect measurement
-    (result size bounds the defect).
+    (result size bounds the defect).  Pairs are ``(edge, other)`` with
+    ``other > edge``, in edge order, then ``repr`` order of ``other``.
     """
-    conflicts: list[tuple[Edge, Edge]] = []
-    adjacency = line_graph_adjacency(graph)
-    for edge, neighbors in adjacency.items():
-        if edge not in assignment:
-            continue
-        for other in neighbors:
-            if other in assignment and other > edge:
-                if assignment[edge] == assignment[other]:
-                    conflicts.append((edge, other))
-    return conflicts
+    index = EdgeIndex(graph)
+    same = index.same_value_slots(assignment)
+    edges = index.edges
+    pairs = zip(index.slot_owners()[same].tolist(), index.neighbors[same].tolist())
+    return [(edges[i], edges[j]) for i, j in pairs if edges[j] > edges[i]]

@@ -27,7 +27,7 @@ from typing import Hashable, Mapping
 
 import networkx as nx
 
-from repro.graphs.edges import Edge, edge_set
+from repro.graphs.edges import Edge
 from repro.graphs.line_graph import line_graph
 from repro.graphs.properties import sorted_nodes
 from repro.model.network import Network
@@ -66,7 +66,6 @@ def line_graph_network(
         node_ids = {node: index + 1 for index, node in enumerate(ordered)}
     max_id = max(node_ids.values(), default=0)
     lg = line_graph(graph)
-    ids = {
-        edge: edge_identifier(edge, node_ids, max_id) for edge in edge_set(graph)
-    }
+    # The line graph's nodes are the canonical edges, in edge order.
+    ids = {edge: edge_identifier(edge, node_ids, max_id) for edge in lg}
     return Network(lg, ids=ids)

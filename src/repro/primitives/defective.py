@@ -25,12 +25,13 @@ that node, so the defect of ``e = {u, v}`` is at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
 
 from repro.errors import AlgorithmInvariantError, InvalidInstanceError, ParameterError
-from repro.graphs.edges import Edge, edge_key, incident_edges
+from repro.graphs.edges import Edge
+from repro.graphs.index import EdgeIndex
 from repro.primitives.chain_coloring import three_color_chains
 from repro.utils.chains import Chain, chains_from_adjacency
 
@@ -53,8 +54,9 @@ class DefectiveColoringResult:
         The β the coloring was built for (defect promise
         ``deg(e) / (2β)``).
     groups:
-        Node -> edge -> group index, exposed for validation and the
-        figure-reproduction benches.
+        Node -> edge -> group index for every node with an edge of the
+        instance, exposed for validation and the figure-reproduction
+        benches.
     """
 
     colors: dict[Edge, int]
@@ -65,27 +67,36 @@ class DefectiveColoringResult:
 
 
 def _assign_groups_and_numbers(
-    graph: nx.Graph, group_size: int
+    index: EdgeIndex, ids: Sequence[int], group_size: int
 ) -> tuple[dict[Hashable, dict[Edge, int]], dict[tuple[Hashable, Edge], int]]:
-    """Each node partitions its edges into groups and numbers them.
+    """Each node partitions its instance edges into groups and numbers them.
 
-    Returns ``(groups, numbers)`` where ``groups[v][e]`` is the group
-    index of ``e`` at ``v`` and ``numbers[(v, e)]`` the 1-based number
-    of ``e`` inside that group.
+    A node numbers its edges in edge order.  Returns ``(groups,
+    numbers)`` where ``groups[v][e]`` is the group index of ``e`` at
+    ``v`` (for every node with an instance edge) and ``numbers[(v, e)]``
+    the 1-based number of ``e`` inside that group.
     """
+    member = [False] * len(index)
+    for i in ids:
+        member[i] = True
+    edges = index.edges
+    incidence = index.incidence.tolist()
+    starts = index.incidence_start.tolist()
     groups: dict[Hashable, dict[Edge, int]] = {}
     numbers: dict[tuple[Hashable, Edge], int] = {}
-    for node in graph.nodes():
+    for node, start, end in zip(index.nodes, starts, starts[1:]):
+        node_edges = [edges[i] for i in incidence[start:end] if member[i]]
+        if not node_edges:
+            continue
         node_groups: dict[Edge, int] = {}
-        for index, edge in enumerate(incident_edges(graph, node)):
-            node_groups[edge] = index // group_size
-            numbers[(node, edge)] = index % group_size + 1
+        for position, edge in enumerate(node_edges):
+            node_groups[edge] = position // group_size
+            numbers[(node, edge)] = position % group_size + 1
         groups[node] = node_groups
     return groups, numbers
 
 
 def _conflict_adjacency(
-    graph: nx.Graph,
     groups: Mapping[Hashable, Mapping[Edge, int]],
     temp_colors: Mapping[Edge, tuple[int, int]],
 ) -> dict[Edge, set[Edge]]:
@@ -123,6 +134,9 @@ def defective_edge_coloring(
     graph: nx.Graph,
     beta: int,
     initial_coloring: Mapping[Edge, int],
+    *,
+    index: EdgeIndex | None = None,
+    edges: Sequence[Edge] | None = None,
 ) -> DefectiveColoringResult:
     """Compute the Section 4.1 defective edge coloring.
 
@@ -136,6 +150,11 @@ def defective_edge_coloring(
     initial_coloring:
         A proper ``X``-edge coloring used to seed the chain 3-coloring
         (the paper's given initial coloring).  Must cover all edges.
+    index:
+        The compiled line graph of ``graph``, if the caller holds it.
+    edges:
+        Color only the subgraph these edges form (a sub-instance such
+        as Lemma 4.2's uncolored edges); all of ``graph`` by default.
 
     Returns
     -------
@@ -143,7 +162,10 @@ def defective_edge_coloring(
     """
     if beta < 1:
         raise ParameterError(f"beta must be >= 1, got {beta}")
-    edges = [edge_key(u, v) for u, v in graph.edges()]
+    if index is None:
+        index = EdgeIndex(graph)
+    ids = range(len(index)) if edges is None else index.ids(edges)
+    edges = [index.edges[i] for i in ids]
     missing = [e for e in edges if e not in initial_coloring]
     if missing:
         raise InvalidInstanceError(
@@ -155,7 +177,7 @@ def defective_edge_coloring(
         )
 
     group_size = 4 * beta
-    groups, numbers = _assign_groups_and_numbers(graph, group_size)
+    groups, numbers = _assign_groups_and_numbers(index, ids, group_size)
 
     # Round 1: endpoints exchange their numbers; each edge forms its
     # temporary color (i, j) with i <= j.
@@ -166,7 +188,7 @@ def defective_edge_coloring(
         temp_colors[edge] = (min(i, j), max(i, j))
 
     # Chains of conflicting edges, 3-colored in parallel (O(log* X)).
-    adjacency = _conflict_adjacency(graph, groups, temp_colors)
+    adjacency = _conflict_adjacency(groups, temp_colors)
     chains: list[Chain] = chains_from_adjacency(adjacency)
     chain_colors, chain_rounds = three_color_chains(chains, initial_coloring)
 

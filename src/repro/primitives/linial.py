@@ -21,13 +21,14 @@ polynomials; the new color ``(x, f(x))`` lives in a palette of size
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import AlgorithmInvariantError, InvalidInstanceError
-from repro.utils.gf import digits_base_q
+from repro.graphs.index import Csr
 from repro.utils.logstar import ceil_log
 from repro.utils.primes import next_prime
 
@@ -48,6 +49,7 @@ class LinialStepParameters:
         return self.q * self.q
 
 
+@functools.lru_cache(maxsize=4096)
 def linial_step_parameters(palette_size: int, degree: int) -> LinialStepParameters:
     """Return the smallest valid ``(q, k)`` for one reduction round.
 
@@ -92,59 +94,71 @@ class LinialResult:
     step_parameters: tuple[LinialStepParameters, ...]
 
 
-def _one_round(
-    adjacency: Mapping[Hashable, list[Hashable]],
-    colors: Mapping[Hashable, int],
-    params: LinialStepParameters,
-) -> dict[Hashable, int]:
-    """Execute one synchronous reduction round (all nodes in parallel).
+#: Evaluation points one pass of a round tries.  An item's first free
+#: point is nearly always small, so most rounds settle in one pass.
+_POINTS_PER_PASS = 4
 
-    Vectorised: each item's polynomial is evaluated on all of ``GF(q)``
-    at once (a ``digits @ powers`` product mod ``q``); the forbidden
-    evaluation points against all neighbors reduce to elementwise
-    equality of the evaluation tables.  This is a pure performance
-    rewrite of the textbook per-pair ``agreement_points`` loop — tests
-    cross-check it against :meth:`FieldPolynomial.agreement_points`.
+
+def _digits(colors: np.ndarray, q: int, k: int) -> np.ndarray:
+    """Row ``i``: the ``k`` base-``q`` digits of color ``i``, least
+    significant first (:func:`repro.utils.gf.digits_base_q`) — the
+    coefficients of the color's polynomial."""
+    digits = np.empty((len(colors), k), dtype=np.int64)
+    rest = colors
+    for j in range(k):
+        digits[:, j] = rest % q
+        rest = rest // q
+    return digits
+
+
+def _one_round(
+    graph: Csr, colors: np.ndarray, params: LinialStepParameters
+) -> np.ndarray:
+    """Execute one synchronous reduction round (all items in parallel).
+
+    Whole-array form of the textbook step.  Each CSR slot joins the
+    item owning its row to one neighbor and forbids the owner the
+    points where their polynomials agree; the item's new color is
+    ``(x, f(x))`` at its first free ``x``.  Points are tried in passes
+    of ``_POINTS_PER_PASS``: a pass evaluates every polynomial on its
+    points (a ``digits @ powers`` product mod ``q``), marks collisions
+    over the slots of the items still looking, and settles each item
+    that has a free point.  Tests cross-check the result against
+    :meth:`FieldPolynomial.agreement_points`.
     """
     q, k = params.q, params.k
-    xs = np.arange(q, dtype=np.int64)
-    # powers[j, x] = x^j mod q
-    powers = np.ones((k, q), dtype=np.int64)
-    for j in range(1, k):
-        powers[j] = (powers[j - 1] * xs) % q
-
-    tables: dict[Hashable, np.ndarray] = {}
-    for item, color in colors.items():
-        digits = np.array(digits_base_q(color, q, k), dtype=np.int64)
-        tables[item] = (digits @ powers) % q
-
-    new_colors: dict[Hashable, int] = {}
-    for item, neighbors in adjacency.items():
-        own = tables[item]
-        if neighbors:
-            for neighbor in neighbors:
-                if colors[neighbor] == colors[item]:
-                    raise InvalidInstanceError(
-                        f"items {item!r} and {neighbor!r} share color "
-                        f"{colors[item]}; the input coloring must be proper"
-                    )
-            stacked = np.stack([tables[neighbor] for neighbor in neighbors])
-            collision = np.any(stacked == own, axis=0)
-            free = np.flatnonzero(~collision)
-        else:
-            free = xs
-        if free.size == 0:
-            raise AlgorithmInvariantError(
-                f"no evaluation point left for {item!r}: q={q} too small "
-                f"for degree {len(neighbors)} and k={k}"
-            )
-        x = int(free[0])
-        new_colors[item] = x * q + int(own[x])
-    return new_colors
+    digits = _digits(colors, q, k)
+    owners = graph.slot_owners()
+    new_colors = np.empty(len(colors), dtype=np.int64)
+    looking = np.ones(len(colors), dtype=bool)
+    for low in range(0, q, _POINTS_PER_PASS):
+        xs = np.arange(low, min(q, low + _POINTS_PER_PASS), dtype=np.int64)
+        # powers[j, x] = x^j mod q
+        powers = np.ones((k, len(xs)), dtype=np.int64)
+        for j in range(1, k):
+            powers[j] = powers[j - 1] * xs % q
+        values = digits @ powers % q
+        slots = np.flatnonzero(looking[owners])
+        own, other = owners[slots], graph.neighbors[slots]
+        hits, points = np.nonzero(values[own] == values[other])
+        free = np.ones(values.shape, dtype=bool)
+        free[own[hits], points] = False
+        free &= looking[:, None]
+        settled = np.flatnonzero(free.any(axis=1))
+        first = free[settled].argmax(axis=1)
+        new_colors[settled] = xs[first] * q + values[settled, first]
+        looking[settled] = False
+        if not looking.any():
+            return new_colors
+    item = int(np.flatnonzero(looking)[0])
+    raise AlgorithmInvariantError(
+        f"no evaluation point left for {graph.items[item]!r}: q={q} too "
+        f"small for degree {int(graph.degrees[item])} and k={k}"
+    )
 
 
 def linial_reduce(
-    adjacency: Mapping[Hashable, list[Hashable]],
+    adjacency: Mapping[Hashable, Sequence[Hashable]] | Csr,
     initial_colors: Mapping[Hashable, int],
     *,
     stop_at: int | None = None,
@@ -155,7 +169,9 @@ def linial_reduce(
     ----------
     adjacency:
         Symmetric adjacency of the conflict graph (for edge coloring:
-        the line graph).
+        the line graph), as a mapping or already compiled
+        (:class:`~repro.graphs.index.Csr`, e.g. an
+        :class:`~repro.graphs.index.EdgeIndex` or a subset of one).
     initial_colors:
         Proper coloring with non-negative integer colors — typically
         the unique IDs, giving the ``O(log* n)`` round bound.
@@ -168,35 +184,41 @@ def linial_reduce(
     LinialResult
         Final proper coloring, its palette size and the round count.
     """
-    if not adjacency:
+    graph = adjacency if isinstance(adjacency, Csr) else Csr.from_adjacency(adjacency)
+    items = graph.items
+    if not items:
         return LinialResult(colors={}, palette_size=0, rounds=0, step_parameters=())
-    missing = [item for item in adjacency if item not in initial_colors]
+    missing = [item for item in items if item not in initial_colors]
     if missing:
         raise InvalidInstanceError(
             f"items without initial colors: {missing[:3]!r}"
         )
-    colors = {item: int(initial_colors[item]) for item in adjacency}
-    if any(c < 0 for c in colors.values()):
+    start = [int(initial_colors[item]) for item in items]
+    if min(start) < 0:
         raise InvalidInstanceError("initial colors must be non-negative")
-    for item, neighbors in adjacency.items():
-        for neighbor in neighbors:
-            if colors[item] == colors[neighbor]:
-                raise InvalidInstanceError(
-                    f"items {item!r} and {neighbor!r} share color "
-                    f"{colors[item]}; the input coloring must be proper"
-                )
+    palette_size = max(start) + 1
+    # Beyond int64 the first round's digits are taken on Python ints.
+    colors = np.array(start, dtype=np.int64 if palette_size < 2**62 else object)
+    owners = graph.slot_owners()
+    clash = np.flatnonzero(colors[owners] == colors[graph.neighbors])
+    if clash.size:
+        owner = int(owners[clash[0]])
+        neighbor = items[int(graph.neighbors[clash[0]])]
+        raise InvalidInstanceError(
+            f"items {items[owner]!r} and {neighbor!r} share color "
+            f"{start[owner]}; the input coloring must be proper"
+        )
 
-    degree = max(len(neighbors) for neighbors in adjacency.values())
+    degree = int(graph.degrees.max())
     if degree == 0:
         # No conflicts at all: a single color suffices, zero rounds.
         return LinialResult(
-            colors={item: 0 for item in adjacency},
+            colors=dict.fromkeys(items, 0),
             palette_size=1,
             rounds=0,
             step_parameters=(),
         )
 
-    palette_size = max(colors.values()) + 1
     steps: list[LinialStepParameters] = []
     while True:
         if stop_at is not None and palette_size <= stop_at:
@@ -206,12 +228,12 @@ def linial_reduce(
         params = linial_step_parameters(palette_size, degree)
         if params.new_palette_size >= palette_size:
             break  # fixpoint reached; further rounds would not shrink
-        colors = _one_round(adjacency, colors, params)
+        colors = _one_round(graph, colors, params)
         palette_size = params.new_palette_size
         steps.append(params)
 
     return LinialResult(
-        colors=colors,
+        colors=dict(zip(items, colors.tolist())),
         palette_size=palette_size,
         rounds=len(steps),
         step_parameters=tuple(steps),

@@ -59,12 +59,32 @@ class LinialColorReductionAlgorithm(NodeAlgorithm):
 
     def __init__(self, id_space: int) -> None:
         self._id_space = id_space
+        # Shared by all nodes of one run: every node derives the same
+        # schedule from (id_space, Δ), and a color's value table from
+        # (q, k, color), so each is computed once.
+        self._schedules: dict[int, tuple[LinialStepParameters, ...]] = {}
+        self._tables: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+    def _schedule(self, degree_bound: int) -> tuple[LinialStepParameters, ...]:
+        schedule = self._schedules.get(degree_bound)
+        if schedule is None:
+            schedule = tuple(build_linial_schedule(self._id_space, degree_bound))
+            self._schedules[degree_bound] = schedule
+        return schedule
+
+    def _table(self, color: int, q: int, k: int) -> tuple[int, ...]:
+        """The polynomial of ``color`` evaluated on all of ``GF(q)``."""
+        key = (q, k, color)
+        table = self._tables.get(key)
+        if table is None:
+            polynomial = FieldPolynomial.from_color(color, q, k)
+            table = tuple(polynomial.evaluate(x) for x in range(q))
+            self._tables[key] = table
+        return table
 
     def initialize(self, ctx: NodeContext) -> None:
         ctx.state["color"] = ctx.unique_id
-        ctx.state["schedule"] = build_linial_schedule(
-            self._id_space, ctx.max_degree
-        )
+        ctx.state["schedule"] = self._schedule(ctx.max_degree)
         ctx.state["step"] = 0
         if not ctx.state["schedule"]:
             ctx.halt()
@@ -73,21 +93,31 @@ class LinialColorReductionAlgorithm(NodeAlgorithm):
         return dict.fromkeys(range(ctx.degree), ctx.state["color"])
 
     def receive_messages(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
-        schedule: list[LinialStepParameters] = ctx.state["schedule"]
-        params = schedule[ctx.state["step"]]
+        schedule: tuple[LinialStepParameters, ...] = ctx.state["schedule"]
+        step = ctx.state["step"]
+        params = schedule[step]
         q, k = params.q, params.k
-        own = FieldPolynomial.from_color(ctx.state["color"], q, k)
+        own_color = ctx.state["color"]
+        own = self._table(own_color, q, k)
         forbidden: set[int] = set()
         for color in inbox.values():
-            if color == ctx.state["color"]:
+            if color == own_color:
                 raise AlgorithmInvariantError(
                     f"node {ctx.unique_id} saw its own color at a neighbor"
                 )
-            other = FieldPolynomial.from_color(color, q, k)
-            forbidden.update(own.agreement_points(other))
+            if not 0 <= color < q**k:
+                # Only a message from an earlier step, delivered late
+                # under an asynchronous schedule, carries a color this
+                # step's polynomials cannot encode.
+                raise AlgorithmInvariantError(
+                    f"node {ctx.unique_id} received color {color}, outside "
+                    f"step {step}'s {k}-digit GF({q}) color space"
+                )
+            other = self._table(color, q, k)
+            forbidden.update(x for x in range(q) if own[x] == other[x])
         for x in range(q):
             if x not in forbidden:
-                ctx.state["color"] = x * q + own.evaluate(x)
+                ctx.state["color"] = x * q + own[x]
                 break
         else:  # pragma: no cover — guarded by q > d(k-1)
             raise AlgorithmInvariantError(

@@ -58,6 +58,14 @@ class TestLinialReduce:
         _check_proper(adjacency, result.colors)
         assert result.palette_size <= 16 * (4 + 2) ** 2
 
+    def test_initial_colors_beyond_int64(self):
+        g = nx.cycle_graph(9)
+        adjacency = _graph_adjacency(g)
+        ids = {node: 2**70 + node * 7919 for node in g.nodes()}
+        result = linial_reduce(adjacency, ids)
+        _check_proper(adjacency, result.colors)
+        assert result.palette_size <= 25
+
     def test_round_count_logstar_scale(self):
         g = nx.cycle_graph(64)
         adjacency = _graph_adjacency(g)
@@ -129,9 +137,14 @@ class TestLinialReduce:
 
 
 def _first_round_color(ids, adjacency, node, params):
+    import numpy as np
+
+    from repro.graphs.index import Csr
     from repro.primitives.linial import _one_round
 
-    return _one_round(adjacency, ids, params)[node]
+    graph = Csr.from_adjacency(adjacency)
+    colors = np.array([ids[item] for item in graph.items], dtype=np.int64)
+    return int(_one_round(graph, colors, params)[graph.items.index(node)])
 
 
 class TestFixpointPalette:

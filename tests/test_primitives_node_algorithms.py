@@ -64,6 +64,56 @@ class TestLinialMessagePassing:
         assert abs(simulated.rounds - functional.rounds) <= 1
 
 
+    def test_schedule_is_built_once_per_run(self, monkeypatch):
+        import repro.primitives.node_algorithms as module
+
+        calls = []
+
+        def counting(id_space, degree_bound):
+            calls.append((id_space, degree_bound))
+            return build_linial_schedule(id_space, degree_bound)
+
+        monkeypatch.setattr(module, "build_linial_schedule", counting)
+        net = Network(random_regular(4, 12, seed=7))
+        Scheduler(net).run(LinialColorReductionAlgorithm(id_space=net.max_id()))
+        assert calls == [(net.max_id(), net.max_degree)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_value_tables_match_textbook_agreement_points(self, seed):
+        """Cached value tables pick the same colors as the per-neighbor
+        ``agreement_points`` form of the step."""
+        g = random_regular(5, 14, seed=seed)
+        net = line_graph_network(g)
+        cached = Scheduler(net).run(
+            LinialColorReductionAlgorithm(id_space=net.max_id())
+        )
+        textbook = Scheduler(net).run(
+            _TextbookLinial(id_space=net.max_id())
+        )
+        assert cached.outputs == textbook.outputs
+        assert cached.rounds == textbook.rounds
+
+
+class _TextbookLinial(LinialColorReductionAlgorithm):
+    """One reduction step straight from the definition, per neighbor."""
+
+    def receive_messages(self, ctx, inbox):
+        from repro.utils.gf import FieldPolynomial
+
+        params = ctx.state["schedule"][ctx.state["step"]]
+        q, k = params.q, params.k
+        own = FieldPolynomial.from_color(ctx.state["color"], q, k)
+        forbidden = set()
+        for color in inbox.values():
+            other = FieldPolynomial.from_color(color, q, k)
+            forbidden.update(own.agreement_points(other))
+        x = min(set(range(q)) - forbidden)
+        ctx.state["color"] = x * q + own.evaluate(x)
+        ctx.state["step"] += 1
+        if ctx.state["step"] == len(ctx.state["schedule"]):
+            ctx.halt()
+
+
 class TestGreedyClassSweepMessagePassing:
     def test_colors_the_line_graph(self):
         g = complete_bipartite(3, 3)

@@ -253,6 +253,24 @@ class TestAbortedRuns:
         validate_scenario_result(first, instance().build())
 
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_stale_linial_color_under_asynchrony_aborts(self, seed):
+        # Bounded asynchrony delivers an earlier step's color to a
+        # Linial node; a color the step's polynomials cannot encode
+        # used to escape execute_scenario as a ParameterError.
+        graph_spec = InstanceSpec(family="random_regular", size=5, seed=seed)
+        spec = RunSpec(
+            instance=graph_spec,
+            algorithm="linial_greedy",
+            scenario=ScenarioSpec(model="bounded_async", seed=seed),
+        )
+        result = run(spec, cache=False)
+        assert result.details["aborted"].startswith("AlgorithmInvariantError")
+        assert "color space" in result.details["aborted"]
+        assert result.details["proper_on_survivors"] is False
+        validate_scenario_result(result, graph_spec.build())
+
+
 class TestProgramExtensionPoint:
     def test_registered_program_runs_without_api_registry_entry(self):
         from repro.scenarios import ProgramOutcome, ScenarioProgram, register_program
