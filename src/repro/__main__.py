@@ -788,7 +788,7 @@ def _command_bench_core(args: argparse.Namespace) -> int:
     )
 
     if args.profile:
-        # Profile-only mode: cProfile the engines' hot loops and write
+        # Profile-only mode: cProfile the scheduler's hot loop and write
         # the sidecar next to the record; the record itself is not
         # rewritten (pair with a plain bench-core run for that).
         sidecar = write_profile(args.output, quick=args.quick)
@@ -1160,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--profile", action="store_true",
-        help="cProfile the engines' hot loops and write the "
+        help="cProfile the scheduler's hot loop and write the "
              "<record>_profile.txt sidecar instead of the record",
     )
     bench.set_defaults(handler=_command_bench_core)

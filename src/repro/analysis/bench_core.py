@@ -15,7 +15,10 @@ the line graph of that instance).  A fixed-horizon flood is used as the
 probe program because its per-node computation is trivial — wall-clock
 is then almost entirely simulator overhead, which is exactly what this
 benchmark tracks.  The "before" number comes from
-:func:`repro.model.reference.reference_run`, the preserved seed loop.
+:func:`repro.model.reference.reference_run`, the preserved seed loop;
+the "after" number, the scaling sweeps and the ``--profile`` sidecar
+all time :class:`~repro.model.scheduler.Scheduler`, whose single
+backend is the columnar round engine.
 """
 
 from __future__ import annotations
@@ -39,11 +42,8 @@ from repro.graphs.properties import assign_unique_ids
 from repro.model.edge_network import line_graph_network
 from repro.model.network import Network
 from repro.model.reference import reference_run
-from repro.model.scheduler import ExecutionResult, Scheduler, numpy_available
-from repro.primitives.node_algorithms import (
-    FloodMaxAlgorithm,
-    PushFloodAlgorithm,
-)
+from repro.model.scheduler import ExecutionResult, Scheduler
+from repro.primitives.node_algorithms import FloodMaxAlgorithm
 
 #: The largest cell of the RACE sweep (``bench_race_vs_delta``).
 LARGEST_RACE_SIDE = 16
@@ -126,8 +126,7 @@ def scaling_vs_n(
 #: The large-scale cells of the scaling record: (n, degree, horizon).
 #: The first three rows push n past 10,000 at growing Δ — the regime
 #: the ROADMAP's "tens of thousands of nodes" open item asked for.
-#: The final row is the next order of magnitude: 100,000 nodes, which
-#: the numpy engine runs out of a memory-mapped arena.
+#: The final row is the next order of magnitude: 100,000 nodes.
 LARGE_SCALE_CELLS: tuple[tuple[int, int, int], ...] = (
     (10_000, 8, 8),
     (10_000, 16, 6),
@@ -136,126 +135,32 @@ LARGE_SCALE_CELLS: tuple[tuple[int, int, int], ...] = (
     (100_000, 8, 3),
 )
 
-#: At and past this n the numpy engine's bench cells lease an explicit
-#: memory-mapped arena, so the recorded 100k rows certify the memmap
-#: variant (below it, buffers this size are fine on the Python heap).
-MEMMAP_BENCH_MIN_N = 100_000
-
-
-def bench_engines() -> tuple[str, ...]:
-    """The engines the benchmark can time on this interpreter."""
-    return ("list", "numpy") if numpy_available() else ("list",)
-
-
-def _run_engine_cell(
-    network: Network, horizon: int, engine: str
-) -> ExecutionResult:
-    """Run one flood cell under ``engine`` (memmap arena at 100k+)."""
-    if engine == "numpy" and network.n >= MEMMAP_BENCH_MIN_N:
-        from repro.model.engine_numpy import NumpyRoundArena, shared_numpy_arena
-
-        arena = NumpyRoundArena(memmap=True)
-        try:
-            with shared_numpy_arena(arena):
-                return Scheduler(network, engine=engine).run(
-                    FloodMaxAlgorithm(horizon)
-                )
-        finally:
-            arena.close()
-    return Scheduler(network, engine=engine).run(FloodMaxAlgorithm(horizon))
-
-
 def scaling_large_n(
     cells: tuple[tuple[int, int, int], ...] = LARGE_SCALE_CELLS,
     *,
     repeats: int = 2,
-    engines: tuple[str, ...] | None = None,
 ) -> SweepResult:
-    """Engine-labeled throughput on 10k+-node regular instances.
+    """Throughput on 10k+-node regular instances.
 
-    Each cell is ``(n, degree, horizon)``, timed once per engine; rows
-    carry ``n`` / ``degree`` / ``engine`` columns so the recorded JSON
-    is self-describing.  ``engines`` defaults to every engine available
-    on this interpreter (:func:`bench_engines`).  List-engine cells
-    share one arena (via :func:`run_scaling_sweep`); numpy cells at
-    ``n >= MEMMAP_BENCH_MIN_N`` lease an explicit memory-mapped arena,
-    so the 100k rows are measured off the memmap variant.
+    Each cell is ``(n, degree, horizon)``; rows carry ``n`` /
+    ``degree`` columns so the recorded JSON is self-describing.  The
+    cells share one arena (via :func:`run_scaling_sweep`).
     """
-    if engines is None:
-        engines = bench_engines()
     sweep_cells = []
     for n, degree, horizon in cells:
         network = Network(random_regular(degree, n, seed=7))
-        for engine in engines:
 
-            def cell(net=network, h=horizon, d=degree, eng=engine):
-                result = _run_engine_cell(net, h, eng)
-                return {
-                    "n": net.n,
-                    "degree": d,
-                    "engine": eng,
-                    "rounds": result.rounds,
-                    "messages_sent": result.messages_sent,
-                }
+        def cell(net=network, h=horizon, d=degree):
+            result = Scheduler(net).run(FloodMaxAlgorithm(h))
+            return {
+                "n": net.n,
+                "degree": d,
+                "rounds": result.rounds,
+                "messages_sent": result.messages_sent,
+            }
 
-            sweep_cells.append((f"n={n} Δ={degree} [{engine}]", cell))
+        sweep_cells.append((f"n={n} Δ={degree}", cell))
     return run_scaling_sweep(sweep_cells, x_label="instance", repeats=repeats)
-
-
-def compare_push_scatter(
-    *,
-    n: int = 20_000,
-    degree: int = 8,
-    horizon: int = 6,
-    repeats: int = 3,
-) -> dict:
-    """Time list vs numpy on a push-heavy workload; return the record.
-
-    The probe (:class:`PushFloodAlgorithm`) sends a *distinct* payload
-    on every port, so the broadcast fast path never applies and
-    wall-clock isolates the per-message push path — exactly the part
-    the numpy engine replaces with fancy-indexed scatters.  The numpy
-    side is ``None`` when numpy is unavailable (the record still
-    validates; the committed record always has both sides).
-    """
-    network = Network(random_regular(degree, n, seed=7))
-    list_clock, list_result = time_best(
-        lambda: Scheduler(network, engine="list").run(
-            PushFloodAlgorithm(horizon)
-        ),
-        repeats,
-    )
-    assert isinstance(list_result, ExecutionResult)
-    record: dict = {
-        "n": n,
-        "degree": degree,
-        "horizon": horizon,
-        "workload": (
-            "per-port distinct payload flood (PushFloodAlgorithm) — "
-            "no broadcast column, every message takes the push path"
-        ),
-        "list": throughput_columns(list_result, list_clock),
-    }
-    if numpy_available():
-        numpy_clock, numpy_result = time_best(
-            lambda: Scheduler(network, engine="numpy").run(
-                PushFloodAlgorithm(horizon)
-            ),
-            repeats,
-        )
-        assert isinstance(numpy_result, ExecutionResult)
-        record["numpy"] = throughput_columns(numpy_result, numpy_clock)
-        record["speedup"] = list_clock / max(numpy_clock, 1e-9)
-        record["identical_results"] = (
-            list_result.rounds == numpy_result.rounds
-            and list_result.messages_sent == numpy_result.messages_sent
-            and list_result.outputs == numpy_result.outputs
-        )
-    else:
-        record["numpy"] = None
-        record["speedup"] = None
-        record["identical_results"] = None
-    return record
 
 
 def scaling_vs_delta(
@@ -284,59 +189,35 @@ def profile_sidecar_path(record_path: str | Path) -> Path:
     return record_path.with_name(record_path.stem + "_profile.txt")
 
 
-def profile_engines(
-    *,
-    quick: bool = False,
-    engines: tuple[str, ...] | None = None,
-    top: int = 30,
-) -> str:
-    """cProfile the hot loops per engine; return the pstats text.
+def profile_scheduler(*, quick: bool = False, top: int = 30) -> str:
+    """cProfile the headline flood; return the pstats text.
 
-    One section per engine, each profiling the headline broadcast flood
-    plus the push-scatter workload (the two ends of the engine's
-    compose spectrum), sorted by total time so the hotspots read off
-    the top.  This is the evidence base for optimization work: the
-    committed sidecar pins where simulator time went *before* a change,
-    so a claimed speedup can be checked against the profile it came
-    from.
+    Sorted by total time so the hotspots read off the top.  This is the
+    evidence base for optimization work: the committed sidecar pins
+    where simulator time went *before* a change, so a claimed speedup
+    can be checked against the profile it came from.
     """
-    if engines is None:
-        engines = bench_engines()
-    flood_network = largest_race_network(4 if quick else None)
-    push_network = Network(
-        random_regular(8, 2_000 if quick else 20_000, seed=7)
+    network = largest_race_network(4 if quick else None)
+    horizon = 4 if quick else HEADLINE_HORIZON
+    profiler = cProfile.Profile()
+    profiler.enable()
+    Scheduler(network).run(FloodMaxAlgorithm(horizon))
+    profiler.disable()
+    stream = io.StringIO()
+    stats = pstats.Stats(profiler, stream=stream)
+    stats.strip_dirs().sort_stats("tottime").print_stats(top)
+    return (
+        f"== headline flood (n={network.n}, horizon={horizon}) ==\n"
+        f"{stream.getvalue()}"
     )
-    flood_horizon = 4 if quick else HEADLINE_HORIZON
-    push_horizon = 2 if quick else 6
-    sections = []
-    for engine in engines:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        Scheduler(flood_network, engine=engine).run(
-            FloodMaxAlgorithm(flood_horizon)
-        )
-        Scheduler(push_network, engine=engine).run(
-            PushFloodAlgorithm(push_horizon)
-        )
-        profiler.disable()
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.strip_dirs().sort_stats("tottime").print_stats(top)
-        sections.append(
-            f"== engine={engine} — headline flood "
-            f"(n={flood_network.n}, horizon={flood_horizon}) + "
-            f"push scatter (n={push_network.n}, "
-            f"horizon={push_horizon}) ==\n{stream.getvalue()}"
-        )
-    return "\n".join(sections)
 
 
 def write_profile(
     record_path: str | Path, *, quick: bool = False, top: int = 30
 ) -> Path:
-    """Profile the engines; write the sidecar next to ``record_path``."""
+    """Profile the scheduler; write the sidecar next to ``record_path``."""
     sidecar = profile_sidecar_path(record_path)
-    sidecar.write_text(profile_engines(quick=quick, top=top))
+    sidecar.write_text(profile_scheduler(quick=quick, top=top))
     return sidecar
 
 
@@ -363,12 +244,6 @@ def collect_bench_core(
     degrees = (4, 8) if quick else (4, 8, 16, 32)
     large_cells = ((200, 8, 2),) if quick else LARGE_SCALE_CELLS
     sweep_repeats = 1 if quick else 2
-    push_scatter = compare_push_scatter(
-        n=400 if quick else 20_000,
-        degree=4 if quick else 8,
-        horizon=2 if quick else 6,
-        repeats=1 if quick else repeats,
-    )
     return {
         "benchmark": "scheduler-core",
         "workload": (
@@ -379,7 +254,6 @@ def collect_bench_core(
         "after_implementation": (
             "repro.model.scheduler.Scheduler.run (columnar round engine)"
         ),
-        "engines": list(bench_engines()),
         "largest_race_instance": {
             "instance": (
                 f"line graph of K_{{{LARGEST_RACE_SIDE},{LARGEST_RACE_SIDE}}} "
@@ -387,7 +261,6 @@ def collect_bench_core(
             ),
             **headline,
         },
-        "push_scatter": push_scatter,
         "scaling_vs_n": _sweep_records(scaling_vs_n(sizes, repeats=sweep_repeats)),
         "scaling_vs_delta": _sweep_records(
             scaling_vs_delta(degrees, repeats=sweep_repeats)
@@ -410,7 +283,6 @@ _REQUIRED_RECORD_KEYS = (
     "before_implementation",
     "after_implementation",
     "largest_race_instance",
-    "push_scatter",
     "scaling_vs_n",
     "scaling_vs_delta",
     "scaling_large_n",
@@ -448,30 +320,6 @@ def validate_bench_record(record: dict) -> None:
         raise ValueError("headline record does not certify identical results")
     if not isinstance(headline.get("speedup"), (int, float)):
         raise ValueError(f"headline speedup is malformed: {headline.get('speedup')!r}")
-    push = record["push_scatter"]
-    if not isinstance(push, dict) or not isinstance(
-        push.get("list"), dict
-    ) or not isinstance(push["list"].get("wall_clock_s"), (int, float)):
-        raise ValueError(f"push_scatter record is malformed: {push!r}")
-    if push.get("numpy") is not None:
-        # A record with a numpy side must certify equivalence and carry
-        # a comparable timing + speedup (the headline claim of the
-        # vectorized engine); numpy=None is legal only because records
-        # must be producible on interpreters without numpy.
-        if not isinstance(push["numpy"], dict) or not isinstance(
-            push["numpy"].get("wall_clock_s"), (int, float)
-        ):
-            raise ValueError(
-                f"push_scatter numpy timing is malformed: {push['numpy']!r}"
-            )
-        if not isinstance(push.get("speedup"), (int, float)):
-            raise ValueError(
-                f"push_scatter speedup is malformed: {push.get('speedup')!r}"
-            )
-        if push.get("identical_results") is not True:
-            raise ValueError(
-                "push_scatter record does not certify identical results"
-            )
     environment = record["environment"]
     if not isinstance(environment, dict):
         raise ValueError(
@@ -492,12 +340,6 @@ def validate_bench_record(record: dict) -> None:
                     raise ValueError(
                         f"{sweep_key} row is missing numeric {key!r}: {row!r}"
                     )
-            if sweep_key == "scaling_large_n" and not isinstance(
-                row.get("engine"), str
-            ):
-                raise ValueError(
-                    f"scaling_large_n row is missing its engine label: {row!r}"
-                )
 
 
 def smoke_check(path: str | Path) -> dict:

@@ -80,7 +80,6 @@ from repro.api.failures import (
 from repro.api.registry import get_algorithm
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.coloring.verify import check_palette_bound, check_proper_edge_coloring
-from repro.model.scheduler import ENGINES, engine_override
 from repro.results import FailedResult, RunResult
 from repro.scenarios.spec import ScenarioSpec
 from repro.telemetry.events import emit_event
@@ -345,7 +344,6 @@ def run(
     cache_dir: str | Path | None = None,
     cache_max_entries: int | None = None,
     on_error: str | FailurePolicy = "raise",
-    engine: str | None = None,
     ledger_dir: str | Path | None = None,
     _fingerprint: str | None = None,
 ) -> RunResult:
@@ -364,21 +362,13 @@ def run(
     exhausting the policy's attempts instead of raising.  Failures are
     never cached — only successful results enter either cache layer.
 
-    ``engine`` selects the simulator's execution backend for this call
-    (``"list"`` / ``"numpy"`` / ``"auto"``; ``None`` keeps the ambient
-    default — see :func:`repro.model.scheduler.engine_override`).  It
-    is an *executor* argument, deliberately not a spec field: engine
-    choice never changes results, so it never enters fingerprints and
-    a result computed under one engine is a cache hit for every other.
-
     ``ledger_dir`` appends one observational record per resolution
     (executed / cache hit / captured failure) to the run ledger there
     (see :mod:`repro.telemetry.ledger`); ``None`` falls back to the
     ambient :func:`repro.telemetry.ledger.ledger_context` directory,
-    and recording is off when neither is set.  Like ``engine``, the
-    ledger is executor state: it never enters fingerprints and never
-    changes results — a run with the ledger on is byte-identical to
-    one without.
+    and recording is off when neither is set.  The ledger is executor
+    state: it never enters fingerprints and never changes results — a
+    run with the ledger on is byte-identical to one without.
 
     A spec carrying a non-identity scenario routes through
     :func:`repro.scenarios.executor.execute_scenario` — same result
@@ -387,10 +377,6 @@ def run(
     path bit-for-bit.
     """
     policy = resolve_policy(on_error)
-    if engine is not None and engine not in ENGINES:
-        # Validate before the cache lookup so a typo'd engine raises
-        # whether or not the spec happens to be cached.
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     ledger = resolve_ledger_dir(ledger_dir)
     fingerprint = spec.fingerprint() if _fingerprint is None else _fingerprint
     hit, layer = _lookup_layers(fingerprint, spec, validate, cache, cache_dir)
@@ -402,7 +388,6 @@ def run(
             disposition=f"cache_{layer}",
             result=hit,
             attempts=0,
-            engine=engine,
         )
         emit_event(
             "spec_resolved",
@@ -412,10 +397,7 @@ def run(
         return hit
     observed: dict[str, Any] = {}
     started = time.perf_counter()
-    with engine_override(engine) as active_engine:
-        result = _execute_with_policy(
-            spec, fingerprint, validate, policy, observed
-        )
+    result = _execute_with_policy(spec, fingerprint, validate, policy, observed)
     wall_clock_s = time.perf_counter() - started
     if result.is_failure():
         record_run(
@@ -426,7 +408,6 @@ def run(
             result=result,
             attempts=policy.attempts,
             wall_clock_s=wall_clock_s,
-            engine=active_engine,
         )
         emit_event(
             "spec_resolved",
@@ -444,7 +425,6 @@ def run(
         result=result,
         attempts=observed.get("attempts", 1),
         wall_clock_s=wall_clock_s,
-        engine=active_engine,
     )
     emit_event(
         "spec_resolved",
@@ -463,23 +443,20 @@ def run(
 
 
 def _run_in_worker(
-    payload: tuple[
-        dict[str, Any], bool, dict[str, Any] | None, str | None, str | None
-    ]
+    payload: tuple[dict[str, Any], bool, dict[str, Any] | None, str | None]
 ) -> RunResult:
     """Pool entry point: rebuild the spec from its dict form and run it.
 
     The failure policy crosses the pool boundary as a dict so capture
     (and its retries/deadline) happens *inside* the worker — the
     traceback the failure record digests is the algorithm's, identical
-    to what a serial run would have captured.  The engine selection
-    and the ledger directory ride along the same way (both are
-    per-call executor state, not spec state, so the worker must be
-    told explicitly) — ledger records are written at the execution
+    to what a serial run would have captured.  The ledger directory
+    rides along the same way (it is per-call executor state, not spec
+    state, so the worker must be told explicitly) — ledger records are written at the execution
     site, so a pooled batch produces the same rows a serial one does,
     stamped with the worker's own pid.
     """
-    spec_dict, validate, policy_dict, engine, ledger_dir = payload
+    spec_dict, validate, policy_dict, ledger_dir = payload
     policy = (
         FailurePolicy.from_dict(policy_dict)
         if policy_dict is not None
@@ -490,7 +467,6 @@ def _run_in_worker(
         validate=validate,
         cache=False,
         on_error=policy,
-        engine=engine,
         ledger_dir=ledger_dir,
     )
 
@@ -504,7 +480,6 @@ def run_many_iter(
     cache_dir: str | Path | None = None,
     cache_max_entries: int | None = None,
     on_error: str | FailurePolicy = "raise",
-    engine: str | None = None,
     ledger_dir: str | Path | None = None,
 ) -> Iterator[tuple[int, RunResult]]:
     """Execute many specs, yielding ``(index, result)`` as runs finish.
@@ -543,8 +518,7 @@ def run_many_iter(
             cache=cache,
             cache_dir=cache_dir,
             policy=resolve_policy(on_error),
-            engine=engine,
-            ledger_dir=resolve_ledger_dir(ledger_dir),
+                ledger_dir=resolve_ledger_dir(ledger_dir),
         )
     finally:
         # One prune per batch (not per store) — in a finally so the
@@ -580,7 +554,6 @@ def _run_many_iter_inner(
     cache: bool,
     cache_dir: str | Path | None,
     policy: FailurePolicy,
-    engine: str | None = None,
     ledger_dir: str | None = None,
 ) -> Iterator[tuple[int, RunResult]]:
     ordered = list(specs)
@@ -611,7 +584,6 @@ def _run_many_iter_inner(
                 disposition=f"cache_{layer}",
                 result=hit,
                 attempts=0,
-                engine=engine,
             )
             emit_event(
                 "spec_resolved",
@@ -632,8 +604,7 @@ def _run_many_iter_inner(
                     cache=cache,
                     cache_dir=cache_dir,
                     on_error=policy,
-                    engine=engine,
-                    ledger_dir=ledger_dir,
+                                ledger_dir=ledger_dir,
                     _fingerprint=fingerprint,
                 )
             except Exception as exc:
@@ -649,7 +620,7 @@ def _run_many_iter_inner(
             futures = {
                 pool.submit(
                     _run_in_worker,
-                    (spec.to_dict(), validate, policy_dict, engine, ledger_dir),
+                    (spec.to_dict(), validate, policy_dict, ledger_dir),
                 ): fingerprint
                 for fingerprint, spec in todo.items()
             }
@@ -682,7 +653,6 @@ def run_many(
     cache_dir: str | Path | None = None,
     cache_max_entries: int | None = None,
     on_error: str | FailurePolicy = "raise",
-    engine: str | None = None,
     ledger_dir: str | Path | None = None,
 ) -> list[RunResult]:
     """Execute many specs, optionally fanning out over processes.
@@ -720,7 +690,6 @@ def run_many(
         cache_dir=cache_dir,
         cache_max_entries=cache_max_entries,
         on_error=on_error,
-        engine=engine,
         ledger_dir=ledger_dir,
     ):
         results[index] = result

@@ -62,15 +62,6 @@ class ParameterError(ReproError, ValueError):
     """
 
 
-class EngineUnavailableError(ReproError, RuntimeError):
-    """An explicitly requested execution engine cannot run here.
-
-    Raised when ``engine="numpy"`` is requested but numpy cannot be
-    imported.  ``engine="auto"`` never raises this — it degrades to the
-    always-correct list engine instead.
-    """
-
-
 class SpecFormatError(ReproError, ValueError):
     """A serialized spec carries fields this library does not understand.
 

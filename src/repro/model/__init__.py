@@ -12,14 +12,14 @@ directly:
   interface a distributed algorithm implements (init / send / receive /
   halt / output);
 * :class:`repro.model.scheduler.Scheduler` — the synchronous round
-  loop, with round and message accounting and a round budget.  This is
-  the *columnar round engine*: delivery runs over the flat CSR columns
-  the network compiles at construction (dense node indices,
-  receiver / destination-slot columns, cached ``n``/``Δ``), uniform
-  broadcasts collapse into a per-sender column, inboxes materialise
-  from contiguous buffer slices, and the flat buffers pool in a
-  :class:`repro.model.scheduler.RoundArena` that sweeps share across
-  cells (:func:`repro.model.scheduler.shared_arena`);
+  loop, with round and message accounting and a round budget.  It has
+  one backend, the *columnar round engine*: delivery runs over the
+  flat CSR columns the network compiles at construction (dense node
+  indices, receiver / destination-slot columns, cached ``n``/``Δ``),
+  uniform broadcasts collapse into a per-sender column, inboxes
+  materialise from contiguous buffer slices, and the flat buffers pool
+  in a :class:`repro.model.scheduler.RoundArena` that sweeps share
+  across cells (:func:`repro.model.scheduler.shared_arena`);
 * :func:`repro.model.reference.reference_run` — the original seed loop
   kept as the slow oracle; equivalence tests pin the fast path to it
   bit-for-bit (``rounds``, ``messages_sent``, ``outputs``);

@@ -85,16 +85,6 @@ class NodeAlgorithm(abc.ABC):
     must live in ``ctx.state``.
     """
 
-    #: Declares that every payload this algorithm ever composes is a
-    #: plain Python ``int`` (not ``bool``, not arbitrarily large).
-    #: Purely an execution hint: ``engine="auto"`` picks the vectorized
-    #: numpy backend only for algorithms that opt in here, because
-    #: scalar payloads are what its array-typed (and memory-mappable)
-    #: payload columns apply to.  The declaration never changes
-    #: results — the numpy engine verifies it per round and demotes to
-    #: object columns if a non-int payload shows up anyway.
-    scalar_payloads: bool = False
-
     def initialize(self, ctx: NodeContext) -> None:
         """Set up per-node state before the first round (optional)."""
 

@@ -115,7 +115,6 @@ class Network:
         ]
         self._delivery: list[list[tuple[int, int]]] | None = None
         self._neighbor_rows: list[list[int]] | None = None
-        self._columns_np: tuple | None = None
         self._max_degree = max(self._degrees, default=0)
         self._ids_by_index: list[int] = [
             self._ids[node] for node in self._sorted_nodes
@@ -256,32 +255,6 @@ class Network:
             self._col_receiver_port,
             self._col_dest_slot,
         )
-
-    def delivery_columns_np(self):
-        """The columnar delivery layout as ``int64`` ndarrays.
-
-        Same four columns as :meth:`delivery_columns` —
-        ``(row_start, receiver, receiver_port, dest_slot)`` — compiled
-        once into contiguous ``numpy.int64`` arrays so the vectorized
-        engine (:mod:`repro.model.engine_numpy`) can gather and scatter
-        whole rounds with fancy indexing instead of per-message list
-        indexing.  Derived lazily from the list columns (numpy is an
-        optional dependency of the model layer); do not mutate.
-
-        Raises :class:`~repro.errors.EngineUnavailableError` when numpy
-        cannot be imported.
-        """
-        if self._columns_np is None:
-            from repro.model.scheduler import require_numpy
-
-            np = require_numpy()
-            self._columns_np = (
-                np.asarray(self._row_start, dtype=np.int64),
-                np.asarray(self._col_receiver, dtype=np.int64),
-                np.asarray(self._col_receiver_port, dtype=np.int64),
-                np.asarray(self._col_dest_slot, dtype=np.int64),
-            )
-        return self._columns_np
 
     def neighbor_index_rows(self) -> list[list[int]]:
         """Per-node neighbor *indices* in port order (do not mutate).

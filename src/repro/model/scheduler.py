@@ -12,12 +12,13 @@ The scheduler realises the LOCAL model's semantics exactly:
 
 Columnar round engine
 ---------------------
-This implementation is the compiled counterpart of the original
-reference loop (preserved verbatim-in-behavior in
-:mod:`repro.model.reference` and pinned by the scheduler-equivalence
-tests).  Delivery runs over **flat parallel buffers** addressed by the
-network's compiled column layout (:meth:`Network.delivery_columns`)
-instead of per-node dictionaries.
+This is the scheduler's only backend: every run — clean, traced, or
+under a delivery hook — goes through it.  It is the compiled
+counterpart of the original reference loop (preserved
+verbatim-in-behavior in :mod:`repro.model.reference` and pinned by the
+scheduler-equivalence tests).  Delivery runs over **flat parallel
+buffers** addressed by the network's compiled column layout
+(:meth:`Network.delivery_columns`) instead of per-node dictionaries.
 
 Buffer layout
 ~~~~~~~~~~~~~
@@ -128,49 +129,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Iterator, Protocol
 
-from repro.errors import EngineUnavailableError, RoundLimitExceededError
+from repro.errors import RoundLimitExceededError
 from repro.model.algorithm import NodeAlgorithm, NodeContext
 from repro.model.message import Message
 from repro.model.network import Network
-
-#: The engine names :class:`Scheduler` accepts.  ``list`` is the
-#: always-correct pinned fallback (the columnar engine below);
-#: ``numpy`` is the vectorized backend (:mod:`repro.model.engine_numpy`);
-#: ``auto`` picks numpy only when it imports *and* the algorithm
-#: declares scalar payloads (:attr:`NodeAlgorithm.scalar_payloads`),
-#: falling back to ``list`` otherwise — auto never raises on a missing
-#: numpy.
-ENGINES = ("list", "numpy", "auto")
-
-#: Memoized numpy importability; ``None`` = not probed yet.  Tests
-#: reset this to re-probe under a monkeypatched import failure.
-_NUMPY_MEMO: bool | None = None
-
-
-def numpy_available() -> bool:
-    """True when numpy can be imported (probed once, memoized)."""
-    global _NUMPY_MEMO
-    if _NUMPY_MEMO is None:
-        try:
-            import numpy  # noqa: F401
-        except Exception:
-            _NUMPY_MEMO = False
-        else:
-            _NUMPY_MEMO = True
-    return _NUMPY_MEMO
-
-
-def require_numpy():
-    """Import and return numpy, or raise :class:`EngineUnavailableError`."""
-    if not numpy_available():
-        raise EngineUnavailableError(
-            "engine='numpy' requested but numpy cannot be imported; "
-            "use engine='list' (the always-correct fallback) or "
-            "engine='auto' (which degrades to it silently)"
-        )
-    import numpy
-
-    return numpy
 
 #: One composed message: ``(sender_index, port, payload)`` — the unit
 #: the delivery-hook seam gates.  Sender index and port are the dense
@@ -335,63 +297,6 @@ _ACTIVE_ARENA: ContextVar[RoundArena | None] = ContextVar(
     "repro_round_arena", default=None
 )
 
-#: The ambient engine choice.  A :class:`Scheduler` constructed without
-#: an explicit ``engine=`` reads this, so callers that never construct
-#: schedulers themselves (the spec executor, deep solver internals) can
-#: still select the backend for everything beneath them (see
-#: :func:`engine_override`).  The default is the list engine — the
-#: pinned, always-correct fallback.
-_ACTIVE_ENGINE: ContextVar[str] = ContextVar("repro_engine", default="list")
-
-
-@contextmanager
-def engine_override(engine: str | None) -> Iterator[str]:
-    """Install ``engine`` as the ambient engine for the ``with`` block.
-
-    Every :class:`Scheduler` constructed without an explicit
-    ``engine=`` inside the block uses it — the seam the batch executor
-    (:func:`repro.api.run`'s ``engine=``) selects backends through
-    without touching spec fingerprints.  ``None`` is a no-op (the
-    ambient engine is left as is), so callers can pass their own
-    optional engine argument straight through.
-    """
-    if engine is None:
-        yield _ACTIVE_ENGINE.get()
-        return
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    token = _ACTIVE_ENGINE.set(engine)
-    try:
-        yield engine
-    finally:
-        _ACTIVE_ENGINE.reset(token)
-
-
-def resolve_engine(requested: str | None, algorithm: NodeAlgorithm) -> str:
-    """Resolve an engine request to the backend that will actually run.
-
-    ``None`` reads the ambient engine (:func:`engine_override`,
-    default ``list``).  ``numpy`` is loud: it raises
-    :class:`~repro.errors.EngineUnavailableError` when numpy is
-    missing.  ``auto`` is silent: numpy only when it imports *and*
-    ``algorithm`` declares scalar payloads
-    (:attr:`~repro.model.algorithm.NodeAlgorithm.scalar_payloads`) —
-    the regime where the vectorized payload columns apply — and the
-    list engine otherwise.
-    """
-    engine = _ACTIVE_ENGINE.get() if requested is None else requested
-    if engine == "list":
-        return "list"
-    if engine == "numpy":
-        require_numpy()
-        return "numpy"
-    if engine == "auto":
-        if numpy_available() and getattr(algorithm, "scalar_payloads", False):
-            return "numpy"
-        return "list"
-    raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-
-
 @contextmanager
 def shared_arena(arena: RoundArena | None = None) -> Iterator[RoundArena]:
     """Install ``arena`` (or a fresh one) as the ambient arena.
@@ -474,24 +379,7 @@ class Scheduler:
         ``record_trace`` that the CONGEST audit reads.
     arena:
         Buffer arena to lease from.  ``None`` uses the ambient arena
-        installed by :func:`shared_arena`, or a private one.  (The
-        numpy engine leases its own
-        :class:`~repro.model.engine_numpy.NumpyRoundArena` instead;
-        pass one explicitly — or install one via
-        :func:`~repro.model.engine_numpy.shared_numpy_arena` — to
-        share buffers across numpy runs.)
-    engine:
-        Execution backend: ``"list"`` (the pinned always-correct
-        columnar engine below), ``"numpy"`` (the vectorized backend,
-        :mod:`repro.model.engine_numpy`; raises
-        :class:`~repro.errors.EngineUnavailableError` when numpy is
-        missing), or ``"auto"`` (numpy only when it imports and the
-        algorithm declares
-        :attr:`~repro.model.algorithm.NodeAlgorithm.scalar_payloads`).
-        ``None`` (the default) reads the ambient engine installed by
-        :func:`engine_override` — ``"list"`` unless overridden.
-        Engine choice never changes observable results: the
-        equivalence suite pins numpy == list == reference bit for bit.
+        installed by :func:`shared_arena`, or a private one.
     delivery_hook:
         Optional :class:`DeliveryHook` realising an adversarial
         execution model (see :mod:`repro.scenarios`).  ``None`` (the
@@ -514,20 +402,14 @@ class Scheduler:
         audit_message_sizes: bool = True,
         record_send_log: bool = False,
         arena: RoundArena | None = None,
-        engine: str | None = None,
         delivery_hook: DeliveryHook | None = None,
     ) -> None:
-        if engine is not None and engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
         self._network = network
         self._max_rounds = max_rounds
         self._record_trace = record_trace
         self._audit_message_sizes = audit_message_sizes
         self._record_send_log = record_send_log
         self._arena = arena
-        self._engine = engine
         self._delivery_hook = delivery_hook
         self._send_log: tuple[list[int], list[int], list[Any]] | None = None
 
@@ -549,10 +431,6 @@ class Scheduler:
 
     def run(self, algorithm: NodeAlgorithm) -> ExecutionResult:
         """Execute ``algorithm`` to global halting and return the result."""
-        if resolve_engine(self._engine, algorithm) == "numpy":
-            from repro.model import engine_numpy
-
-            return engine_numpy.execute(self, algorithm)
         if self._delivery_hook is not None:
             return self._run_hooked(algorithm)
         network = self._network

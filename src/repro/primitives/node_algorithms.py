@@ -54,9 +54,6 @@ class LinialColorReductionAlgorithm(NodeAlgorithm):
     ``O(Δ²)`` palette.  Rounds: ``len(schedule) = O(log* id_space)``.
     """
 
-    #: Colors are plain ints, so engine="auto" may vectorize this.
-    scalar_payloads = True
-
     def __init__(self, id_space: int) -> None:
         self._id_space = id_space
         # Shared by all nodes of one run: every node derives the same
@@ -184,51 +181,6 @@ class GreedyClassSweepAlgorithm(NodeAlgorithm):
         return ctx.state["color"]
 
 
-class PushFloodAlgorithm(NodeAlgorithm):
-    """FloodMax with per-port distinct payloads (push-path perf probe).
-
-    Computes exactly what :class:`FloodMaxAlgorithm` computes, but
-    encodes each payload as ``best * (Δ + 1) + port`` — distinct across
-    ports, so the scheduler's broadcast fast path never applies and
-    every message exercises the per-message push path (the part the
-    numpy engine turns into one fancy-indexed scatter per round).
-    Receivers decode with a floor division; for ``best1 > best2`` the
-    encodings never interleave (``(best1 - best2)·(Δ+1) > Δ ≥ port``),
-    so the decoded maximum is the true maximum.  Used by
-    ``python -m repro bench-core`` as the push-scatter workload.
-    """
-
-    #: Encoded IDs are plain ints, so engine="auto" may vectorize this.
-    scalar_payloads = True
-
-    def __init__(self, horizon: int) -> None:
-        if horizon < 0:
-            raise ParameterError(f"horizon must be >= 0, got {horizon}")
-        self._horizon = horizon
-
-    def initialize(self, ctx: NodeContext) -> None:
-        ctx.state["best"] = ctx.unique_id
-        ctx.state["round"] = 0
-        if self._horizon == 0:
-            ctx.halt()
-
-    def compose_messages(self, ctx: NodeContext) -> Mapping[int, Any]:
-        base = ctx.state["best"] * (ctx.max_degree + 1)
-        return {port: base + port for port in range(ctx.degree)}
-
-    def receive_messages(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
-        if inbox:
-            best = max(inbox.values()) // (ctx.max_degree + 1)
-            if best > ctx.state["best"]:
-                ctx.state["best"] = best
-        ctx.state["round"] += 1
-        if ctx.state["round"] >= self._horizon:
-            ctx.halt()
-
-    def output(self, ctx: NodeContext) -> int:
-        return ctx.state["best"]
-
-
 class FloodMaxAlgorithm(NodeAlgorithm):
     """Flood the maximum ID for a fixed horizon (scheduler demo/test).
 
@@ -237,9 +189,6 @@ class FloodMaxAlgorithm(NodeAlgorithm):
     all do.  Used by the model tests to pin down the synchronous
     semantics (information travels exactly one hop per round).
     """
-
-    #: IDs are plain ints, so engine="auto" may vectorize this.
-    scalar_payloads = True
 
     def __init__(self, horizon: int) -> None:
         if horizon < 0:

@@ -28,6 +28,10 @@ Contract details the tests pin:
   (:class:`~repro.errors.SpecFormatError` text), never a silent drop.
 * The spec (or plan) fingerprint is echoed in the
   ``X-Repro-Fingerprint`` response header.
+* A body larger than :data:`MAX_BODY_BYTES` is a **413** sent before
+  any of it is read; a connection that stalls for
+  :data:`REQUEST_TIMEOUT_S` mid-request is closed (a stalled body
+  gets a **408** first).
 * Poison specs are *answers*, not errors: captured failures return 200
   with ``failed: true`` and the serialized
   :class:`~repro.results.FailedResult` in ``result``.
@@ -71,6 +75,17 @@ _JOB_ROUTE = re.compile(
 
 #: Seconds between event-stream polls while the job still runs.
 EVENTS_POLL_S = 0.15
+
+#: Largest request body accepted, in bytes.  A spec serializes to a few
+#: hundred bytes, so this admits job batches of tens of thousands of
+#: specs; a larger ``Content-Length`` is refused with 413 before any of
+#: the body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Socket timeout, in seconds, for every connection.  A client that
+#: stalls mid-request (headers or body) has its connection closed
+#: instead of holding a handler thread forever.
+REQUEST_TIMEOUT_S = 30.0
 
 
 def _endpoint_label(path: str) -> str:
@@ -133,6 +148,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     service: ReproService
     quiet = True
     protocol_version = "HTTP/1.0"
+    timeout = REQUEST_TIMEOUT_S
 
     # -- plumbing -------------------------------------------------------
 
@@ -184,7 +200,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise _HttpError(
                 400, "bad_request", f"unreadable Content-Length {length_text!r}"
             )
-        raw = self.rfile.read(length) if length > 0 else b""
+        if length > MAX_BODY_BYTES:
+            raise _HttpError(
+                413,
+                "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        try:
+            raw = self.rfile.read(length) if length > 0 else b""
+        except TimeoutError:
+            raise _HttpError(
+                408, "request_timeout", "request body stalled before completion"
+            )
         if not raw:
             raise _HttpError(400, "bad_request", "empty request body")
         try:

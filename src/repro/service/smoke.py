@@ -16,6 +16,7 @@ service's two headline contracts plus the request-hygiene ones:
    multi-worker job streams every result exactly once, in batch
    order, byte-identical to serial :func:`repro.api.run_many`.
 3. **Hygiene** — malformed specs are 400s naming the offending field;
+   a ``Content-Length`` above the body limit is a 413;
    a poison spec round-trips as a captured
    :class:`~repro.results.FailedResult` (HTTP 200, ``failed: true``);
    health and registry endpoints answer.
@@ -38,6 +39,7 @@ Any breach raises :class:`~repro.errors.ServiceError`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import tempfile
@@ -46,6 +48,7 @@ import time
 import urllib.error
 import urllib.request
 from typing import Any
+from urllib.parse import urlsplit
 
 from repro.api.runner import run_many
 from repro.api.spec import InstanceSpec, RunSpec
@@ -53,7 +56,7 @@ from repro.errors import ServiceError
 from repro.results import canonical_json
 from repro.scenarios.spec import ScenarioSpec
 from repro.service.app import ReproService
-from repro.service.http import make_server
+from repro.service.http import MAX_BODY_BYTES, make_server
 from repro.telemetry.prometheus import PROMETHEUS_CONTENT_TYPE
 
 #: Seconds the held-open leader waits for all followers to join.
@@ -243,6 +246,22 @@ def _check_hygiene(base: str) -> None:
     except urllib.error.HTTPError as err:
         status = err.code
     _expect(status == 400, f"non-JSON body returned {status}, expected 400")
+    # Oversized Content-Length -> 413 before any body byte is read (so
+    # none is sent).
+    connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
+    try:
+        connection.putrequest("POST", "/v1/run")
+        connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        connection.endheaders()
+        response = connection.getresponse()
+        status, body = response.status, json.loads(response.read())
+    finally:
+        connection.close()
+    _expect(
+        status == 413 and body.get("error") == "payload_too_large",
+        f"oversized body returned {status} ({body.get('error')!r}), "
+        "expected 413 payload_too_large",
+    )
     # Poison spec (unregistered algorithm) -> captured failure, not a 500.
     poison = {**good, "algorithm": "no_such_algorithm"}
     status, body, headers = _request("POST", base + "/v1/run", poison)
@@ -620,5 +639,8 @@ def smoke_check(*, clients: int = 6) -> dict[str, Any]:
         **streaming,
         **observability,
         **prometheus,
-        "hygiene": "400s strict, poison captured, health/registry live",
+        "hygiene": (
+            "400s strict, 413 over the body cap, poison captured, "
+            "health/registry live"
+        ),
     }

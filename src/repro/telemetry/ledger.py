@@ -22,7 +22,7 @@ timing-sidecar rules of :mod:`repro.cluster.worker`:
 *deterministic core* (spec fingerprint, algorithm, instance/scenario
 labels, disposition, result fingerprint, rounds, messages, attempts,
 error type) separated from an ``observed`` sub-object (wall-clock,
-engine, worker identity, timestamp, environment snapshot).  The core
+worker identity, timestamp, environment snapshot).  The core
 of a run record is byte-stable across serial / pool / sharded
 execution of the same batch; the ``observed`` block is where all the
 legitimately non-deterministic accounting lives.
@@ -133,10 +133,8 @@ _ACTIVE_LEDGER_DIR: ContextVar[str | None] = ContextVar(
 def ledger_context(directory: str | Path | None) -> Iterator[str | None]:
     """Install ``directory`` as the ambient ledger for the ``with`` block.
 
-    The observability sibling of
-    :func:`repro.model.scheduler.engine_override`: every
-    ``run``/``run_many``/``run_many_iter`` call inside the block that
-    does not pass its own ``ledger_dir=`` records there.  ``None`` is a
+    Every ``run``/``run_many``/``run_many_iter`` call inside the block
+    that does not pass its own ``ledger_dir=`` records there.  ``None`` is a
     no-op (the ambient ledger is left as is), so callers can pass their
     own optional argument straight through.
     """
@@ -222,7 +220,6 @@ def record_run(
     result: "RunResult",
     attempts: int = 1,
     wall_clock_s: float | None = None,
-    engine: str | None = None,
 ) -> None:
     """Append one run record; a ``None`` directory records nothing.
 
@@ -256,7 +253,6 @@ def record_run(
                 "wall_clock_s": (
                     round(wall_clock_s, 6) if wall_clock_s is not None else None
                 ),
-                "engine": engine,
                 "worker": worker_identity(),
                 "unix_ts": time.time(),
                 "environment": snapshot_environment(),

@@ -28,7 +28,7 @@ from repro.model.algorithm import NodeAlgorithm
 from repro.model.edge_network import line_graph_network
 from repro.model.network import Network
 from repro.model.reference import reference_run
-from repro.model.scheduler import Scheduler, numpy_available, shared_arena
+from repro.model.scheduler import Scheduler, shared_arena
 from repro.primitives.node_algorithms import (
     FloodMaxAlgorithm,
     GreedyClassSweepAlgorithm,
@@ -84,24 +84,12 @@ def _random_graph(seed: int) -> nx.Graph:
 
 
 def _assert_equivalent(network: Network, make_algorithm, max_rounds=10_000):
-    """Run every engine with fresh algorithm instances and diff results.
-
-    When numpy is importable the vectorized engine joins the diff, so
-    the whole zoo of cases below pins ``numpy == list == reference``,
-    not just the list engine against the seed loop.
-    """
+    """Run both loops with fresh algorithm instances and diff results."""
     ref = reference_run(network, make_algorithm(), max_rounds=max_rounds)
     fast = Scheduler(network, max_rounds=max_rounds).run(make_algorithm())
     assert ref.rounds == fast.rounds
     assert ref.messages_sent == fast.messages_sent
     assert ref.outputs == fast.outputs
-    if numpy_available():
-        vectored = Scheduler(
-            network, max_rounds=max_rounds, engine="numpy"
-        ).run(make_algorithm())
-        assert ref.rounds == vectored.rounds
-        assert ref.messages_sent == vectored.messages_sent
-        assert ref.outputs == vectored.outputs
     return fast
 
 
@@ -257,11 +245,6 @@ class TestFastPathMatchesReference:
             reference_run(network, FloatPorts())
         with pytest.raises(TypeError):
             Scheduler(network).run(FloatPorts())
-        if numpy_available():
-            # The vectorized engine must not let ndarray indexing
-            # silently truncate a fractional port to an int slot.
-            with pytest.raises(TypeError):
-                Scheduler(network, engine="numpy").run(FloatPorts())
 
     def test_mixed_pattern_under_a_shared_arena(self):
         """Arena reuse across back-to-back runs must not leak stale

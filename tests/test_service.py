@@ -12,6 +12,8 @@ zero-dependency client actually uses.  The headline pins:
   fingerprinted responses.
 * **Strict deserialization** — unknown fields are 400s that *name the
   field*; non-JSON and empty bodies are 400s, never tracebacks.
+* **Request limits** — an oversized ``Content-Length`` is a 413 sent
+  before the body is read, and a stalled request loses its connection.
 * **Poison round-trip** — an unrunnable spec is an answer (200,
   ``failed: true``, a serialized :class:`~repro.results.FailedResult`
   that deserializes back), not a 500.
@@ -22,11 +24,14 @@ zero-dependency client actually uses.  The headline pins:
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -34,6 +39,11 @@ from repro.api import InstanceSpec, RunSpec, ScenarioSpec, run_many
 from repro.api.runner import clear_result_cache
 from repro.results import FailedResult, RunResult, canonical_json
 from repro.service import ReproService, make_server
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    REQUEST_TIMEOUT_S,
+    ServiceHandler,
+)
 
 BARRIER_S = 30.0
 
@@ -303,6 +313,57 @@ class TestJobs:
         _, base = live
         status, body, _ = self.submit(base, self.batch(), shards="many")
         assert status == 400 and "shards" in body["message"]
+
+
+class TestRequestLimits:
+    def test_oversized_body_is_413_before_reading(self, live):
+        _, base = live
+        # Only the headers go out: the server must answer from the
+        # declared length alone, without waiting for the body.
+        connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
+        try:
+            connection.putrequest("POST", "/v1/run")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 413
+        assert body["error"] == "payload_too_large"
+        assert str(MAX_BODY_BYTES) in body["message"]
+
+    @pytest.mark.parametrize(
+        "partial, reply",
+        [
+            (b"POST /v1/run HTTP/1.0\r\nContent-Le", b""),
+            (
+                b"POST /v1/run HTTP/1.0\r\nContent-Length: 64\r\n\r\n{",
+                b"HTTP/1.0 408",
+            ),
+        ],
+        ids=["stalled-headers", "stalled-body"],
+    )
+    def test_stalled_request_loses_its_connection(
+        self, live, monkeypatch, partial, reply
+    ):
+        # The shipped handler has a timeout; the test shortens it.
+        assert ServiceHandler.timeout == REQUEST_TIMEOUT_S
+        monkeypatch.setattr(ServiceHandler, "timeout", 0.3)
+        _, base = live
+        address = urlsplit(base)
+        received = b""
+        # The client waits far longer than the server's timeout; a
+        # server that never hangs up fails this with a socket timeout.
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=30
+        ) as sock:
+            sock.sendall(partial)
+            while chunk := sock.recv(4096):
+                received += chunk
+        assert received.startswith(reply)
+        if not reply:
+            assert received == b""
 
 
 class TestIntrospection:

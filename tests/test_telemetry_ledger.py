@@ -7,7 +7,7 @@ The contracts pinned here (see :mod:`repro.telemetry.ledger`):
 2. the *deterministic core* of a batch's records is identical across
    serial, process-pool, and sharded execution of the same specs;
 3. the ledger is observational: results with the ledger on are
-   byte-identical to results with it off, cross-engine included;
+   byte-identical to results with it off;
 4. writes are best-effort: an unwritable ledger directory records
    nothing and fails nothing.
 """
@@ -23,7 +23,6 @@ from repro.api import FailurePolicy, InstanceSpec, RunSpec, ScenarioSpec, run, r
 from repro.api.runner import clear_result_cache
 from repro.cluster import run_sharded
 from repro.errors import InjectedFault
-from repro.model.scheduler import numpy_available
 from repro.results import canonical_json
 from repro.telemetry.ledger import (
     LEDGER_FORMAT,
@@ -229,25 +228,6 @@ class TestObservationalOnly:
         assert [canonical_json(r.to_dict()) for r in with_ledger] == [
             canonical_json(r.to_dict()) for r in without
         ]
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_cross_engine_results_identical_with_ledger_on(self, tmp_path):
-        specs = batch()
-        numpy_side = run_many(
-            specs, cache=False, engine="numpy", ledger_dir=tmp_path / "np"
-        )
-        clear_result_cache()
-        list_side = run_many(specs, cache=False, engine="list")
-        assert [canonical_json(r.to_dict()) for r in numpy_side] == [
-            canonical_json(r.to_dict()) for r in list_side
-        ]
-        engines = {
-            row["observed"]["engine"] for row in run_rows(tmp_path / "np")
-        }
-        assert engines == {"numpy"}
-        # The engine lives in `observed`, never in the core.
-        for row in run_rows(tmp_path / "np"):
-            assert "engine" not in deterministic_core(row)
 
     def test_ledger_rows_never_enter_sealed_results(self, tmp_path):
         spec = batch()[0]
