@@ -13,12 +13,12 @@ The one front door for executing experiments.  Guarantees:
 * **Caching** — results are memoised under the spec fingerprint;
   repeated specs (within one ``run_many`` call or across calls) solve
   once.  The in-process cache is explicit
-  (:func:`clear_result_cache`); it stores private copies and hands out
-  copies, so mutating a returned result never corrupts later lookups,
-  and a hit produced under ``validate=False`` is validated before it
-  may satisfy a ``validate=True`` request.  Passing ``cache_dir=``
-  adds a second, **on-disk** layer — one JSON file per spec
-  fingerprint — so sweeps resume across sessions: a fresh process
+  (:func:`clear_result_cache`); results are immutable, so it stores and
+  hands out the one result object without copying, and a hit produced
+  under ``validate=False`` is validated before it may satisfy a
+  ``validate=True`` request.  Passing ``cache_dir=`` adds a second,
+  **on-disk** layer — one JSON file per spec fingerprint — so sweeps
+  resume across sessions: a fresh process
   pointed at the same directory replays finished specs from disk
   instead of re-solving them.  Disk entries embed the result
   fingerprint and are ignored (treated as misses) if they fail to
@@ -55,7 +55,7 @@ The one front door for executing experiments.  Guarantees:
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import hashlib
 import time
 import traceback as traceback_module
@@ -105,11 +105,11 @@ __all__ = [
 #: failure of the spec.  Cache hits never consult the hook.
 _FAULT_HOOK: Callable[[str, int], None] | None = None
 
-#: Result cache: spec fingerprint -> (result, was_validated).  The
-#: stored result is private to the cache — lookups hand out deep
-#: copies, so no caller mutation can poison later hits.  In-process
-#: and unbounded; sweeps that would outgrow it should clear between
-#: phases (or spill to disk with ``cache_dir=``).
+#: Result cache: spec fingerprint -> (result, was_validated).  Results
+#: are immutable, so lookups hand out the stored object itself — no
+#: caller can poison later hits.  In-process and unbounded; sweeps
+#: that would outgrow it should clear between phases (or spill to disk
+#: with ``cache_dir=``).
 _RESULT_CACHE: dict[str, tuple[RunResult, bool]] = {}
 
 def clear_result_cache() -> int:
@@ -148,7 +148,7 @@ def _validate(result: RunResult, graph) -> None:
 
 
 def _cache_lookup(fingerprint: str, spec: RunSpec, validate: bool) -> RunResult | None:
-    """Return a private copy of a cached result, validating if owed.
+    """Return a cached result, validating if owed.
 
     A hit produced by a ``validate=False`` run must not satisfy a
     ``validate=True`` request unchecked — the validation happens now
@@ -161,11 +161,11 @@ def _cache_lookup(fingerprint: str, spec: RunSpec, validate: bool) -> RunResult 
     if validate and not validated:
         _validate(result, spec.instance.build())
         _RESULT_CACHE[fingerprint] = (result, True)
-    return copy.deepcopy(result)
+    return result
 
 
 def _cache_store(fingerprint: str, result: RunResult, validated: bool) -> None:
-    _RESULT_CACHE[fingerprint] = (copy.deepcopy(result), validated)
+    _RESULT_CACHE[fingerprint] = (result, validated)
 
 
 # --- on-disk spill -----------------------------------------------------
@@ -251,7 +251,7 @@ def _execute_once(spec: RunSpec, fingerprint: str, validate: bool) -> RunResult:
             policy=spec.policy,
             **dict(spec.params),
         )
-    result.fingerprint = fingerprint
+    result = dataclasses.replace(result, fingerprint=fingerprint)
     if validate:
         _validate(result, graph)
     return result
@@ -488,13 +488,12 @@ def run_many_iter(
     or on-disk) come first, in spec order; remaining specs follow as
     their runs complete — in spec order when serial, in completion
     order when ``parallel > 1``.  Duplicate specs (same fingerprint)
-    are executed once; the first occurrence yields the run's result
-    object and later occurrences yield independent copies — exactly
-    the object identity :func:`run_many` has always returned.
+    are executed once, and every occurrence yields the run's one
+    (immutable) result object.
 
     Under ``on_error="capture"`` a failing spec yields a
-    :class:`~repro.results.FailedResult` at its index (duplicates get
-    copies, like any result); under ``"raise"`` the exception
+    :class:`~repro.results.FailedResult` at its index (duplicates share
+    it, like any result); under ``"raise"`` the exception
     propagates annotated with the failing spec's batch index, label,
     and fingerprint (``spec_index`` / ``spec_fingerprint`` attributes
     plus an exception note), so a poison spec in a thousand-spec batch
@@ -565,10 +564,8 @@ def _run_many_iter_inner(
     def emissions(
         fingerprint: str, result: RunResult
     ) -> Iterator[tuple[int, RunResult]]:
-        indices = indices_of[fingerprint]
-        yield indices[0], result
-        for index in indices[1:]:
-            yield index, copy.deepcopy(result)
+        for index in indices_of[fingerprint]:
+            yield index, result
 
     todo: dict[str, RunSpec] = {}
     resolved: set[str] = set()
@@ -659,8 +656,8 @@ def run_many(
 
     Results come back in spec order, byte-identical to serial
     execution regardless of ``parallel``.  Duplicate specs (same
-    fingerprint) are executed once and later occurrences get
-    independent copies; already-cached specs (in-process, or on-disk
+    fingerprint) are executed once and share the result object;
+    already-cached specs (in-process, or on-disk
     when ``cache_dir`` is given) are not re-executed at all.
 
     Parameters

@@ -24,7 +24,7 @@ import networkx as nx
 from repro.results import RunResult
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineResult(RunResult):
     """Outcome of a baseline run.
 

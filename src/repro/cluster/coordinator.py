@@ -10,9 +10,9 @@ remains in-process — reclaiming the stale leases of crashed workers —
 and (4) merges the sealed shard results.
 
 **The byte-identical contract.**  Merging reads each distinct spec's
-result from its shard file and lays results out in batch order, first
-occurrence getting the loaded object and duplicates getting deep
-copies — the exact object discipline of ``run_many``.  Results
+result from its shard file and lays results out in batch order,
+duplicates sharing the loaded (immutable) object — the exact object
+discipline of ``run_many``.  Results
 round-trip through JSON on the way (shard files are sealed JSON), and
 :meth:`repro.results.RunResult.to_dict` round-trips exactly, so
 ``canonical_json(r.to_dict())`` of every merged result equals its
@@ -42,7 +42,6 @@ spec — what succeeded, what failed, why, and what was retried.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import subprocess
@@ -167,17 +166,9 @@ def _merge_with_plan(plan, job_dir: str | Path) -> list[RunResult]:
             "valid sealed result yet (run workers or run_sharded to "
             "finish it)"
         )
-    # run_many's object discipline: first occurrence of a fingerprint
-    # yields the loaded object, later occurrences independent copies.
-    seen: set[str] = set()
-    results: list[RunResult] = []
-    for fingerprint in plan.fingerprints:
-        result = by_fingerprint[fingerprint]
-        if fingerprint in seen:
-            result = copy.deepcopy(result)
-        seen.add(fingerprint)
-        results.append(result)
-    return results
+    # run_many's object discipline: every occurrence of a fingerprint
+    # yields the one loaded (immutable) object.
+    return [by_fingerprint[fingerprint] for fingerprint in plan.fingerprints]
 
 
 def record_worker_events(
@@ -607,11 +598,11 @@ def run_sharded_iter(
 
     The streaming twin of :func:`run_sharded` (which is now built on
     it), with the merge discipline preserved pair-wise: every batch
-    index is yielded exactly once; the first batch occurrence of a
-    fingerprint carries the loaded result object and every later
-    occurrence an independent deep copy; collecting the pairs into a
-    list by index reproduces ``run_sharded`` — and therefore serial
-    :func:`repro.api.run_many` — byte for byte.  Pairs arrive grouped
+    index is yielded exactly once, and every batch occurrence of a
+    fingerprint carries the one loaded (immutable) result object;
+    collecting the pairs into a list by index reproduces
+    ``run_sharded`` — and therefore serial :func:`repro.api.run_many`
+    — byte for byte.  Pairs arrive grouped
     by shard in shard-seal order, *not* in batch order: consumers that
     need batch order (the service's ``/stream`` endpoint) reorder by
     index.
@@ -693,10 +684,8 @@ def run_sharded_iter(
                 progressed = True
                 for fingerprint in plan.assignment[shard]:
                     result = loaded[fingerprint]
-                    first, *rest = indices_of[fingerprint]
-                    yield first, result
-                    for index in rest:
-                        yield index, copy.deepcopy(result)
+                    for index in indices_of[fingerprint]:
+                        yield index, result
             if len(emitted) == plan.shards:
                 break
             if watch is not None:

@@ -41,6 +41,7 @@ is still forced: prefer capture for unattended fleets.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -219,7 +220,7 @@ def load_dead_letter(
         return None
     traceback_text = body.get("traceback")
     if isinstance(traceback_text, str):
-        result.traceback_text = traceback_text
+        result = dataclasses.replace(result, traceback_text=traceback_text)
     return result
 
 

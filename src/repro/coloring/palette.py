@@ -9,7 +9,7 @@ partition (contiguous blocks, as in the paper's Figure 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.errors import ParameterError
@@ -25,10 +25,14 @@ class Palette:
     """
 
     colors: tuple[int, ...]
+    #: The colors as a set, built once for O(1) membership tests.
+    _set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.colors)) != len(self.colors):
+        colors = frozenset(self.colors)
+        if len(colors) != len(self.colors):
             raise ParameterError("palette contains duplicate colors")
+        object.__setattr__(self, "_set", colors)
 
     @classmethod
     def of_size(cls, size: int, *, start: int = 1) -> "Palette":
@@ -47,11 +51,11 @@ class Palette:
         return iter(self.colors)
 
     def __contains__(self, color: int) -> bool:
-        return color in self.as_set
+        return color in self._set
 
     @property
     def as_set(self) -> frozenset[int]:
-        return frozenset(self.colors)
+        return self._set
 
     def restrict(self, allowed: Sequence[int]) -> "Palette":
         """Return the sub-palette of colors also present in ``allowed``."""

@@ -5,20 +5,24 @@ These functions re-derive everything from the graph: they do not trust
 algorithm's bookkeeping.  Every test and every benchmark funnels its
 outputs through this module, realising the DESIGN.md hard rule that
 correctness is checked independently of round accounting.
+
+The checks are node-local and ``O(m)``: colored edges are looked up in
+the graph's canonical edge set, and colors are counted per node.  No
+line graph is built — in particular not the
+:class:`~repro.graphs.index.EdgeIndex` the solver itself runs on, so a
+bug there cannot hide on both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Hashable, Mapping
 
 import networkx as nx
-import numpy as np
 
 from repro.errors import ColoringValidationError
 from repro.coloring.lists import ListAssignment
-from repro.graphs.edges import Edge
-from repro.graphs.index import EdgeIndex
+from repro.graphs.edges import Edge, canonical_edges, edge_set
 
 
 def check_proper_edge_coloring(
@@ -37,28 +41,28 @@ def check_proper_edge_coloring(
         colored; when ``False`` the mapping may cover a subset, but
         properness is still enforced on the covered part.
     """
-    index = EdgeIndex(graph)
-    for edge in coloring:
-        if edge not in index.position:
+    edges = canonical_edges(graph)
+    if not edges.issuperset(coloring):
+        foreign = next(edge for edge in coloring if edge not in edges)
+        raise ColoringValidationError(
+            f"colored edge {foreign!r} does not exist in the graph"
+        )
+    if require_total and len(coloring) < len(edges):
+        missing = [e for e in edge_set(graph) if e not in coloring]
+        raise ColoringValidationError(
+            f"{len(missing)} edges are uncolored, e.g. {missing[:3]!r}"
+        )
+    # (node, color) -> the edge holding that color at that node.
+    holder: dict[tuple[Hashable, int], Edge] = {}
+    for edge, color in coloring.items():
+        u, v = edge
+        other = holder.setdefault((u, color), edge)
+        if other is edge:
+            other = holder.setdefault((v, color), edge)
+        if other is not edge:
             raise ColoringValidationError(
-                f"colored edge {edge!r} does not exist in the graph"
-            )
-    if require_total:
-        missing = [e for e in index.edges if e not in coloring]
-        if missing:
-            raise ColoringValidationError(
-                f"{len(missing)} edges are uncolored, e.g. {missing[:3]!r}"
-            )
-    same = index.same_value_slots(coloring)
-    if not same.any():
-        return
-    edges = index.edges
-    for i, j in zip(index.slot_owners()[same].tolist(), index.neighbors[same].tolist()):
-        edge, other = edges[i], edges[j]
-        if other > edge:
-            raise ColoringValidationError(
-                f"edges {edge!r} and {other!r} share a node and the "
-                f"color {coloring[edge]}"
+                f"edges {other!r} and {edge!r} share a node and the "
+                f"color {color}"
             )
 
 
@@ -100,18 +104,24 @@ def measure_defects(
     """Return, per edge, the number of same-colored neighboring edges.
 
     For a *proper* coloring all defects are 0; for a defective coloring
-    this is the quantity the paper bounds by ``deg(e) / (2β)``.
+    this is the quantity the paper bounds by ``deg(e) / (2β)``.  Only
+    edges of the graph count; other keys of ``assignment`` are ignored.
     """
-    return _defects(EdgeIndex(graph), assignment)
+    return _defects(canonical_edges(graph), assignment)
 
 
-def _defects(index: EdgeIndex, assignment: Mapping[Edge, int]) -> dict[Edge, int]:
-    same = index.same_value_slots(assignment)
-    counts = np.bincount(index.slot_owners()[same], minlength=len(index)).tolist()
+def _defects(edges: set[Edge], assignment: Mapping[Edge, int]) -> dict[Edge, int]:
+    # In a simple graph two edges share at most one node, so the defect
+    # of (u, v) is the count of its color at u, minus 1, plus the count
+    # at v, minus 1.
+    colored = [(edge, color) for edge, color in assignment.items() if edge in edges]
+    count: dict[tuple[Hashable, int], int] = {}
+    for (u, v), color in colored:
+        count[u, color] = count.get((u, color), 0) + 1
+        count[v, color] = count.get((v, color), 0) + 1
     return {
-        edge: count
-        for edge, count in zip(index.edges, counts)
-        if edge in assignment
+        edge: count[edge[0], color] + count[edge[1], color] - 2
+        for edge, color in colored
     }
 
 
@@ -138,21 +148,25 @@ def check_defective_coloring(
         (the paper's ``O(β²)``, instantiated with explicit constants by
         the caller).
     """
-    index = EdgeIndex(graph)
-    missing = [e for e in index.edges if e not in assignment]
-    if missing:
+    edges = canonical_edges(graph)
+    if edges.difference(assignment):
+        missing = [e for e in edge_set(graph) if e not in assignment]
         raise ColoringValidationError(
             f"{len(missing)} edges lack a defective color, e.g. {missing[:3]!r}"
         )
-    defects = _defects(index, assignment)
-    for edge, degree in zip(index.edges, index.degrees.tolist()):
-        defect = defects[edge]
-        allowed = defect_bound(degree)
-        if defect > allowed:
-            raise ColoringValidationError(
-                f"edge {edge!r} (deg {degree}) has defect {defect} "
-                f"> allowed {allowed}"
-            )
+    degree = dict(graph.degree())
+    over: dict[Edge, tuple[int, int]] = {}
+    for edge, defect in _defects(edges, assignment).items():
+        edge_degree = degree[edge[0]] + degree[edge[1]] - 2
+        if defect > defect_bound(edge_degree):
+            over[edge] = (defect, edge_degree)
+    if over:
+        edge = next(e for e in edge_set(graph) if e in over)
+        defect, edge_degree = over[edge]
+        raise ColoringValidationError(
+            f"edge {edge!r} (deg {edge_degree}) has defect {defect} "
+            f"> allowed {defect_bound(edge_degree)}"
+        )
     if color_bound is not None:
         used = len(set(assignment.values()))
         if used > color_bound:

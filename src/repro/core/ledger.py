@@ -136,3 +136,32 @@ class RoundLedger:
     def root(self) -> LedgerEntry:
         """The root entry (read access for tests and analysis)."""
         return self._root
+
+    # -- freezing --------------------------------------------------------
+
+    def freeze(self) -> None:
+        """Make this ledger read-only; a result freezes the ledger it carries.
+
+        Child lists become tuples, and the instance turns into a
+        :class:`FrozenRoundLedger`, whose charges, blocks and counter
+        updates raise — the hot :meth:`charge` path stays check-free.
+        """
+        pending = [self._root]
+        while pending:
+            entry = pending.pop()
+            entry.children = tuple(entry.children)  # type: ignore[assignment]
+            pending.extend(entry.children)
+        self._stack = [self._root]
+        self.__class__ = FrozenRoundLedger
+
+
+class FrozenRoundLedger(RoundLedger):
+    """A :class:`RoundLedger` after :meth:`~RoundLedger.freeze`."""
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("a frozen RoundLedger cannot be changed")
+
+    charge = sequential = parallel = bump = record_max = _refuse  # type: ignore[assignment]
+
+    def freeze(self) -> None:
+        """Already frozen: nothing to do."""

@@ -59,7 +59,7 @@ from repro.primitives.linial import linial_reduce
 from repro.results import RunResult
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult(RunResult):
     """Outcome of one paper-solver run, with full accounting.
 
@@ -231,12 +231,15 @@ class RecursiveSolver:
                 by_class.setdefault(defective.colors[edge], []).append(edge)
 
             inactive_total = 0
-            idle_classes = 0
+            # Empty classes and all-inactive ones still cost one
+            # lockstep round each; batched into one leaf to keep the
+            # ledger readable.  Only the non-empty classes are visited.
+            idle_classes = defective.color_count - len(by_class)
             with self.ledger.sequential(
                 f"Lemma 4.2 classes (β={beta}, Δ̄={dbar})"
             ):
-                for class_value in range(defective.color_count):
-                    members = self._uncolored(by_class.get(class_value, []))
+                for class_value in sorted(by_class):
+                    members = self._uncolored(by_class[class_value])
                     selection = select_active_edges(
                         members,
                         lambda e: len(self._effective_list(e, work_lists)),
@@ -244,9 +247,6 @@ class RecursiveSolver:
                     )
                     inactive_total += len(selection.inactive)
                     if not selection.active:
-                        # Empty / all-inactive classes still cost one
-                        # lockstep round each; batched into one leaf to
-                        # keep the ledger readable.
                         idle_classes += 1
                         continue
                     self.slack_stats.relaxed_invocations += 1

@@ -36,23 +36,31 @@ def _sort_key(node: Hashable) -> tuple[str, str]:
     return (type(node).__name__, repr(node))
 
 
-def edge_set(graph: nx.Graph) -> list[Edge]:
-    """Return all edges of ``graph`` in canonical form, sorted.
-
-    Sorting gives deterministic iteration order to every algorithm that
-    enumerates edges, which keeps simulated executions reproducible.
-    """
+def _keyed_edges(graph: nx.Graph) -> Iterator[tuple[tuple, Edge]]:
+    """Yield ``(order key, canonical edge)`` for every edge of ``graph``."""
     keys = {node: _sort_key(node) for node in graph.nodes()}
-    keyed = []
     for u, v in graph.edges():
         if u == v:
             raise InvalidInstanceError(
                 f"self-loop edge ({u!r}, {v!r}) is not allowed"
             )
         ku, kv = keys[u], keys[v]
-        keyed.append(((ku, kv), (u, v)) if ku <= kv else ((kv, ku), (v, u)))
-    keyed.sort(key=itemgetter(0))
+        yield ((ku, kv), (u, v)) if ku <= kv else ((kv, ku), (v, u))
+
+
+def edge_set(graph: nx.Graph) -> list[Edge]:
+    """Return all edges of ``graph`` in canonical form, sorted.
+
+    Sorting gives deterministic iteration order to every algorithm that
+    enumerates edges, which keeps simulated executions reproducible.
+    """
+    keyed = sorted(_keyed_edges(graph), key=itemgetter(0))
     return [edge for _, edge in keyed]
+
+
+def canonical_edges(graph: nx.Graph) -> set[Edge]:
+    """The canonical edges of ``graph`` as a set: :func:`edge_set` unsorted."""
+    return {edge for _, edge in _keyed_edges(graph)}
 
 
 def incident_edges(graph: nx.Graph, node: Hashable) -> list[Edge]:

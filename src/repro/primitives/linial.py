@@ -196,6 +196,14 @@ def linial_reduce(
     start = [int(initial_colors[item]) for item in items]
     if min(start) < 0:
         raise InvalidInstanceError("initial colors must be non-negative")
+    if not len(graph.neighbors):
+        # No conflicts at all: a single color suffices, zero rounds.
+        return LinialResult(
+            colors=dict.fromkeys(items, 0),
+            palette_size=1,
+            rounds=0,
+            step_parameters=(),
+        )
     palette_size = max(start) + 1
     # Beyond int64 the first round's digits are taken on Python ints.
     colors = np.array(start, dtype=np.int64 if palette_size < 2**62 else object)
@@ -210,14 +218,6 @@ def linial_reduce(
         )
 
     degree = int(graph.degrees.max())
-    if degree == 0:
-        # No conflicts at all: a single color suffices, zero rounds.
-        return LinialResult(
-            colors=dict.fromkeys(items, 0),
-            palette_size=1,
-            rounds=0,
-            step_parameters=(),
-        )
 
     steps: list[LinialStepParameters] = []
     while True:

@@ -13,13 +13,22 @@ form.  Fingerprints are the reproducibility contract of the batch
 executor: the same :class:`repro.api.RunSpec` must produce the same
 result fingerprint whether it ran serially, in a process pool, or in a
 different session.
+
+Results are **immutable**: the dataclasses are frozen, ``coloring``,
+``stats`` and ``details`` are read-only mappings (nested dicts too,
+with lists turned into tuples), and an attached
+:class:`~repro.core.ledger.RoundLedger` is frozen.  Caches, duplicate
+specs and coalesced service requests therefore share one result object
+instead of copying it; derive a changed result with
+:func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.graphs.edges import Edge, edge_to_token, token_to_edge
@@ -47,7 +56,36 @@ def fingerprint_of(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-@dataclass
+def _freeze(value: Any) -> Any:
+    """A read-only copy of ``value``: dicts become read-only mappings and
+    lists tuples, recursively.  A read-only mapping is taken as already
+    frozen; other values are kept as they are.
+    """
+    if isinstance(value, MappingProxyType):
+        return value
+    if isinstance(value, dict):
+        return MappingProxyType(
+            {key: _freeze(item) for key, item in value.items()}
+        )
+    if isinstance(value, list) or type(value) is tuple:
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+def _thaw(value: Any) -> Any:
+    """The plain dict / list form of a :func:`_freeze` result, for JSON."""
+    if isinstance(value, MappingProxyType):
+        return {key: _thaw(item) for key, item in value.items()}
+    if type(value) is tuple:
+        return [_thaw(item) for item in value]
+    return value
+
+
+def _rebuild(cls: type, state: dict[str, Any]) -> "RunResult":
+    return cls(**state)
+
+
+@dataclass(frozen=True)
 class RunResult:
     """Outcome of running any registered algorithm on one instance.
 
@@ -80,14 +118,14 @@ class RunResult:
     """
 
     name: str = ""
-    coloring: dict[Edge, int] = field(default_factory=dict)
+    coloring: Mapping[Edge, int] = field(default_factory=dict)
     rounds: int = 0
     palette_size: int = 0
     fingerprint: str = ""
     policy_name: str | None = None
     initial_palette: int | None = None
-    stats: dict[str, object] = field(default_factory=dict)
-    details: dict[str, object] = field(default_factory=dict)
+    stats: Mapping[str, object] = field(default_factory=dict)
+    details: Mapping[str, object] = field(default_factory=dict)
     ledger: "RoundLedger | None" = field(default=None, repr=False)
     #: Ledger total carried by deserialized results (the tree itself is
     #: not persisted); keeps ``to_dict`` — and hence the result
@@ -95,6 +133,23 @@ class RunResult:
     _ledger_rounds: int | None = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        coloring = self.coloring
+        if not isinstance(coloring, MappingProxyType):
+            object.__setattr__(self, "coloring", MappingProxyType(dict(coloring)))
+        object.__setattr__(self, "stats", _freeze(self.stats))
+        object.__setattr__(self, "details", _freeze(self.details))
+        if self.ledger is not None:
+            self.ledger.freeze()
+
+    def __reduce__(self):
+        # Read-only mappings cannot be pickled, and a process pool
+        # pickles every result: ship plain dicts and re-freeze on load.
+        return _rebuild, (
+            type(self),
+            {f.name: _thaw(getattr(self, f.name)) for f in fields(self)},
+        )
 
     def colors_used(self) -> int:
         """Number of distinct colors actually used."""
@@ -115,8 +170,8 @@ class RunResult:
             "fingerprint": self.fingerprint,
             "policy_name": self.policy_name,
             "initial_palette": self.initial_palette,
-            "stats": self.stats,
-            "details": self.details,
+            "stats": _thaw(self.stats),
+            "details": _thaw(self.details),
             "ledger_rounds": (
                 self.ledger.total_rounds()
                 if self.ledger is not None
@@ -177,7 +232,7 @@ class RunResult:
         return fingerprint_of(self.to_dict())
 
 
-@dataclass
+@dataclass(frozen=True)
 class FailedResult(RunResult):
     """A captured per-spec failure: the executor's account of a poison spec.
 

@@ -51,7 +51,7 @@ from repro.errors import (
     RoundLimitExceededError,
     ScenarioError,
 )
-from repro.graphs.edges import Edge, edge_set, edge_to_token, token_to_edge
+from repro.graphs.edges import Edge, canonical_edges, edge_to_token, token_to_edge
 from repro.graphs.properties import max_degree
 from repro.model.algorithm import NodeAlgorithm
 from repro.model.network import Network
@@ -193,7 +193,7 @@ def execute_scenario(spec: "RunSpec", graph: nx.Graph) -> RunResult:
 
 def is_scenario_result(result: RunResult) -> bool:
     """Did ``result`` come out of a scenario execution?"""
-    return isinstance(result.details.get("scenario"), dict)
+    return isinstance(result.details.get("scenario"), Mapping)
 
 
 def validate_scenario_result(result: RunResult, graph: nx.Graph) -> None:
@@ -210,7 +210,7 @@ def validate_scenario_result(result: RunResult, graph: nx.Graph) -> None:
     crashed = {
         token_to_edge(token) for token in details.get("crashed_edges", [])
     }
-    edge_lookup = set(edge_set(graph))
+    edge_lookup = canonical_edges(graph)
     for edge in result.coloring:
         if edge not in edge_lookup:
             raise ColoringValidationError(

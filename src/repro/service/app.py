@@ -12,8 +12,8 @@ executor caches under).  A fingerprint already on disk is a cache hit;
 a fingerprint currently *executing* is an in-flight hit: the first
 request becomes the **leader** and actually solves, every concurrent
 identical request becomes a **follower** that blocks on the leader's
-:class:`threading.Event` and receives an independent deep copy of the
-same result.  A million identical POSTs cost one solve.
+:class:`threading.Event` and receives the same (immutable) result
+object.  A million identical POSTs cost one solve.
 
 **Jobs are identified by their plan fingerprint.**  ``submit_job``
 plans the batch with :func:`repro.cluster.planner.plan_shards` and
@@ -33,7 +33,6 @@ Everything is stdlib; the service adds no dependencies to the library.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from pathlib import Path
@@ -199,7 +198,7 @@ class ReproService:
         ``source`` says where the bytes came from: ``"executed"`` (this
         request was the leader and solved), ``"cache"`` (replayed from
         the disk cache), or ``"coalesced"`` (joined a concurrent
-        identical request and received a copy of its result).  Captured
+        identical request and received its result).  Captured
         failures come back as :class:`~repro.results.FailedResult`
         objects through the same three paths — a failure is an answer,
         not a transport error.
@@ -219,7 +218,7 @@ class ReproService:
             if entry.error is not None:
                 raise entry.error
             assert entry.result is not None
-            result = copy.deepcopy(entry.result)
+            result = entry.result
             # Followers never reach the executor, so the executor's
             # ledger records nothing for them — the service writes the
             # "coalesced" disposition itself (observational, like every

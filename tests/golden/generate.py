@@ -36,6 +36,14 @@ INSTANCES = (
     ("grid", 4, 2),
 )
 
+#: The remaining named policies, on small instances.  ``paper``'s β
+#: exceeds Δ̄ here, so Lemma 4.2 runs with almost every defective class
+#: empty; ``kuhn20`` on K_{25,25} recurses to depth 3.
+POLICY_INSTANCES = {
+    "paper": (("random_regular", 7, 5), ("complete_bipartite", 5, 1)),
+    "kuhn20": (("random_regular", 10, 2), ("complete_bipartite", 25, 1)),
+}
+
 SCENARIO_MODELS = ("lossy_links", "crash_stop", "bounded_async")
 
 #: Scenario cells run on smaller instances; the greedy sweep under
@@ -63,6 +71,13 @@ def cases() -> dict[str, RunSpec]:
     specs["bko20/complete_bipartite[25]"] = RunSpec(
         machinery, algorithm=PAPER_ALGORITHM
     )
+    for policy, instances in POLICY_INSTANCES.items():
+        for family, size, seed in instances:
+            specs[f"bko20-{policy}/{family}[{size}]"] = RunSpec(
+                InstanceSpec(family=family, size=size, seed=seed),
+                algorithm=PAPER_ALGORITHM,
+                policy=policy,
+            )
     for family, size, seed in SCENARIO_INSTANCES:
         instance = InstanceSpec(family=family, size=size, seed=seed)
         for program in scenario_capable():

@@ -9,6 +9,7 @@ because another process evicted them first.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 from pathlib import Path
@@ -32,8 +33,9 @@ def _hammer_store(cache_dir: str, fingerprint: str, spec_dict: dict, rounds: int
     from repro.api.diskcache import disk_store as store
     from repro.api.spec import RunSpec as Spec
 
-    result = run(Spec.from_dict(spec_dict), cache=False)
-    result.fingerprint = fingerprint
+    result = dataclasses.replace(
+        run(Spec.from_dict(spec_dict), cache=False), fingerprint=fingerprint
+    )
     for _ in range(rounds):
         store(cache_dir, fingerprint, result, True)
 

@@ -1,6 +1,7 @@
 """Tests for the batch executor: run, run_many, caching, determinism,
 the on-disk cache spill, and streaming run_many_iter."""
 
+import dataclasses
 import json
 
 import pytest
@@ -74,13 +75,15 @@ class TestRun:
         assert again.result_fingerprint() == first.result_fingerprint()
 
     def test_cached_results_are_mutation_safe(self):
-        # Cache entries are private copies: a caller trashing its
-        # returned result must not poison later lookups.
+        # Results are immutable: a caller deriving a trashed result
+        # from its returned one must not poison later lookups.
         spec = RunSpec(InstanceSpec(family="cycle", size=9, seed=1))
         first = run(spec)
         pristine = first.result_fingerprint()
-        first.coloring.clear()
-        first.stats["injected"] = True
+        trashed = dataclasses.replace(
+            first, coloring={}, stats={**first.stats, "injected": True}
+        )
+        assert trashed.result_fingerprint() != pristine
         assert run(spec).result_fingerprint() == pristine
 
     def test_validate_true_upgrades_unvalidated_cache_entries(self, monkeypatch):
@@ -119,8 +122,10 @@ class TestRunMany:
         assert result_cache_size() == 1
         fingerprints = {r.result_fingerprint() for r in results}
         assert len(fingerprints) == 1
-        # ... but callers get independent copies, not one shared object.
-        results[0].coloring.clear()
+        # ... and callers share one result nobody can change.
+        assert results[0] is results[1] is results[2]
+        with pytest.raises(AttributeError):
+            results[0].coloring.clear()
         assert results[1].coloring
 
     def test_parallel_equals_serial_on_a_12_spec_sweep(self):
@@ -256,11 +261,12 @@ class TestRunManyIter:
         assert order[0] == 5  # the hit surfaces first
         assert sorted(order) == list(range(12))
 
-    def test_duplicate_specs_yield_independent_copies(self):
+    def test_duplicate_specs_share_one_immutable_result(self):
         spec = RunSpec(InstanceSpec(family="cycle", size=8, seed=1))
         pairs = dict(run_many_iter([spec, spec]))
-        assert pairs[0] is not pairs[1]
-        pairs[0].coloring.clear()
+        assert pairs[0] is pairs[1]
+        with pytest.raises(AttributeError):
+            pairs[0].coloring.clear()
         assert pairs[1].coloring
 
 

@@ -178,15 +178,15 @@ class TestCoordinator:
         for shard in range(3):
             assert result_path(job, shard).read_bytes() == frozen[shard]
 
-    def test_duplicate_specs_get_independent_copies(self, tmp_path):
+    def test_duplicate_specs_share_one_immutable_result(self, tmp_path):
         spec = RunSpec(
             instance=InstanceSpec(family="complete_bipartite", size=3, seed=2),
             algorithm="greedy_sequential",
         )
         merged = run_sharded([spec, spec], tmp_path / "job", shards=2)
-        assert merged[0] is not merged[1]
-        assert merged[0] == merged[1]
-        merged[1].coloring.clear()
+        assert merged[0] is merged[1]
+        with pytest.raises(AttributeError):
+            merged[1].coloring.clear()
         assert merged[0].coloring  # first occurrence untouched
 
     def test_merge_of_incomplete_job_names_missing_shards(

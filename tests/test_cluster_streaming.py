@@ -73,14 +73,14 @@ class TestRunShardedIter:
         assert sorted(seen) == list(range(len(specs)))
         assert [seen[i] for i in range(len(specs))] == expected
 
-    def test_duplicate_slots_get_independent_copies(self, tmp_path):
+    def test_duplicate_slots_share_one_result(self, tmp_path):
         specs = small_batch()
         results = dict(run_sharded_iter(specs, tmp_path / "job", shards=2))
         first, dupe = results[0], results[len(specs) - 1]
         assert canonical_json(first.to_dict()) == canonical_json(
             dupe.to_dict()
         )
-        assert first is not dupe
+        assert first is dupe
 
     def test_completed_job_replays_without_reexecution(self, tmp_path):
         from repro.api import runner as runner_module

@@ -1,6 +1,7 @@
 """Tests for palettes and the Lemma 4.3 palette splitting."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,15 @@ class TestPalette:
 
     def test_empty_palette(self):
         assert len(Palette.of_size(0)) == 0
+
+    def test_cached_set_leaves_value_semantics_alone(self):
+        # The membership set is built once, outside repr, == and hash.
+        palette = Palette((3, 1, 2))
+        assert repr(palette) == "Palette(colors=(3, 1, 2))"
+        assert palette == Palette((3, 1, 2)) and palette != Palette((1, 2, 3))
+        assert hash(palette) == hash(((3, 1, 2),))
+        assert palette.as_set is palette.as_set == frozenset({1, 2, 3})
+        assert pickle.loads(pickle.dumps(palette)) == palette
 
 
 class TestSplitPalette:

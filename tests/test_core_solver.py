@@ -152,7 +152,7 @@ class TestPolicies:
 class TestLemma42Observables:
     def test_dbar_trajectory_decreases(self, medium_graph):
         result = solve_edge_coloring(medium_graph, seed=3)
-        trajectory = result.stats["dbar_trajectory"]
+        trajectory = list(result.stats["dbar_trajectory"])
         assert trajectory == sorted(trajectory, reverse=True)
         if len(trajectory) >= 2:
             assert trajectory[1] <= trajectory[0] / 2 + 1

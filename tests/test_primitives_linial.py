@@ -94,6 +94,16 @@ class TestLinialReduce:
         assert result.palette_size == 1
         assert result.rounds == 0
 
+    def test_isolated_items_still_checked(self):
+        # The no-conflict shortcut keeps the input checks: every item
+        # needs a color, and colors must be non-negative.
+        with pytest.raises(InvalidInstanceError):
+            linial_reduce({0: [], 1: []}, {0: 5})
+        with pytest.raises(InvalidInstanceError):
+            linial_reduce({0: [], 1: []}, {0: 5, 1: -1})
+        # Equal colors do not clash without an edge between them.
+        assert linial_reduce({0: [], 1: []}, {0: 4, 1: 4}).colors == {0: 0, 1: 0}
+
     def test_stop_at_early_exit(self):
         g = nx.cycle_graph(30)
         adjacency = _graph_adjacency(g)

@@ -6,6 +6,8 @@ entries), and every adversarial model is deterministic under a fixed
 seed — serial == parallel, including via the on-disk cache.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.harness import run_scenario_sweep
@@ -343,18 +345,24 @@ class TestScenarioValidation:
         result = self.run_crash()
         graph = instance().build()
         validate_scenario_result(result, graph)  # honest result passes
-        result.details["conflicts_on_survivors"] = 99
+        tampered = dataclasses.replace(
+            result, details={**result.details, "conflicts_on_survivors": 99}
+        )
         with pytest.raises(ColoringValidationError, match="conflicts"):
-            validate_scenario_result(result, graph)
+            validate_scenario_result(tampered, graph)
 
     def test_tampered_proper_flag_is_rejected(self):
         result = self.run_crash()
         graph = instance().build()
-        result.details["proper_on_survivors"] = not result.details[
-            "proper_on_survivors"
-        ]
+        tampered = dataclasses.replace(
+            result,
+            details={
+                **result.details,
+                "proper_on_survivors": not result.details["proper_on_survivors"],
+            },
+        )
         with pytest.raises(ColoringValidationError, match="proper"):
-            validate_scenario_result(result, graph)
+            validate_scenario_result(tampered, graph)
 
     def test_colored_crashed_edge_is_rejected(self):
         result = self.run_crash()
@@ -362,9 +370,11 @@ class TestScenarioValidation:
         from repro.graphs.edges import token_to_edge
 
         crashed_edge = token_to_edge(result.details["crashed_edges"][0])
-        result.coloring[crashed_edge] = 1
+        tampered = dataclasses.replace(
+            result, coloring={**result.coloring, crashed_edge: 1}
+        )
         with pytest.raises(ColoringValidationError):
-            validate_scenario_result(result, graph)
+            validate_scenario_result(tampered, graph)
 
     def test_details_survive_disk_round_trip_exactly(self, tmp_path):
         spec = adversarial_specs()[3]  # lossy with duplication
