@@ -7,7 +7,11 @@ Usage (from the repository root)::
 Runs every case of :func:`cases` through :func:`repro.api.run` without
 caches and writes ``corpus.json``: one entry per case holding the spec
 and the SHA-256 result fingerprint, which covers the coloring, round
-counts, ledger counters and scenario observables.
+counts, ledger counters and scenario observables.  A result that
+carries a :class:`~repro.core.ledger.RoundLedger` (the paper solver's)
+also records the ledger total, the deferral count and the SHA-256 of
+the whole ledger tree, so a change that moves only one ledger entry
+names it.
 ``tests/test_golden.py`` replays the corpus and asserts byte-identity,
 so a refactor that changes any result fails tier-1.  Regenerate only
 when a behaviour change is intended, and say why in the commit.
@@ -19,8 +23,10 @@ import json
 import sys
 from pathlib import Path
 
+from repro.analysis.serialization import ledger_to_dict
 from repro.api import InstanceSpec, RunSpec, run
 from repro.api.registry import PAPER_ALGORITHM, algorithm_names
+from repro.results import fingerprint_of
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.programs import scenario_capable
 
@@ -90,17 +96,32 @@ def cases() -> dict[str, RunSpec]:
     return specs
 
 
-def outcome(spec: RunSpec) -> str:
-    """The result fingerprint of ``spec``, or the error it raises."""
+def outcome(spec: RunSpec) -> dict[str, object]:
+    """The corpus row of ``spec`` without the spec itself.
+
+    ``result`` is the result fingerprint, or the error ``spec`` raises.
+    A result with a ledger adds ``ledger_total``, ``deferrals``
+    (``deferred_edges`` plus ``lem43/deferred``) and ``ledger``, the
+    SHA-256 of the sorted-key JSON of the whole ledger tree.
+    """
     try:
-        return run(spec, cache=False).result_fingerprint()
+        result = run(spec, cache=False)
     except Exception as error:  # noqa: BLE001 - the corpus records it
-        return f"error:{type(error).__name__}"
+        return {"result": f"error:{type(error).__name__}"}
+    row: dict[str, object] = {"result": result.result_fingerprint()}
+    ledger = result.ledger
+    if ledger is not None:
+        row["ledger_total"] = ledger.total_rounds()
+        row["deferrals"] = ledger.counter("deferred_edges") + ledger.counter(
+            "lem43/deferred"
+        )
+        row["ledger"] = fingerprint_of(ledger_to_dict(ledger))
+    return row
 
 
 def main() -> int:
     corpus = {
-        case: {"spec": spec.to_dict(), "result": outcome(spec)}
+        case: {"spec": spec.to_dict(), **outcome(spec)}
         for case, spec in cases().items()
     }
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")

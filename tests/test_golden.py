@@ -1,10 +1,12 @@
 """The golden corpus: committed result fingerprints must not move.
 
 ``tests/golden/corpus.json`` holds the result fingerprint of every case
-in ``tests/golden/generate.py`` (the paper solver under two policies,
+in ``tests/golden/generate.py`` (the paper solver under four policies,
 every baseline, every scenario program under three adversaries, on
-int-, and tuple-labelled graphs).  A refactor is behaviour-preserving
-only if every case still produces the byte-identical result.
+int-, and tuple-labelled graphs).  Paper-solver rows also hold the
+``RoundLedger`` total, the deferral count and a hash of the whole
+ledger tree.  A refactor is behaviour-preserving only if every case
+still produces the byte-identical result and ledger.
 """
 
 from __future__ import annotations
@@ -42,5 +44,17 @@ def test_corpus_covers_every_case():
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_result_is_byte_identical(case):
-    spec = RunSpec.from_dict(CORPUS[case]["spec"])
-    assert GENERATE.outcome(spec) == CORPUS[case]["result"]
+    row = dict(CORPUS[case])
+    spec = RunSpec.from_dict(row.pop("spec"))
+    assert GENERATE.outcome(spec) == row
+
+
+def test_every_ledger_row_records_its_ledger():
+    rows = [row for row in CORPUS.values() if "ledger" in row]
+    assert len(rows) == sum(
+        row["spec"]["algorithm"] == "bko20" for row in CORPUS.values()
+    )
+    for row in rows:
+        assert row["ledger_total"] > 0
+        assert row["deferrals"] >= 0
+        assert len(row["ledger"]) == 64
