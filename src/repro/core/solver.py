@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import AlgorithmInvariantError, InvalidInstanceError
 from repro.coloring.edge_coloring import PartialEdgeColoring
@@ -229,6 +230,13 @@ class RecursiveSolver:
             by_class: dict[int, list[Edge]] = {}
             for edge in current:
                 by_class.setdefault(defective.colors[edge], []).append(edge)
+            # The class conflict graph, built once per iteration: each
+            # class's relaxed instance is an induced subgraph of it.
+            class_graph = induced[0].within_classes(
+                np.array([defective.colors[edge] for edge in current])
+            )
+            class_degrees = class_graph.degrees.tolist()
+            position = {edge: index for index, edge in enumerate(current)}
 
             inactive_total = 0
             # Empty classes and all-inactive ones still cost one
@@ -250,14 +258,21 @@ class RecursiveSolver:
                         idle_classes += 1
                         continue
                     self.slack_stats.relaxed_invocations += 1
+                    active = list(selection.active)
+                    instance = _class_instance(
+                        class_graph,
+                        class_degrees,
+                        [position[edge] for edge in active],
+                    )
                     with self.ledger.sequential(f"class {class_value}"):
                         self.ledger.charge("activity check", 1)
                         self._solve_relaxed(
-                            list(selection.active),
+                            active,
                             work_lists,
                             palette,
                             beta,
                             depth + 1,
+                            (instance, dict(zip(active, instance.degrees.tolist()))),
                         )
                 if idle_classes:
                     self.ledger.charge(
@@ -297,12 +312,18 @@ class RecursiveSolver:
         palette: Palette,
         slack_beta: int,
         depth: int,
+        induced: tuple[Csr, dict[Edge, int]] | None = None,
     ) -> None:
-        """Solve a relaxed (slack > 1) instance by splitting the palette."""
-        current = self._uncolored(edges)
+        """Solve a relaxed (slack > 1) instance by splitting the palette.
+
+        ``induced`` is ``self._induced_degrees(edges)`` when the caller
+        already holds it (its ``edges`` are then all uncolored).
+        """
+        current = self._uncolored(edges) if induced is None else edges
         if not current:
             return
-        induced = self._induced_degrees(current)
+        if induced is None:
+            induced = self._induced_degrees(current)
         adjacency, degrees = induced
         dbar = max(degrees.values(), default=0)
         if (
@@ -414,6 +435,22 @@ class RecursiveSolver:
 
     def _merge_child_stats(self, child: "RecursiveSolver") -> None:
         self.slack_stats.relaxed_invocations += child.slack_stats.relaxed_invocations
+
+
+def _class_instance(class_graph: Csr, class_degrees: list[int], ids: list[int]) -> Csr:
+    """The subgraph of a Lemma 4.2 class graph induced by ``ids``.
+
+    Most classes have no conflict inside: such an independent set
+    needs no induce.
+    """
+    if any(class_degrees[i] for i in ids):
+        return class_graph.induced(ids)
+    items = class_graph.items
+    return Csr(
+        [items[i] for i in ids],
+        np.zeros(len(ids) + 1, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,9 @@ an :class:`EdgeIndex`:
 * ``degrees[i]`` is ``deg(e) = deg(u) + deg(v) - 2``.
 
 Sub-instances (Lemma 4.2's residual classes, a base case's uncolored
-edges) are :meth:`Csr.induced` subsets of the index, not new graphs.
+edges) are :meth:`Csr.induced` subsets of the index, not new graphs;
+a Lemma 4.2 iteration splits its instance by defective class once, with
+:meth:`Csr.within_classes`.
 
 The index is a value built from a graph, never a cache keyed on one:
 networkx graphs are mutable, so whoever holds a graph and wants its
@@ -60,7 +62,7 @@ class Csr:
         self.row_start = row_start
         self.neighbors = neighbors
         #: Row lengths: each item's degree in this graph.
-        self.degrees = np.diff(row_start)
+        self.degrees = row_start[1:] - row_start[:-1]
         self._rows: list[list[int]] | None = None
 
     @classmethod
@@ -101,6 +103,20 @@ class Csr:
             item: [items[other] for other in row]
             for item, row in zip(items, self.rows())
         }
+
+    def within_classes(self, labels: np.ndarray) -> "Csr":
+        """The subgraph over the same items keeping only the conflicts
+        between items of one class, ``labels[i]`` being item ``i``'s.
+
+        Rows keep their neighbor order.
+        """
+        owners = self.slot_owners()
+        same = labels[owners] == labels[self.neighbors]
+        return Csr(
+            self.items,
+            _row_starts(np.bincount(owners[same], minlength=len(self.items))),
+            self.neighbors[same],
+        )
 
     def induced(self, ids: Sequence[int]) -> "Csr":
         """The subgraph induced by the items ``ids``, in that order.

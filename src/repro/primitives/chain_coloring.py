@@ -15,16 +15,20 @@ the successor's color, drops the palette from ``X`` to
 classes 5, 4, 3 recolor (simultaneously within a class) to the smallest
 free color in ``{0, 1, 2}``.
 
-The functional form below performs exactly those synchronous
-iterations and counts them; the message-passing twin
-(:class:`repro.primitives.node_algorithms.ColeVishkinOnChain`) is
-validated against it round-for-round by the tests.
+All chains of a call run at once, as in the paper: every round is one
+whole-array pass over the items of the chains still reducing, with
+flat color, successor and predecessor arrays.  The per-chain form it
+replaced lives on as ``tests/chain_coloring_oracle.py``;
+``tests/test_primitives_chain_coloring.py`` checks on random chain sets
+that both agree in colors, rounds and errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import InvalidInstanceError
 from repro.utils.chains import Chain
@@ -50,69 +54,13 @@ class ChainColoringResult:
     iterations: int
 
 
-def _lowest_differing_bit(a: int, b: int) -> int:
-    """Return the index of the lowest bit where ``a`` and ``b`` differ."""
-    diff = a ^ b
-    if diff == 0:
-        raise InvalidInstanceError(
-            f"adjacent chain items share the color {a}; initial coloring "
-            "must be proper along the chain"
-        )
-    return (diff & -diff).bit_length() - 1
-
-
-def _reduction_step(colors: Sequence[int], cyclic: bool) -> list[int]:
-    """One synchronous Cole-Vishkin reduction round over the chain."""
-    length = len(colors)
-    new_colors = []
-    for index, color in enumerate(colors):
-        if index + 1 < length:
-            successor = colors[index + 1]
-        elif cyclic:
-            successor = colors[0]
-        else:
-            # Path tail: pretend a successor with a different color; the
-            # choice only needs to differ from the item's own color.
-            successor = color + 1
-        bit = _lowest_differing_bit(color, successor)
-        new_colors.append(2 * bit + ((color >> bit) & 1))
-    return new_colors
-
-
-def _shift_down_step(colors: list[int], target_class: int, cyclic: bool) -> int:
-    """Recolor every item of ``target_class`` to a free color in {0,1,2}.
-
-    Items of one class are pairwise non-adjacent (the coloring is
-    proper), so the simultaneous recoloring is conflict-free.  Returns
-    the number of items recolored.
-    """
-    length = len(colors)
-    recolored = 0
-    updates: dict[int, int] = {}
-    for index, color in enumerate(colors):
-        if color != target_class:
-            continue
-        forbidden = set()
-        if index > 0:
-            forbidden.add(colors[index - 1])
-        elif cyclic:
-            forbidden.add(colors[-1])
-        if index + 1 < length:
-            forbidden.add(colors[index + 1])
-        elif cyclic:
-            forbidden.add(colors[0])
-        for candidate in (0, 1, 2):
-            if candidate not in forbidden:
-                updates[index] = candidate
-                break
-        else:  # pragma: no cover - degree <= 2 guarantees a free color
-            raise InvalidInstanceError(
-                "no free color in {0,1,2} for a degree-<=2 item"
-            )
-        recolored += 1
-    for index, color in updates.items():
-        colors[index] = color
-    return recolored
+def _lowest_set_bit(values: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of every (positive) value."""
+    low = values & -values
+    if low.dtype == object:
+        return np.array([v.bit_length() - 1 for v in low.tolist()], dtype=np.int64)
+    # A power of two below 2**63 is exact as a float.
+    return np.frexp(low)[1].astype(np.int64) - 1
 
 
 def three_color_chain(
@@ -134,37 +82,8 @@ def three_color_chain(
     ChainColoringResult
         Proper 3-coloring of the chain and the rounds used.
     """
-    items = chain.items
-    try:
-        colors = [int(initial_colors[item]) for item in items]
-    except KeyError as exc:
-        raise InvalidInstanceError(f"missing initial color for {exc.args[0]!r}") from None
-    if any(c < 0 for c in colors):
-        raise InvalidInstanceError("initial colors must be non-negative")
-    for left, right in chain.neighbor_pairs():
-        if initial_colors[left] == initial_colors[right]:
-            raise InvalidInstanceError(
-                f"initial coloring is not proper: {left!r} and {right!r} "
-                f"both have color {initial_colors[left]}"
-            )
-
-    iterations = 0
-    # The bit-trick fixpoint is a palette of size 6 ({0..5}): with all
-    # colors < 6 the lowest differing bit is at most 2, so new colors
-    # stay below 6.  Iterate until we are inside that fixpoint.
-    while max(colors) > 5:
-        colors = _reduction_step(colors, chain.cyclic)
-        iterations += 1
-
-    shift_rounds = 0
-    for target_class in (5, 4, 3):
-        _shift_down_step(colors, target_class, chain.cyclic)
-        shift_rounds += 1
-
-    result = {item: color for item, color in zip(items, colors)}
-    return ChainColoringResult(
-        colors=result, rounds=iterations + shift_rounds, iterations=iterations
-    )
+    colors, rounds = three_color_chains([chain], initial_colors)
+    return ChainColoringResult(colors=colors, rounds=rounds, iterations=rounds - 3)
 
 
 def three_color_chains(
@@ -173,12 +92,72 @@ def three_color_chains(
     """3-color many chains in parallel; rounds = max over chains.
 
     The chains are disjoint, so in the LOCAL model they run
-    concurrently and the round cost is the maximum.
+    concurrently and the round cost is the maximum.  A chain stops
+    reducing as soon as its own colors are all below 6; the rounds are
+    its reduction iterations plus the three shift-down rounds.
     """
-    combined: dict[Hashable, int] = {}
-    rounds = 0
-    for chain in chains:
-        result = three_color_chain(chain, initial_colors)
-        combined.update(result.colors)
-        rounds = max(rounds, result.rounds)
-    return combined, rounds
+    if not chains:
+        return {}, 0
+    items = [item for chain in chains for item in chain.items]
+    try:
+        start = [int(initial_colors[item]) for item in items]
+    except KeyError as exc:
+        raise InvalidInstanceError(f"missing initial color for {exc.args[0]!r}") from None
+    if min(start) < 0:
+        raise InvalidInstanceError("initial colors must be non-negative")
+
+    n = len(items)
+    lengths = np.fromiter(map(len, chains), dtype=np.int64, count=len(chains))
+    cyclic = np.fromiter(
+        (chain.cyclic for chain in chains), dtype=bool, count=len(chains)
+    )
+    firsts = np.cumsum(lengths) - lengths
+    lasts = firsts + lengths - 1
+    # Slot n holds the color -1: the missing neighbor at a path's end.
+    succ = np.arange(1, n + 1)
+    succ[lasts] = np.where(cyclic, firsts, n)
+    pred = np.arange(-1, n)
+    pred[firsts] = np.where(cyclic, lasts, n)
+    is_tail = np.zeros(n, dtype=bool)
+    is_tail[lasts[~cyclic]] = True
+    chain_of = np.repeat(np.arange(len(chains)), lengths)
+
+    # Beyond int64 the first round is taken on Python ints.
+    colors = np.array(start + [-1], dtype=np.int64 if max(start) < 2**62 else object)
+    clash = np.flatnonzero(colors[:n] == colors[succ])
+    if clash.size:
+        left, right = int(clash[0]), int(succ[clash[0]])
+        raise InvalidInstanceError(
+            f"initial coloring is not proper: {items[left]!r} and "
+            f"{items[right]!r} both have color {start[left]}"
+        )
+
+    # The bit-trick fixpoint is a palette of size 6 ({0..5}): with all
+    # colors < 6 the lowest differing bit is at most 2, so new colors
+    # stay below 6.  Each chain reduces until it is inside that fixpoint.
+    iterations = np.zeros(len(chains), dtype=np.int64)
+    while True:
+        live = np.maximum.reduceat(colors[:n], firsts) > 5
+        if not live.any():
+            break
+        iterations += live
+        idx = np.flatnonzero(live[chain_of])
+        own = colors[idx]
+        # A path's tail compares against a made-up successor, own + 1.
+        successor = np.where(is_tail[idx], own + 1, colors[succ[idx]])
+        bit = _lowest_set_bit(own ^ successor)
+        colors[idx] = 2 * bit + ((own >> bit) & 1)
+        colors = colors.astype(np.int64, copy=False)
+
+    # Items of one class are pairwise non-adjacent, so each class
+    # recolors at once to the smallest color its neighbors leave free.
+    for target_class in (5, 4, 3):
+        idx = np.flatnonzero(colors[:n] == target_class)
+        before, after = colors[pred[idx]], colors[succ[idx]]
+        colors[idx] = np.where(
+            (before != 0) & (after != 0),
+            0,
+            np.where((before != 1) & (after != 1), 1, 2),
+        )
+
+    return dict(zip(items, colors[:n].tolist())), int(iterations.max()) + 3

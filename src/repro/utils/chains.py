@@ -82,9 +82,14 @@ def chains_from_adjacency(
     -------
     list[Chain]
         One chain per connected component.  Isolated items become
-        length-1 paths.  Chains are returned in a deterministic order
-        (sorted by their smallest item's repr) so simulations are
-        reproducible.
+        length-1 paths.  The order is deterministic, so simulations
+        are reproducible: first every path, walked from its
+        repr-smallest endpoint and listed in that endpoint's repr
+        order; then every cycle, walked from its repr-smallest item
+        towards the repr-smaller of that item's two neighbours.  So
+        ``{a: [b, c], b: [a], c: [a]}`` yields the path ``(b, a, c)``.
+        The orientation is behaviour: it fixes each item's successor
+        in the Cole-Vishkin chain coloring.
 
     Raises
     ------

@@ -1,8 +1,9 @@
-"""Tests for Cole-Vishkin chain 3-coloring."""
+"""Tests for Cole-Vishkin chain 3-coloring, against the per-chain oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chain_coloring_oracle as oracle
 from repro.errors import InvalidInstanceError
 from repro.primitives.chain_coloring import (
     three_color_chain,
@@ -108,3 +109,66 @@ class TestPropertyBased:
         result = three_color_chain(chain, initial)
         assert set(result.colors.values()) <= {0, 1, 2}
         _check_proper(chain, result.colors)
+
+
+@st.composite
+def chain_sets(draw):
+    """Disjoint paths, cycles and singletons with colors up to 2^70.
+
+    Colors are drawn per item without a properness guarantee, so small
+    bounds also produce improper and missing-color inputs.
+    """
+    chains, start = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        cyclic = draw(st.booleans())
+        length = draw(
+            st.integers(min_value=3 if cyclic else 1, max_value=12)
+        )
+        chains.append(Chain(tuple(range(start, start + length)), cyclic=cyclic))
+        start += length
+    bound = draw(st.sampled_from([6, 64, 10**6, 2**62, 2**70]))
+    colors = {
+        item: draw(st.integers(min_value=-1 if bound == 6 else 0, max_value=bound))
+        for item in range(start)
+    }
+    if start and draw(st.booleans()) and bound == 64:
+        del colors[draw(st.integers(min_value=0, max_value=start - 1))]
+    return chains, colors
+
+
+def _outcome(color, chains, colors):
+    try:
+        return color(chains, colors)
+    except Exception as error:  # noqa: BLE001 - compared by type
+        return type(error)
+
+
+class TestOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(chain_sets())
+    def test_whole_array_pass_matches_per_chain_oracle(self, drawn):
+        chains, colors = drawn
+        expected = _outcome(oracle.three_color_chains, chains, colors)
+        assert _outcome(three_color_chains, chains, colors) == expected
+
+    @pytest.mark.parametrize(
+        "colors",
+        [{0: 7}, {0: -1, 1: 2, 2: 9}, {0: 3, 1: 3, 2: 9}, {0: 3, 1: 5, 2: 3}],
+        ids=["missing", "negative", "improper", "improper-wrap"],
+    )
+    def test_errors_match_the_oracle(self, colors):
+        chain = Chain((0, 1, 2), cyclic=True)
+        with pytest.raises(InvalidInstanceError):
+            oracle.three_color_chain(chain, colors)
+        with pytest.raises(InvalidInstanceError):
+            three_color_chain(chain, colors)
+
+    def test_each_chain_stops_at_its_own_fixpoint(self):
+        # The first chain is inside {0..5} already and must keep its
+        # colors through the reduction rounds of the second.
+        chains = [Chain((0, 1, 2), cyclic=False), Chain((3, 4, 5), cyclic=True)]
+        colors = {0: 1, 1: 2, 2: 1, 3: 2**63, 4: 2**64 + 1, 5: 40}
+        combined, rounds = three_color_chains(chains, colors)
+        assert (combined, rounds) == oracle.three_color_chains(chains, colors)
+        assert [combined[i] for i in (0, 1, 2)] == [1, 2, 1]
+        assert rounds > 3

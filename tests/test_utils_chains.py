@@ -84,6 +84,26 @@ class TestChainsFromAdjacency:
         for a, b in zip(items, items[1:]):
             assert abs(a - b) == 1
 
+    def test_order_and_orientation_are_pinned(self):
+        # Paths first, each walked from its repr-smallest endpoint and
+        # listed in that endpoint's repr order; then cycles, each from
+        # its repr-smallest item towards the repr-smaller neighbour.
+        # The cycle's items sort before every path's, and still come
+        # last.  Orientation fixes each item's Cole-Vishkin successor.
+        adj = {
+            "a": ["b", "c"], "b": ["a"], "c": ["a"],
+            "e": ["d"], "d": ["e"],
+            "m": [],
+            "A": ["C", "B"], "B": ["A", "C"], "C": ["B", "A"],
+        }
+        chains = chains_from_adjacency(adj)
+        assert [(c.items, c.cyclic) for c in chains] == [
+            (("b", "a", "c"), False),
+            (("d", "e"), False),
+            (("m",), False),
+            (("A", "B", "C"), True),
+        ]
+
     def test_rejects_degree_three(self):
         adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
         with pytest.raises(InvalidInstanceError):
