@@ -12,9 +12,7 @@ fallback engagements, deferred edges, ...).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 @dataclass
@@ -44,6 +42,32 @@ class LedgerEntry:
         for child in self.children:
             lines.extend(child.render(indent + 1, max_depth))
         return lines
+
+
+class _Block:
+    """The context manager :meth:`RoundLedger.sequential` and
+    :meth:`RoundLedger.parallel` return.
+
+    Entering appends a new entry at the cursor and moves the cursor
+    into it; leaving moves the cursor back out, also when the block
+    raises.
+    """
+
+    __slots__ = ("_stack", "_label", "_mode")
+
+    def __init__(self, stack: list[LedgerEntry], label: str, mode: str) -> None:
+        self._stack = stack
+        self._label = label
+        self._mode = mode
+
+    def __enter__(self) -> None:
+        stack = self._stack
+        entry = LedgerEntry(label=self._label, mode=self._mode)
+        stack[-1].children.append(entry)
+        stack.append(entry)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stack.pop()
 
 
 class RoundLedger:
@@ -78,31 +102,17 @@ class RoundLedger:
             LedgerEntry(label=label, mode="leaf", rounds=rounds)
         )
 
-    @contextmanager
-    def sequential(self, label: str) -> Iterator[None]:
+    def sequential(self, label: str) -> "_Block":
         """Open a child whose sub-charges add up."""
-        entry = LedgerEntry(label=label, mode="seq")
-        self._stack[-1].children.append(entry)
-        self._stack.append(entry)
-        try:
-            yield
-        finally:
-            self._stack.pop()
+        return _Block(self._stack, label, "seq")
 
-    @contextmanager
-    def parallel(self, label: str) -> Iterator[None]:
+    def parallel(self, label: str) -> "_Block":
         """Open a child whose sub-charges take the maximum.
 
         Direct :meth:`charge` calls inside a parallel block are treated
         as independent branches (each leaf is a child).
         """
-        entry = LedgerEntry(label=label, mode="par")
-        self._stack[-1].children.append(entry)
-        self._stack.append(entry)
-        try:
-            yield
-        finally:
-            self._stack.pop()
+        return _Block(self._stack, label, "par")
 
     # -- counters --------------------------------------------------------
 

@@ -22,7 +22,11 @@ Execution pipeline (Section 4.3):
    ``T(2p-1, 1, 2p)`` term);
 4. constant-degree / constant-palette instances hit the base case:
    Linial down to ``O(Δ̄²)`` classes, optionally Kuhn-Wattenhofer down
-   to ``Δ̄+1`` classes, then a greedy class sweep.
+   to ``Δ̄+1`` classes, then a greedy class sweep.  Most Lemma 4.2
+   classes have no conflict among their active edges; such a class
+   skips Linial and is swept inline
+   (:meth:`RecursiveSolver._color_independent_class`), with the same
+   ledger charges and counters as the base case would write.
 
 Robustness: the asymptotic guarantees (list sizes vs degrees) are
 checked at runtime; any edge that falls outside them is *deferred* and
@@ -248,10 +252,12 @@ class RecursiveSolver:
             ):
                 for class_value in sorted(by_class):
                     members = self._uncolored(by_class[class_value])
+                    effective = {
+                        edge: self._effective_list(edge, work_lists)
+                        for edge in members
+                    }
                     selection = select_active_edges(
-                        members,
-                        lambda e: len(self._effective_list(e, work_lists)),
-                        degrees,
+                        members, lambda e: len(effective[e]), degrees
                     )
                     inactive_total += len(selection.inactive)
                     if not selection.active:
@@ -259,11 +265,20 @@ class RecursiveSolver:
                         continue
                     self.slack_stats.relaxed_invocations += 1
                     active = list(selection.active)
-                    instance = _class_instance(
-                        class_graph,
-                        class_degrees,
-                        [position[edge] for edge in active],
+                    ids = [position[edge] for edge in active]
+                    # Most classes have no conflict inside: such an
+                    # independent set needs no induce, and like any
+                    # instance without an edge it is colored inline.
+                    instance = (
+                        class_graph.induced(ids)
+                        if any(class_degrees[i] for i in ids)
+                        else None
                     )
+                    if instance is None or not instance.neighbors.size:
+                        self._color_independent_class(
+                            class_value, active, effective
+                        )
+                        continue
                     with self.ledger.sequential(f"class {class_value}"):
                         self.ledger.charge("activity check", 1)
                         self._solve_relaxed(
@@ -300,6 +315,34 @@ class RecursiveSolver:
         self._base_case(
             self._uncolored(current), work_lists, "slack1 iteration cap"
         )
+
+    def _color_independent_class(
+        self,
+        class_value: int,
+        active: Sequence[Edge],
+        effective: Mapping[Edge, frozenset[int]],
+    ) -> None:
+        """Color a Lemma 4.2 class whose relaxed instance has no edge.
+
+        :meth:`_solve_relaxed` would send it straight to the base case
+        (its Δ̄ of 0 is below every policy's ``base_degree_threshold``),
+        where Linial needs no round and one class, and the sweep gives
+        every edge the smallest color of its effective list.  No two
+        active edges are adjacent, so one assignment never narrows
+        another's list: ``effective`` (taken before the activity check)
+        is still exact, and it is non-empty because the edge is active.
+        This writes the same ledger entries and counters as that path.
+        """
+        ledger = self.ledger
+        with ledger.sequential(f"class {class_value}"):
+            ledger.charge("activity check", 1)
+            ledger.bump("base_case/relaxed bottom")
+            with ledger.sequential("base case [relaxed bottom]"):
+                ledger.charge("class-count reduction", 0)
+                assign = self.master.assign
+                for edge in active:
+                    assign(edge, min(effective[edge]))
+                ledger.charge("greedy class sweep", 1)
 
     # ------------------------------------------------------------------
     # Lemma 4.3 / 4.5: relaxed instances via color space reduction
@@ -435,22 +478,6 @@ class RecursiveSolver:
 
     def _merge_child_stats(self, child: "RecursiveSolver") -> None:
         self.slack_stats.relaxed_invocations += child.slack_stats.relaxed_invocations
-
-
-def _class_instance(class_graph: Csr, class_degrees: list[int], ids: list[int]) -> Csr:
-    """The subgraph of a Lemma 4.2 class graph induced by ``ids``.
-
-    Most classes have no conflict inside: such an independent set
-    needs no induce.
-    """
-    if any(class_degrees[i] for i in ids):
-        return class_graph.induced(ids)
-    items = class_graph.items
-    return Csr(
-        [items[i] for i in ids],
-        np.zeros(len(ids) + 1, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -159,9 +159,14 @@ class EdgeIndex(Csr):
         edge order.
     repr_order:
         All edge ids sorted by ``repr(edge)``.
+    repr_rank:
+        Per edge id, its position in ``repr_order``: comparing ranks
+        compares ``repr`` strings.
     """
 
-    __slots__ = ("position", "nodes", "incidence_start", "incidence", "repr_order")
+    __slots__ = (
+        "position", "nodes", "incidence_start", "incidence", "repr_order", "repr_rank"
+    )
 
     def __init__(self, graph: nx.Graph) -> None:
         nodes = sorted(graph.nodes(), key=_sort_key)
@@ -214,6 +219,7 @@ class EdgeIndex(Csr):
         self.incidence_start = incidence_start
         self.incidence = incidence
         self.repr_order = repr_order
+        self.repr_rank = repr_rank
 
     @property
     def edges(self) -> list[Edge]:

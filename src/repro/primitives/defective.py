@@ -20,6 +20,17 @@ Defect bound (proved in the paper, *checked* by our validator): two
 edges sharing a final color and a node must lie in different groups of
 that node, so the defect of ``e = {u, v}`` is at most
 ``(ceil(deg(u)/4β) - 1) + (ceil(deg(v)/4β) - 1) <= deg(e) / (2β)``.
+
+Implementation: steps 1-3 run on the :class:`~repro.graphs.index.EdgeIndex`
+arrays over edge ids.  The numbering filters the index's incidence
+lists to the instance's edges (a node numbers them in edge order), a
+pair index per edge comes from its two numbers, and the conflicts are
+the runs of a sort by (node, group, pair).  The chains are walked over
+edge ids in the index's ``repr`` rank order, so they come out exactly
+as :func:`repro.utils.chains.chains_from_adjacency` would list them.
+The per-edge dict version this replaced lives on as
+``tests/defective_oracle.py``; ``tests/test_primitives_defective_oracle.py``
+checks that both agree in colors, rounds, groups and errors.
 """
 
 from __future__ import annotations
@@ -28,12 +39,13 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import AlgorithmInvariantError, InvalidInstanceError, ParameterError
 from repro.graphs.edges import Edge
 from repro.graphs.index import EdgeIndex
 from repro.primitives.chain_coloring import three_color_chains
-from repro.utils.chains import Chain, chains_from_adjacency
+from repro.utils.chains import chains_from_pairs
 
 
 @dataclass(frozen=True)
@@ -66,68 +78,107 @@ class DefectiveColoringResult:
     groups: dict[Hashable, dict[Edge, int]]
 
 
-def _assign_groups_and_numbers(
-    index: EdgeIndex, ids: Sequence[int], group_size: int
-) -> tuple[dict[Hashable, dict[Edge, int]], dict[tuple[Hashable, Edge], int]]:
-    """Each node partitions its instance edges into groups and numbers them.
+def _number_edges(
+    index: EdgeIndex, member: np.ndarray, group_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each node partitions its member edges into groups and numbers them.
 
-    A node numbers its edges in edge order.  Returns ``(groups,
-    numbers)`` where ``groups[v][e]`` is the group index of ``e`` at
-    ``v`` (for every node with an instance edge) and ``numbers[(v, e)]``
-    the 1-based number of ``e`` inside that group.
+    A node numbers only its member edges (``member[i]`` for edge id
+    ``i``), in edge order, in groups of ``group_size``.  Returns one
+    array entry per (node, member edge) incidence, ordered by node and
+    then edge: ``(edge_ids, node_ids, group, number)``, where
+    ``number`` is the 1-based number of the edge inside its group.
     """
-    member = [False] * len(index)
-    for i in ids:
-        member[i] = True
-    edges = index.edges
-    incidence = index.incidence.tolist()
-    starts = index.incidence_start.tolist()
+    incidence = index.incidence
+    node_degree = index.incidence_start[1:] - index.incidence_start[:-1]
+    kept = member[incidence]
+    edge_ids = incidence[kept]
+    node_ids = np.repeat(np.arange(len(node_degree)), node_degree)[kept]
+    counts = np.bincount(node_ids, minlength=len(node_degree))
+    position = np.arange(len(edge_ids)) - (np.cumsum(counts) - counts)[node_ids]
+    return edge_ids, node_ids, position // group_size, position % group_size + 1
+
+
+def _pair_indices(
+    edge_ids: np.ndarray, numbers: np.ndarray, size: int, group_size: int
+) -> np.ndarray:
+    """Per edge id, the dense index of its temporary pair (-1 off the instance).
+
+    ``edge_ids`` / ``numbers`` are the incidences of
+    :func:`_number_edges`: every member edge appears twice, once per
+    endpoint, and its pair is ``(min(i, j), max(i, j))`` of its two
+    numbers.
+    """
+    order = np.argsort(edge_ids, kind="stable")
+    ends = numbers[order].reshape(-1, 2)
+    low, high = ends.min(axis=1), ends.max(axis=1)
+    invalid = np.flatnonzero((low < 1) | (high > group_size))
+    if invalid.size:
+        k = int(invalid[0])
+        _pair_index(int(low[k]), int(high[k]), group_size)
+    pairs = np.full(size, -1, dtype=np.int64)
+    pairs[edge_ids[order][::2]] = (
+        (low - 1) * group_size - (low - 1) * (low - 2) // 2 + (high - low)
+    )
+    return pairs
+
+
+def _conflict_pairs(
+    index: EdgeIndex,
+    edge_ids: np.ndarray,
+    node_ids: np.ndarray,
+    group: np.ndarray,
+    pairs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conflicts ``{first[k], second[k]}``: same temporary color,
+    and a group in common.
+
+    The incidences of :func:`_number_edges` with one (node, group,
+    pair) form a bucket.  By the numbering argument a bucket holds at
+    most two edges, so the conflict graph has maximum degree 2; we
+    *verify* both instead of assuming them.
+    """
+    # Sorted by (node, group, pair), each bucket is one run; the sort
+    # is stable, so a run lists its edges in edge order.
+    order = np.lexsort((pairs[edge_ids], group, node_ids))
+    keys = np.stack([node_ids, group, pairs[edge_ids]])[:, order]
+    same = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+    crowded = np.flatnonzero(same[1:] & same[:-1])
+    if crowded.size:
+        run = order[(keys == keys[:, crowded[:1]]).all(axis=0)]
+        edges = index.edges
+        raise AlgorithmInvariantError(
+            "more than two edges share a group and a temporary color at "
+            f"node {index.nodes[int(node_ids[run[0]])]!r}: "
+            f"{[edges[i] for i in edge_ids[run].tolist()]!r}"
+        )
+    left = np.flatnonzero(same)
+    first, second = edge_ids[order[left]], edge_ids[order[left + 1]]
+    degree = np.bincount(np.concatenate([first, second]), minlength=len(pairs))
+    if first.size and degree.max() > 2:
+        edge = int(np.argmax(degree))
+        raise AlgorithmInvariantError(
+            f"conflict degree of {index.edges[edge]!r} is {int(degree[edge])} > 2"
+        )
+    return first, second
+
+
+def _groups_by_node(
+    index: EdgeIndex, edge_ids: np.ndarray, node_ids: np.ndarray, group: np.ndarray
+) -> dict[Hashable, dict[Edge, int]]:
+    """Node -> member edge -> group index, from :func:`_number_edges`."""
+    edges, nodes = index.edges, index.nodes
+    counts = np.bincount(node_ids, minlength=len(nodes)).tolist()
+    members = [edges[i] for i in edge_ids.tolist()]
+    group_of = group.tolist()
     groups: dict[Hashable, dict[Edge, int]] = {}
-    numbers: dict[tuple[Hashable, Edge], int] = {}
-    for node, start, end in zip(index.nodes, starts, starts[1:]):
-        node_edges = [edges[i] for i in incidence[start:end] if member[i]]
-        if not node_edges:
-            continue
-        node_groups: dict[Edge, int] = {}
-        for position, edge in enumerate(node_edges):
-            node_groups[edge] = position // group_size
-            numbers[(node, edge)] = position % group_size + 1
-        groups[node] = node_groups
-    return groups, numbers
-
-
-def _conflict_adjacency(
-    groups: Mapping[Hashable, Mapping[Edge, int]],
-    temp_colors: Mapping[Edge, tuple[int, int]],
-) -> dict[Edge, set[Edge]]:
-    """Adjacency of "same temporary color and share a group".
-
-    By the numbering argument this graph has maximum degree 2; we
-    *verify* that instead of assuming it.
-    """
-    adjacency: dict[Edge, set[Edge]] = {edge: set() for edge in temp_colors}
-    for node, node_groups in groups.items():
-        # Bucket this node's edges by (group, temp color); any bucket of
-        # size 2 contributes a conflict pair.
-        buckets: dict[tuple[int, tuple[int, int]], list[Edge]] = {}
-        for edge, group in node_groups.items():
-            buckets.setdefault((group, temp_colors[edge]), []).append(edge)
-        for bucket_edges in buckets.values():
-            if len(bucket_edges) > 2:
-                raise AlgorithmInvariantError(
-                    "more than two edges share a group and a temporary "
-                    f"color at node {node!r}: {bucket_edges!r}"
-                )
-            if len(bucket_edges) == 2:
-                first, second = bucket_edges
-                adjacency[first].add(second)
-                adjacency[second].add(first)
-    for edge, neighbors in adjacency.items():
-        if len(neighbors) > 2:
-            raise AlgorithmInvariantError(
-                f"conflict degree of {edge!r} is {len(neighbors)} > 2"
-            )
-    return adjacency
+    start = 0
+    for node, count in zip(nodes, counts):
+        if count:
+            end = start + count
+            groups[node] = dict(zip(members[start:end], group_of[start:end]))
+            start = end
+    return groups
 
 
 def defective_edge_coloring(
@@ -177,27 +228,27 @@ def defective_edge_coloring(
         )
 
     group_size = 4 * beta
-    groups, numbers = _assign_groups_and_numbers(index, ids, group_size)
+    member = np.zeros(len(index), dtype=bool)
+    member[ids] = True
+    edge_ids, node_ids, group, numbers = _number_edges(index, member, group_size)
+    groups = _groups_by_node(index, edge_ids, node_ids, group)
 
     # Round 1: endpoints exchange their numbers; each edge forms its
     # temporary color (i, j) with i <= j.
-    temp_colors: dict[Edge, tuple[int, int]] = {}
-    for edge in edges:
-        u, v = edge
-        i, j = numbers[(u, edge)], numbers[(v, edge)]
-        temp_colors[edge] = (min(i, j), max(i, j))
+    pairs = _pair_indices(edge_ids, numbers, len(index), group_size)
 
     # Chains of conflicting edges, 3-colored in parallel (O(log* X)).
-    adjacency = _conflict_adjacency(groups, temp_colors)
-    chains: list[Chain] = chains_from_adjacency(adjacency)
+    first, second = _conflict_pairs(index, edge_ids, node_ids, group, pairs)
+    chains = chains_from_pairs(
+        index.edges, np.flatnonzero(member), first, second, index.repr_rank
+    )
     chain_colors, chain_rounds = three_color_chains(chains, initial_coloring)
 
     # Final color: dense encoding of the triple (i, j, chain color).
-    colors: dict[Edge, int] = {}
-    for edge in edges:
-        i, j = temp_colors[edge]
-        pair_index = _pair_index(i, j, group_size)
-        colors[edge] = pair_index * 3 + chain_colors[edge]
+    pair_of = pairs.tolist()
+    colors = {
+        edge: pair_of[i] * 3 + chain_colors[edge] for i, edge in zip(ids, edges)
+    }
     color_count = _pair_count(group_size) * 3
 
     # Rounds: 1 (exchange numbers) + chains (parallel) + 1 (publish).

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import abc
 import random
+from collections import deque
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ScenarioError
@@ -64,7 +65,7 @@ class ScenarioHook:
     def __init__(self, seed: int) -> None:
         self._seed = seed
         self._rng = random.Random(seed)
-        self._backlog: list[Send] = []
+        self._backlog: deque[Send] = deque()
         self._bound = False
         self.crashed: set[int] = set()
         self.global_round = 0
@@ -98,7 +99,7 @@ class ScenarioHook:
     def requeue(self, round_index: int, sends: list[Send]) -> None:
         # A busy link hands surplus sends back; they rejoin the *front*
         # of the backlog so per-link FIFO order is preserved.
-        self._backlog[:0] = sends
+        self._backlog.extendleft(reversed(sends))
         self.deferred += len(sends)
 
     def end_run(self, rounds: int, delivered: int = 0) -> None:
@@ -108,7 +109,7 @@ class ScenarioHook:
         # still record their real delivery totals).
         self.undelivered_at_finish += len(self._backlog)
         self.delivered += delivered
-        self._backlog = []
+        self._backlog.clear()
 
     # -- model-specific pieces ----------------------------------------
 
@@ -230,11 +231,11 @@ class _BoundedAsynchronyHook(ScenarioHook):
         quota = self._quota
         if self._jitter:
             quota += self._rng.randint(0, self._jitter)
-        deliver = backlog[:quota]
-        self._backlog = backlog[quota:]
+        take = backlog.popleft
+        deliver = [take() for _ in range(min(quota, len(backlog)))]
         # Deferral is counted in message-rounds: a message that waits
         # three rounds in the backlog contributes three.
-        self.deferred += len(self._backlog)
+        self.deferred += len(backlog)
         return deliver
 
 
@@ -329,8 +330,8 @@ class _LossyLinksHook(ScenarioHook):
     def gate(self, round_index: int, new_sends: list[Send]) -> list[Send]:
         # Echoes scheduled by an earlier round's duplication (and any
         # link-busy requeues) arrive ahead of this round's traffic.
-        deliver = self._backlog
-        self._backlog = []
+        deliver = list(self._backlog)
+        self._backlog.clear()
         rng = self._rng
         drop = self._drop
         duplicate = self._duplicate

@@ -5,13 +5,18 @@ temporary color, a conflict graph of maximum degree 2 — a disjoint
 union of paths and cycles.  The paper then 3-colors each chain in
 ``O(log* X)`` rounds with a Cole-Vishkin style procedure.  This module
 extracts the chains from an adjacency structure so the chain coloring
-primitive (:mod:`repro.primitives.chain_coloring`) can run on them.
+primitive (:mod:`repro.primitives.chain_coloring`) can run on them:
+:func:`chains_from_adjacency` from a mapping over arbitrary items,
+:func:`chains_from_pairs` from conflict pairs over dense ids, in the
+same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import InvalidInstanceError
 
@@ -132,6 +137,97 @@ def chains_from_adjacency(
         cycle = _walk_from(start, neighbor_sets, visited)
         chains.append(Chain(tuple(cycle), cyclic=True))
 
+    return chains
+
+
+def chains_from_pairs(
+    items: Sequence[Hashable],
+    members: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    rank: np.ndarray,
+) -> list[Chain]:
+    """:func:`chains_from_adjacency` on dense ids, with a given order.
+
+    Parameters
+    ----------
+    items:
+        ``items[i]`` is the item with id ``i``.
+    members:
+        The distinct ids to cover.
+    first / second:
+        The graph's edges ``{first[k], second[k]}``, between members;
+        no pair repeats.
+    rank:
+        Per id, its position in the order that stands in for ``repr``.
+
+    Returns
+    -------
+    list[Chain]
+        The chains :func:`chains_from_adjacency` returns for the same
+        graph when ``rank`` orders the items as ``repr`` does: the
+        paths by their rank-smaller endpoint, each walked from it, then
+        the cycles by their rank-smallest item, each walked from it
+        towards its rank-smaller neighbour.
+
+    Raises
+    ------
+    InvalidInstanceError
+        If some item has more than two neighbors.
+    """
+    # Every id's neighbors in two lists, -1 where it has fewer.
+    size = len(rank)
+    near, far = [-1] * size, [-1] * size
+    for one, other in zip(first.tolist(), second.tolist()):
+        for item, neighbor in ((one, other), (other, one)):
+            if near[item] < 0:
+                near[item] = neighbor
+            elif far[item] < 0:
+                far[item] = neighbor
+            else:
+                raise InvalidInstanceError(
+                    f"item {items[item]!r} has more than two neighbors; "
+                    "not a union of paths and cycles"
+                )
+
+    ordered = members[np.argsort(rank[members], kind="stable")].tolist()
+    visited = bytearray(size)
+    chains: list[Chain] = []
+
+    # Paths, each from its rank-smaller endpoint (the one met first).
+    for start in ordered:
+        if visited[start] or far[start] >= 0:
+            continue
+        visited[start] = 1
+        walk = [items[start]]
+        previous, current = -1, start
+        while True:
+            step = near[current]
+            if step == previous:
+                step = far[current]
+            if step < 0:
+                break
+            visited[step] = 1
+            walk.append(items[step])
+            previous, current = current, step
+        chains.append(Chain(tuple(walk), cyclic=False))
+
+    # Everything unvisited now lies on cycles.
+    for start in ordered:
+        if visited[start]:
+            continue
+        visited[start] = 1
+        walk = [items[start]]
+        one, other = near[start], far[start]
+        previous, current = start, one if rank[one] < rank[other] else other
+        while current != start:
+            visited[current] = 1
+            walk.append(items[current])
+            step = near[current]
+            if step == previous:
+                step = far[current]
+            previous, current = current, step
+        chains.append(Chain(tuple(walk), cyclic=True))
     return chains
 
 

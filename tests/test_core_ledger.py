@@ -65,6 +65,38 @@ class TestComposition:
         ledger.charge("after", 2)
         assert ledger.total_rounds() == 2
 
+    def test_parallel_cursor_restored_after_exception(self):
+        ledger = RoundLedger()
+        with pytest.raises(RuntimeError):
+            with ledger.parallel("oops"):
+                ledger.charge("inside", 5)
+                raise RuntimeError("boom")
+        ledger.charge("after", 2)
+        assert [child.label for child in ledger.root.children] == ["oops", "after"]
+        assert ledger.total_rounds() == 7
+
+    def test_block_opens_on_enter(self):
+        ledger = RoundLedger()
+        block = ledger.sequential("late")
+        ledger.charge("first", 1)
+        with block:
+            ledger.charge("inner", 2)
+        assert [child.label for child in ledger.root.children] == ["first", "late"]
+        assert ledger.root.children[1].children[0].label == "inner"
+
+
+class TestFreeze:
+    @pytest.mark.parametrize("block", ["sequential", "parallel"])
+    def test_frozen_ledger_refuses_blocks(self, block):
+        ledger = RoundLedger()
+        with ledger.sequential("stage"):
+            ledger.charge("a", 2)
+        ledger.freeze()
+        with pytest.raises(TypeError):
+            getattr(ledger, block)("more")
+        assert ledger.total_rounds() == 2
+        assert isinstance(ledger.root.children, tuple)
+
 
 class TestCounters:
     def test_bump_and_read(self):

@@ -247,3 +247,60 @@ class TestHookBookkeeping:
         scheduler = Scheduler(network, max_rounds=2, delivery_hook=hook)
         with pytest.raises(RoundLimitExceededError):
             scheduler.run(FloodMaxAlgorithm(10))
+
+
+class TestBacklogOrder:
+    """The hooks' FIFO backlog, driven by hand: what leaves, in which
+    order, and what the counters record."""
+
+    @staticmethod
+    def sends(*tags):
+        return [(tag, tag + 1, f"m{tag}") for tag in tags]
+
+    def test_bounded_async_flushes_the_oldest_quota(self):
+        hook = get_model("bounded_async").build_hook(1, {"quota": 2})
+        assert hook.gate(1, self.sends(1, 2, 3)) == self.sends(1, 2)
+        assert hook.deferred == 1
+        assert hook.gate(2, self.sends(4)) == self.sends(3, 4)
+        assert hook.gate(3, []) == []
+        assert hook.deferred == 1
+
+    def test_requeued_sends_rejoin_the_front_in_order(self):
+        hook = get_model("bounded_async").build_hook(1, {"quota": 2})
+        hook.gate(1, self.sends(1, 2, 3, 4))
+        hook.requeue(1, self.sends(8, 9))
+        assert hook.deferred == 2 + 2
+        assert hook.gate(2, self.sends(5)) == self.sends(8, 9)
+        assert hook.gate(3, []) == self.sends(3, 4)
+        hook.end_run(3)
+        assert hook.undelivered_at_finish == 1
+        assert hook.gate(4, []) == []
+
+    def test_jitter_draws_match_a_fresh_rng(self):
+        import random
+
+        hook = get_model("bounded_async").build_hook(5, {"quota": 1, "jitter": 3})
+        rng = random.Random(5)
+        pending = self.sends(*range(40))
+        delivered, waiting, deferred = [], 0, 0
+        for round_index in range(1, 12):
+            batch, pending = pending[:4], pending[4:]
+            out = hook.gate(round_index, batch)
+            waiting += len(batch)
+            assert len(out) == min(1 + rng.randint(0, 3), waiting)
+            waiting -= len(out)
+            deferred += waiting
+            delivered.extend(out)
+        assert delivered == self.sends(*range(len(delivered)))
+        assert hook.deferred == deferred
+
+    def test_lossy_echoes_lead_the_next_round(self):
+        hook = get_model("lossy_links").build_hook(
+            3, {"drop": 0.0, "duplicate": 0.99}
+        )
+        first = hook.gate(1, self.sends(1, 2))
+        assert first == self.sends(1, 2)
+        hook.requeue(1, self.sends(7))
+        second = hook.gate(2, self.sends(3))
+        assert second[:3] == self.sends(7, 1, 2)
+        assert second[3] == self.sends(3)[0]

@@ -1,10 +1,16 @@
 """Tests for path/cycle chain decomposition."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import InvalidInstanceError
-from repro.utils.chains import Chain, chains_from_adjacency, validate_chain_cover
+from repro.utils.chains import (
+    Chain,
+    chains_from_adjacency,
+    chains_from_pairs,
+    validate_chain_cover,
+)
 
 
 def _path_adjacency(n: int) -> dict:
@@ -131,6 +137,86 @@ class TestChainsFromAdjacency:
                 adj[b].append(a)
         chains = chains_from_adjacency(adj)
         validate_chain_cover(chains, adj.keys())  # raises on violation
+
+
+def _as_pairs(items: list, adjacency: dict) -> tuple:
+    """``chains_from_pairs`` arguments for ``adjacency`` over ``items``."""
+    position = {item: i for i, item in enumerate(items)}
+    edges = {
+        tuple(sorted((position[a], position[b])))
+        for a, neighbors in adjacency.items()
+        for b in neighbors
+    }
+    first = np.array([a for a, _b in sorted(edges)], dtype=np.int64)
+    second = np.array([b for _a, b in sorted(edges)], dtype=np.int64)
+    rank = np.empty(len(items), dtype=np.int64)
+    rank[sorted(range(len(items)), key=lambda i: repr(items[i]))] = np.arange(
+        len(items)
+    )
+    members = np.array([position[item] for item in adjacency], dtype=np.int64)
+    return items, members, first, second, rank
+
+
+class TestChainsFromPairs:
+    def test_order_and_orientation_are_pinned(self):
+        adj = {
+            "a": ["b", "c"], "b": ["a"], "c": ["a"],
+            "e": ["d"], "d": ["e"],
+            "m": [],
+            "A": ["C", "B"], "B": ["A", "C"], "C": ["B", "A"],
+        }
+        items = ["m", "e", "C", "a", "B", "d", "c", "A", "b", "unused"]
+        chains = chains_from_pairs(*_as_pairs(items, adj))
+        assert [(c.items, c.cyclic) for c in chains] == [
+            (("b", "a", "c"), False),
+            (("d", "e"), False),
+            (("m",), False),
+            (("A", "B", "C"), True),
+        ]
+
+    def test_rejects_degree_three(self):
+        adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
+        with pytest.raises(InvalidInstanceError):
+            chains_from_pairs(*_as_pairs([0, 1, 2, 3], adj))
+
+    def test_no_members(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert chains_from_pairs(["x"], empty, empty, empty, np.zeros(1)) == []
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=1, max_value=7)),
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_agrees_with_chains_from_adjacency(self, components, rng):
+        """Random paths and cycles over labels whose repr order is not
+        their numeric order, listed in random orders."""
+        shapes = [(cyclic, max(length, 3) if cyclic else length)
+                  for cyclic, length in components]
+        labels = rng.sample(range(400), sum(length for _, length in shapes) + 3)
+        adj: dict = {}
+        taken = 0
+        for cyclic, length in shapes:
+            nodes = labels[taken : taken + length]
+            taken += length
+            for node in nodes:
+                adj[node] = []
+            ring = list(zip(nodes, nodes[1:]))
+            if cyclic:
+                ring.append((nodes[-1], nodes[0]))
+            for a, b in ring:
+                adj[a].append(b)
+                adj[b].append(a)
+        for neighbors in adj.values():
+            rng.shuffle(neighbors)
+        keys = list(adj)
+        rng.shuffle(keys)
+        adj = {key: adj[key] for key in keys}
+        items = labels[:]
+        rng.shuffle(items)  # three ids stay outside the members
+        assert chains_from_pairs(*_as_pairs(items, adj)) == chains_from_adjacency(adj)
 
 
 class TestValidateChainCover:
