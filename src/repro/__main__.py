@@ -305,19 +305,6 @@ def _command_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_timing_table(status: dict) -> str:
-    """Per-shard progress rows: state, wall-clock, throughput, worker —
-    plus the run-ledger's attempt accounting where a ledger exists.
-
-    Delegates to :func:`repro.telemetry.top.shard_progress_table` — the
-    exact renderer ``repro top`` and ``shard status --watch`` refresh,
-    so the one-shot and live views can never drift apart.
-    """
-    from repro.telemetry.top import shard_progress_table
-
-    return shard_progress_table(status)
-
-
 def _command_shard(args: argparse.Namespace) -> int:
     from repro.cluster import coordinator, planner
 
@@ -402,7 +389,9 @@ def _command_shard(args: argparse.Namespace) -> int:
                 f"{len(status['pending'])} pending, "
                 f"{len(status['failed'])} specs quarantined"
             )
-            print(_shard_timing_table(status))
+            from repro.telemetry.top import shard_progress_table
+
+            print(shard_progress_table(status))
             for fingerprint, failure in status["failed"].items():
                 print(
                     f"  failed {fingerprint[:12]}: "

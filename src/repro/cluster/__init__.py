@@ -28,6 +28,12 @@ file —
   atomic rename, integrity-checked on merge
   (:mod:`repro.cluster.coordinator`).
 
+What the job *did* — shard claims, heartbeats and seals with their
+wall-clock, spec resolutions, worker exits and escalations — is one
+observational record, the event stream under ``events/``
+(:mod:`repro.telemetry.events`); ``job_status`` reads its shard timing
+and worker events from there.
+
 Everything is content-addressed and idempotent, so any component may
 die and be re-run: per-spec results spill into the job's shared
 ``cache/`` as they finish (a reclaimed shard replays them instead of
@@ -42,7 +48,8 @@ becomes a quarantined dead letter in the job's ``failed/`` directory
 and merges as a :class:`~repro.results.FailedResult` slot; the
 coordinator bounds its wait on spawned workers
 (:func:`wait_for_workers`), escalating terminate → kill on any worker
-whose lease heartbeats stop, and records the events in ``events.json``.
+whose lease heartbeats stop, and emits the events to the job's event
+stream.
 The deterministic chaos harness (:mod:`repro.faults`,
 ``python -m repro chaos --smoke``) drives injected faults through this
 whole stack end-to-end.
@@ -52,9 +59,7 @@ from repro.cluster.coordinator import (
     WorkerWatch,
     job_status,
     load_shard_results,
-    load_worker_events,
     merge_results,
-    record_worker_events,
     retry_failed,
     run_sharded,
     run_sharded_iter,
@@ -77,10 +82,8 @@ from repro.cluster.worker import (
     dead_letter_path,
     load_dead_letter,
     load_dead_letters,
-    load_shard_timing,
     publish_shard_result,
     quarantine_failure,
-    timing_path,
     work_loop,
 )
 
@@ -98,21 +101,17 @@ __all__ = [
     "load_dead_letters",
     "load_plan",
     "load_shard_results",
-    "load_shard_timing",
     "load_task",
-    "load_worker_events",
     "merge_results",
     "plan_shards",
     "publish_shard_result",
     "quarantine_failure",
-    "record_worker_events",
     "resolve_shards",
     "retry_failed",
     "run_sharded",
     "run_sharded_iter",
     "smoke_check",
     "spawn_local_worker",
-    "timing_path",
     "wait_for_workers",
     "work_loop",
 ]

@@ -32,8 +32,8 @@ workers: :func:`wait_for_workers` watches each subprocess's *lease
 heartbeats* (a healthy worker heartbeats after every spec) and a
 worker that shows no sign of life past its grace window is escalated
 — ``terminate()``, a short grace, then ``kill()`` — with the event
-recorded in the job's ``events.json`` and surfaced by ``shard
-status``.  Specs run under a failure policy (default capture):
+emitted to the job's event stream (``events/``) and surfaced by
+``shard status``.  Specs run under a failure policy (default capture):
 poison specs end up quarantined in ``failed/`` as
 :class:`~repro.results.FailedResult` records that merge into their
 batch slots, so ``run_sharded`` terminates with an account of every
@@ -50,7 +50,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.api.diskcache import atomic_write_json, read_json
+from repro.api.diskcache import read_json
 from repro.api.failures import FailurePolicy, resolve_policy
 from repro.api.spec import RunSpec
 from repro.cluster.planner import PLAN_FORMAT, ensure_plan, load_plan
@@ -64,18 +64,19 @@ from repro.cluster.worker import (
     dead_letter_path,
     ledger_dir_of,
     load_dead_letters,
-    load_shard_timing,
-    timing_path,
     work_loop,
 )
 from repro.errors import ClusterError
 from repro.results import RunResult, fingerprint_of
-from repro.telemetry.events import emit_event, events_dir_of
+from repro.telemetry.events import emit_event, events_dir_of, read_events
 
-#: Job-directory file recording coordinator-observed worker events
-#: (hung-worker escalations, non-zero exits) — surfaced by ``shard
-#: status``.
-EVENTS_FILE = "events.json"
+#: The coordinator-observed worker events ``job_status`` reports.
+WORKER_EVENTS = ("worker_exit_nonzero", "worker_hung", "worker_stopped")
+
+#: The keys the event stream wraps around an event's own fields.
+_ENVELOPE_KEYS = frozenset(
+    ("kind", "format", "seq", "worker", "unix_ts", "cursor")
+)
 
 #: Seconds a terminated worker gets to exit before it is killed.
 TERMINATE_GRACE_S = 5.0
@@ -171,43 +172,6 @@ def _merge_with_plan(plan, job_dir: str | Path) -> list[RunResult]:
     return [by_fingerprint[fingerprint] for fingerprint in plan.fingerprints]
 
 
-def record_worker_events(
-    job_dir: str | Path, events: Sequence[Mapping[str, Any]]
-) -> None:
-    """Append coordinator-observed worker events to ``events.json``.
-
-    Each event is also mirrored into the job's live event stream
-    (``events/`` — see :mod:`repro.telemetry.events`), so ``repro top``
-    and the service's ``/events`` endpoint see escalations without
-    polling ``events.json``.  The mirror is best-effort like every
-    stream write; ``events.json`` remains the durable record
-    ``shard status`` reads.
-    """
-    if not events:
-        return
-    path = Path(job_dir) / EVENTS_FILE
-    existing = read_json(path)
-    log = existing if isinstance(existing, list) else []
-    log.extend(dict(event) for event in events)
-    atomic_write_json(path, log)
-    stream_dir = events_dir_of(job_dir)
-    for event in events:
-        payload = {
-            key: value for key, value in event.items() if key != "event"
-        }
-        emit_event(
-            str(event.get("event", "worker_event")), stream_dir, **payload
-        )
-
-
-def load_worker_events(job_dir: str | Path) -> list[dict[str, Any]]:
-    """The job's recorded worker events (empty if none / unreadable)."""
-    payload = read_json(Path(job_dir) / EVENTS_FILE)
-    if not isinstance(payload, list):
-        return []
-    return [event for event in payload if isinstance(event, dict)]
-
-
 def _ledger_shard_stats(job_dir: str | Path, plan) -> dict[str, dict[str, int]]:
     """Per-shard attempt/retry accounting from the job's run ledger.
 
@@ -215,7 +179,7 @@ def _ledger_shard_stats(job_dir: str | Path, plan) -> dict[str, dict[str, int]]:
     spec fingerprint (keeping the **max** attempts seen per spec — a
     spec re-executed after a worker death would otherwise double
     count), then rolls them up by the plan's shard assignment.
-    Observational like the timing sidecars: a missing or foreign
+    Observational like the event stream: a missing or foreign
     ledger simply yields no entry for a shard, never an error.
     """
     from repro.telemetry.ledger import read_ledger_rows
@@ -267,6 +231,45 @@ def _ledger_shard_stats(job_dir: str | Path, plan) -> dict[str, dict[str, int]]:
     return dict(sorted(stats.items(), key=lambda item: int(item[0])))
 
 
+def _sealed_timing(event: Mapping[str, Any] | None) -> dict[str, Any] | None:
+    """A done shard's ``timing`` entry from its ``shard_sealed`` event.
+
+    ``None`` for a missing event or an unusable wall-clock: timing must
+    never make ``status`` lie, only stay silent.
+    """
+    if event is None:
+        return None
+    wall = event.get("wall_clock_s")
+    if (
+        isinstance(wall, bool)
+        or not isinstance(wall, (int, float))
+        or not math.isfinite(wall)
+        or wall < 0
+    ):
+        # Rejecting inf/nan here (not just negatives) keeps every
+        # downstream rate division finite — a hand-edited or corrupt
+        # event must not turn ``status`` output into ``Infinity``.
+        return None
+    wall = float(wall)
+    executed = event.get("specs_executed")
+    entry: dict[str, Any] = {
+        "state": "done",
+        "wall_clock_s": wall,
+        "specs_total": event.get("specs_total"),
+        "specs_executed": executed,
+        "worker": event.get("shard_worker"),
+        "specs_per_s": None,
+    }
+    # A sub-millisecond shard legitimately records wall == 0.0 (the
+    # event rounds to microseconds), so the rate is unknowable, not
+    # infinite: leave specs_per_s as None rather than divide.
+    if isinstance(executed, int) and executed > 0 and wall > 0:
+        rate = executed / wall
+        if math.isfinite(rate):
+            entry["specs_per_s"] = round(rate, 3)
+    return entry
+
+
 def job_status(
     job_dir: str | Path,
     *,
@@ -278,16 +281,21 @@ def job_status(
     Alongside the shard queue state, reports the job's failure
     account: ``failed`` (quarantined spec fingerprints with error type
     and attempt count, from the ``failed/`` dead-letter store) and
-    ``worker_events`` (hung-worker escalations and non-zero worker
-    exits recorded by the coordinator).
+    ``worker_events`` (hung-worker escalations, non-zero worker exits
+    and early stops the coordinator emitted, in stream order, each
+    without its stream envelope).
 
     ``timing`` maps each shard (as a string key — the snapshot is
     JSON-safe) to its wall-clock account: completed shards report the
-    sidecar written by :func:`repro.cluster.worker.run_shard`
+    last ``shard_sealed`` event of this plan that
+    :func:`repro.cluster.worker.run_shard` emitted for them
     (``wall_clock_s``, ``specs_total``, ``specs_executed``, derived
     ``specs_per_s``, publishing ``worker``), running shards report
     ``elapsed_s`` since their lease was claimed.  Timing is
-    observational: a missing or foreign sidecar simply has no entry.
+    observational: a shard with no usable seal event has no entry.
+
+    Both ``timing`` and ``worker_events`` come from one read of the
+    job's event stream (``<job_dir>/events/``).
 
     ``ledger`` maps each shard (string key) to the attempt/retry
     account derived from the job's run ledger
@@ -306,31 +314,30 @@ def job_status(
         len(plan.assignment[shard]) for shard in status["done"]
     )
     now = clock()
+    events, _ = read_events(events_dir_of(job_dir))
+    sealed: dict[int, dict[str, Any]] = {}
+    worker_events: list[dict[str, Any]] = []
+    for event in events:
+        kind = event.get("event")
+        if (
+            kind == "shard_sealed"
+            and event.get("plan_fingerprint") == status["plan_fingerprint"]
+            and isinstance(event.get("shard"), int)
+        ):
+            sealed[event["shard"]] = event  # the last seal wins
+        elif kind in WORKER_EVENTS:
+            worker_events.append(
+                {
+                    key: value
+                    for key, value in event.items()
+                    if key not in _ENVELOPE_KEYS
+                }
+            )
     timing: dict[str, dict[str, Any]] = {}
     for shard in status["done"]:
-        sidecar = load_shard_timing(
-            job_dir, shard, plan_fingerprint=status["plan_fingerprint"]
-        )
-        if sidecar is None:
-            continue
-        wall = float(sidecar["wall_clock_s"])
-        executed = sidecar.get("specs_executed")
-        entry: dict[str, Any] = {
-            "state": "done",
-            "wall_clock_s": wall,
-            "specs_total": sidecar.get("specs_total"),
-            "specs_executed": executed,
-            "worker": sidecar.get("worker"),
-            "specs_per_s": None,
-        }
-        # A sub-millisecond shard legitimately records wall == 0.0 (the
-        # sidecar rounds to microseconds), so the rate is unknowable,
-        # not infinite: leave specs_per_s as None rather than divide.
-        if isinstance(executed, int) and executed > 0 and wall > 0:
-            rate = executed / wall
-            if math.isfinite(rate):
-                entry["specs_per_s"] = round(rate, 3)
-        timing[str(shard)] = entry
+        entry = _sealed_timing(sealed.get(shard))
+        if entry is not None:
+            timing[str(shard)] = entry
     for shard in status["running"]:
         lease = queue.lease_of(shard)
         claimed = (lease or {}).get("claimed_at")
@@ -356,7 +363,7 @@ def job_status(
         }
         for fingerprint, failed in sorted(letters.items())
     }
-    status["worker_events"] = load_worker_events(job_dir)
+    status["worker_events"] = worker_events
     return status
 
 
@@ -439,8 +446,8 @@ class WorkerWatch:
     by the ordinary stale-lease protocol.
 
     The watch accumulates events (hung-worker escalations, non-zero
-    exits) in ``events``; callers persist them via
-    :func:`record_worker_events`.  :meth:`poll` is one supervision
+    exits, early stops) in ``events`` and emits each one to the job's
+    event stream as it happens.  :meth:`poll` is one supervision
     tick, cheap enough to interleave with other work — this is how
     :func:`run_sharded_iter` supervises its workers *while* draining
     and streaming results instead of blocking on them first.
@@ -466,10 +473,16 @@ class WorkerWatch:
         self.lease_ttl = lease_ttl
         self.grace_s = grace_s if grace_s is not None else max(2 * lease_ttl, 10.0)
         self.events: list[dict[str, Any]] = []
+        self._stream_dir = events_dir_of(job_dir)
         self._clock = clock
         self._waiting = {index: proc for index, proc in enumerate(procs)}
         self._last_alive = {index: clock() for index in self._waiting}
         self._claims_dir = claim_path(job_dir, 0).parent
+
+    def _record(self, event: str, **fields: Any) -> None:
+        """Keep one worker event and emit it to the job's event stream."""
+        self.events.append({"event": event, **fields})
+        emit_event(event, self._stream_dir, **fields)
 
     @property
     def waiting(self) -> int:
@@ -502,12 +515,10 @@ class WorkerWatch:
             if proc.poll() is None:
                 continue
             if proc.returncode != 0:
-                self.events.append(
-                    {
-                        "event": "worker_exit_nonzero",
-                        "pid": proc.pid,
-                        "returncode": proc.returncode,
-                    }
+                self._record(
+                    "worker_exit_nonzero",
+                    pid=proc.pid,
+                    returncode=proc.returncode,
                 )
             del self._waiting[index]
         if not self._waiting:
@@ -519,13 +530,11 @@ class WorkerWatch:
                 self._last_alive[index] = now
             elif now - self._last_alive[index] > self.grace_s:
                 action = _escalate(proc)
-                self.events.append(
-                    {
-                        "event": "worker_hung",
-                        "pid": proc.pid,
-                        "action": action,
-                        "waited_s": round(now - self._last_alive[index], 3),
-                    }
+                self._record(
+                    "worker_hung",
+                    pid=proc.pid,
+                    action=action,
+                    waited_s=round(now - self._last_alive[index], 3),
                 )
                 del self._waiting[index]
 
@@ -549,13 +558,7 @@ class WorkerWatch:
         self.poll()
         for index, proc in list(self._waiting.items()):
             action = _escalate(proc)
-            self.events.append(
-                {
-                    "event": "worker_stopped",
-                    "pid": proc.pid,
-                    "action": action,
-                }
-            )
+            self._record("worker_stopped", pid=proc.pid, action=action)
             del self._waiting[index]
         return self.events
 
@@ -615,7 +618,7 @@ def run_sharded_iter(
     has been reaped — the coordinator never competes with its own live
     workers for work, it only finishes what they leave behind.
     Closing the generator early stops the spawned workers (terminate →
-    kill, recorded in ``events.json``) but keeps the job directory
+    kill, emitted as ``worker_stopped`` events) but keeps the job directory
     resumable: published shards survive, interrupted leases go stale
     and are reclaimed by the next run.
 
@@ -717,8 +720,10 @@ def run_sharded_iter(
         complete = True
     finally:
         if watch is not None:
-            events = watch.drain() if complete else watch.shutdown()
-            record_worker_events(job_dir, events)
+            if complete:
+                watch.drain()
+            else:
+                watch.shutdown()
         if complete:
             emit_event(
                 "job_complete",
@@ -834,11 +839,10 @@ def retry_failed(
         except OSError:
             pass
     for shard in shards_reset:
-        for path in (result_path(job_dir, shard), timing_path(job_dir, shard)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        try:
+            result_path(job_dir, shard).unlink()
+        except OSError:
+            pass
     return {
         "plan_fingerprint": plan_fingerprint,
         "requeued": sorted(selected),

@@ -42,7 +42,6 @@ is still forced: prefer capture for unattended fleets.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -65,7 +64,7 @@ from repro.telemetry.trace import trace
 CACHE_SUBDIR = "cache"
 
 #: Subdirectory all workers append run-ledger records into (defaulted
-#: on by :func:`run_shard`; observational, like ``timings/``).
+#: on by :func:`run_shard`; observational, like ``events/``).
 LEDGER_SUBDIR = "ledger"
 
 #: Subdirectory holding dead-letter records of captured spec failures
@@ -74,11 +73,6 @@ FAILED_SUBDIR = "failed"
 
 #: Dead-letter file format version.
 DEAD_LETTER_FORMAT = 1
-
-#: Subdirectory holding per-shard timing sidecars (observational;
-#: deliberately *outside* the sealed result files so wall-clock noise
-#: can never perturb the byte-identical merge contract).
-TIMING_SUBDIR = "timings"
 
 
 def cache_dir_of(job_dir: str | Path) -> Path:
@@ -89,77 +83,6 @@ def cache_dir_of(job_dir: str | Path) -> Path:
 def ledger_dir_of(job_dir: str | Path) -> Path:
     """The job's shared run-ledger directory (one file per worker pid)."""
     return Path(job_dir) / LEDGER_SUBDIR
-
-
-def timing_path(job_dir: str | Path, shard: int) -> Path:
-    """The observational timing sidecar of one shard."""
-    return Path(job_dir) / TIMING_SUBDIR / f"{shard_name(shard)}.json"
-
-
-def record_shard_timing(
-    job_dir: str | Path,
-    shard: int,
-    *,
-    plan_fingerprint: str,
-    worker: str,
-    started_at: float,
-    wall_clock_s: float,
-    specs_total: int,
-    specs_executed: int,
-) -> None:
-    """Best-effort publish of one shard's wall-clock accounting.
-
-    Timing is observational by design: it lives next to — never inside
-    — the sealed result file, carries no seal, and a failed write is
-    swallowed.  ``specs_executed`` counts specs this run actually
-    drained through the executor (cache replays and reused dead
-    letters are part of ``specs_total`` but not of ``specs_executed``),
-    so throughput numbers describe real work, not replay speed.
-    """
-    payload = {
-        "format": PLAN_FORMAT,
-        "shard": shard,
-        "plan_fingerprint": plan_fingerprint,
-        "worker": worker,
-        "started_at": round(started_at, 6),
-        "wall_clock_s": round(wall_clock_s, 6),
-        "specs_total": specs_total,
-        "specs_executed": specs_executed,
-    }
-    try:
-        atomic_write_json(timing_path(job_dir, shard), payload)
-    except OSError:
-        pass
-
-
-def load_shard_timing(
-    job_dir: str | Path, shard: int, *, plan_fingerprint: str
-) -> dict[str, Any] | None:
-    """Load one shard's timing sidecar, or ``None`` if absent/foreign.
-
-    A sidecar from a different plan (the directory was re-planned) or
-    with garbage fields is ignored — timing must never make ``status``
-    lie, only stay silent.
-    """
-    payload = read_json(timing_path(job_dir, shard))
-    if (
-        not isinstance(payload, dict)
-        or payload.get("shard") != shard
-        or payload.get("plan_fingerprint") != plan_fingerprint
-    ):
-        return None
-    wall = payload.get("wall_clock_s")
-    if (
-        isinstance(wall, bool)
-        or not isinstance(wall, (int, float))
-        or not math.isfinite(wall)
-        or wall < 0
-    ):
-        # Rejecting inf/nan here (not just negatives) keeps every
-        # downstream rate division finite — a hand-edited or corrupt
-        # sidecar must not turn ``status`` output into ``Infinity``.
-        return None
-    return payload
 
 
 def dead_letter_path(job_dir: str | Path, fingerprint: str) -> Path:
@@ -289,8 +212,14 @@ def run_shard(
     :func:`~repro.telemetry.events.events_context`, so the executor's
     per-spec ``spec_resolved`` / ``spec_retry`` events land there, and
     the shard lifecycle (heartbeat, dead letter, sealed, abandoned) is
-    emitted here.  Both are observational and best-effort; neither
-    ever enters the sealed result file.
+    emitted here.  ``shard_sealed`` is the shard's wall-clock account
+    (``plan_fingerprint``, the lease holder as ``shard_worker``,
+    ``specs_total``, ``specs_executed`` — specs drained through the
+    executor; reused dead letters count in the total only — and
+    ``wall_clock_s``), which
+    :func:`~repro.cluster.coordinator.job_status` reports as
+    ``timing``.  Both are observational and best-effort; neither ever
+    enters the sealed result file.
     """
     policy = resolve_policy(on_error)
     events_dir = events_dir_of(job_dir)
@@ -345,20 +274,12 @@ def run_shard(
                 )
     with trace("shard.publish", shard=shard):
         publish_shard_result(job_dir, shard, plan_fingerprint, results)
-    record_shard_timing(
-        job_dir,
-        shard,
-        plan_fingerprint=plan_fingerprint,
-        worker=queue.worker_id,
-        started_at=started_at,
-        wall_clock_s=time.time() - started_at,
-        specs_total=len(ordered),
-        specs_executed=executed,
-    )
     emit_event(
         "shard_sealed",
         events_dir,
         shard=shard,
+        plan_fingerprint=plan_fingerprint,
+        shard_worker=queue.worker_id,
         specs_total=len(ordered),
         specs_executed=executed,
         wall_clock_s=round(time.time() - started_at, 6),

@@ -44,7 +44,7 @@ from repro.faults.spec import FaultPlan, FaultSpec
 ENV_VAR = "REPRO_FAULTS"
 
 #: Exit code of a ``worker_kill`` fault — distinguishable from clean
-#: exits and from signal deaths in ``events.json``.
+#: exits and from signal deaths in ``worker_exit_nonzero`` events.
 KILL_EXIT_CODE = 86
 
 

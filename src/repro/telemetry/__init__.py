@@ -2,8 +2,8 @@
 
 Everything in this package is **observational**: it records what ran
 where, under which environment, at what cost — and none of it may ever
-feed back into results.  The invariant (mirroring the cluster layer's
-timing sidecars) is:
+feed back into results.  The invariant (which the cluster layer's
+shard timing, read from the event stream, also keeps) is:
 
     observational data never enters fingerprints or sealed files.
 

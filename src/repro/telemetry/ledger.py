@@ -8,7 +8,7 @@ sharded job accumulates a complete account of what ran where without
 any caller opting in.
 
 **Discipline.**  The ledger is strictly observational, mirroring the
-timing-sidecar rules of :mod:`repro.cluster.worker`:
+rules of the job event stream (:mod:`repro.telemetry.events`):
 
 * records live *outside* every sealed file and every fingerprint —
   nothing here can perturb result byte-identity;

@@ -53,11 +53,11 @@ def shard_progress_table(status: dict[str, Any]) -> str:
     """Per-shard progress rows: state, wall-clock, throughput, worker —
     plus the run-ledger's attempt accounting where a ledger exists.
 
-    Timing comes from the observational sidecars workers publish next
-    to their sealed results (``job_status``'s ``timing`` map); the
+    Timing comes from the ``shard_sealed`` events workers emit when
+    they publish a sealed result (``job_status``'s ``timing`` map); the
     attempts / retries / cache-hit columns come from the job's run
-    ledger (``job_status``'s ``ledger`` map).  Shards with neither
-    sidecar nor ledger rows show ``-`` — both sources are best-effort
+    ledger (``job_status``'s ``ledger`` map).  Shards with neither a
+    seal event nor ledger rows show ``-`` — both sources are best-effort
     by contract.  This is the renderer behind ``repro shard status``,
     ``--watch``, and ``repro top``.
     """
@@ -76,9 +76,9 @@ def shard_progress_table(status: dict[str, Any]) -> str:
         if wall is None and entry.get("elapsed_s") is not None:
             wall = entry["elapsed_s"]
         rate = entry.get("specs_per_s")
-        # Display guard mirrors the sidecar guard: anything non-numeric
+        # Display guard mirrors job_status's guard: anything non-numeric
         # or non-finite renders as "-" (a sub-ms shard has wall 0.0 and
-        # rate None — real, just unmeasurable at sidecar resolution).
+        # rate None — real, just unmeasurable at event resolution).
         wall_ok = isinstance(wall, (int, float)) and math.isfinite(wall)
         rate_ok = isinstance(rate, (int, float)) and math.isfinite(rate)
         accounting = ledger.get(str(shard), {})
@@ -171,7 +171,7 @@ def _eta_s(status: dict[str, Any], state: dict[str, Any]) -> float | None:
     """Remaining-work estimate from observed throughput.
 
     Throughput is distinct specs finished per second of shard
-    wall-clock observed so far (done-shard sidecars plus the elapsed
+    wall-clock observed so far (done-shard seal events plus the elapsed
     time of running shards); progress inside running shards comes from
     their latest heartbeat.  ``None`` until there is any signal — an
     ETA that would be a guess is not shown.

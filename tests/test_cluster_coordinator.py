@@ -255,13 +255,13 @@ class TestCoordinator:
 
 
 class TestShardTimingGuards:
-    """Degenerate timing sidecars must never corrupt ``status`` output.
+    """Degenerate ``shard_sealed`` events must never corrupt ``status``.
 
-    The sidecar rounds wall-clock to microseconds, so a sub-millisecond
+    The event rounds wall-clock to microseconds, so a sub-millisecond
     shard legitimately records ``wall_clock_s == 0.0`` — the derived
     rate must come out ``None`` (unknowable), not ``ZeroDivisionError``
-    or ``Infinity``; hand-edited/corrupt sidecars with non-finite walls
-    must be ignored outright.
+    or ``Infinity``; hand-edited/corrupt events with non-finite,
+    negative or boolean walls must be ignored outright.
     """
 
     @staticmethod
@@ -278,16 +278,15 @@ class TestShardTimingGuards:
         return job, load_plan(job).plan_fingerprint()
 
     def _stamp_timing(self, job, plan_fingerprint, wall):
-        from repro.cluster import timing_path
-        from repro.cluster.worker import record_shard_timing
+        # A later seal of the same shard supersedes the real one.
+        from repro.telemetry.events import emit_event, events_dir_of
 
-        timing_path(job, 0).unlink(missing_ok=True)
-        record_shard_timing(
-            job,
-            0,
+        emit_event(
+            "shard_sealed",
+            events_dir_of(job),
+            shard=0,
             plan_fingerprint=plan_fingerprint,
-            worker="w-test",
-            started_at=1.0,
+            shard_worker="w-test",
             wall_clock_s=wall,
             specs_total=1,
             specs_executed=1,
@@ -298,7 +297,7 @@ class TestShardTimingGuards:
     ):
         import json
 
-        from repro.__main__ import _shard_timing_table
+        from repro.telemetry.top import shard_progress_table
 
         job, plan_fingerprint = self._done_job(tmp_path)
         self._stamp_timing(job, plan_fingerprint, 0.0)
@@ -309,23 +308,21 @@ class TestShardTimingGuards:
         # The whole snapshot must stay strict-JSON (no Infinity/NaN)...
         json.dumps(status, allow_nan=False)
         # ...and the CLI table renders the unknowable rate as "-".
-        table = _shard_timing_table(status)
+        table = shard_progress_table(status)
         assert "0.000" in table and "w-test" in table
 
-    @pytest.mark.parametrize("wall", [float("inf"), float("nan"), -1.0])
-    def test_non_finite_or_negative_sidecar_is_ignored(self, tmp_path, wall):
+    @pytest.mark.parametrize(
+        "wall", [float("inf"), float("nan"), -1.0, True]
+    )
+    def test_non_finite_or_negative_seal_is_ignored(self, tmp_path, wall):
         import json
 
-        from repro.__main__ import _shard_timing_table
-        from repro.cluster import load_shard_timing
+        from repro.telemetry.top import shard_progress_table
 
         job, plan_fingerprint = self._done_job(tmp_path)
+        assert "0" in job_status(job)["timing"]
         self._stamp_timing(job, plan_fingerprint, wall)
-        assert (
-            load_shard_timing(job, 0, plan_fingerprint=plan_fingerprint)
-            is None
-        )
         status = job_status(job)
         assert "0" not in status["timing"]  # silent, never lying
         json.dumps(status, allow_nan=False)
-        _shard_timing_table(status)
+        shard_progress_table(status)

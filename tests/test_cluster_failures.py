@@ -32,9 +32,7 @@ from repro.cluster import (
     load_dead_letter,
     load_dead_letters,
     load_plan,
-    load_worker_events,
     merge_results,
-    record_worker_events,
     run_sharded,
     wait_for_workers,
 )
@@ -42,6 +40,7 @@ from repro.cluster.planner import manifest_path
 from repro.cluster.queue import ShardQueue, claim_path, result_path
 from repro.errors import ClusterError, InjectedFault
 from repro.results import canonical_json
+from repro.telemetry.events import emit_event, events_dir_of
 
 
 def small_specs() -> list[RunSpec]:
@@ -229,15 +228,23 @@ class TestWorkerReaping:
             == []
         )
 
-    def test_events_round_trip_and_surface_in_status(self, tmp_path):
+    def test_stream_events_surface_in_status_in_order(self, tmp_path):
         ensure_plan(small_specs(), tmp_path, shards=2)
-        record_worker_events(
-            tmp_path, [{"event": "worker_hung", "pid": 7, "action": "killed"}]
+        stream = events_dir_of(tmp_path)
+        emit_event("worker_hung", stream, pid=7, action="killed")
+        emit_event("worker_spawn", stream, pid=9)  # not a worker event
+        emit_event("worker_exit_nonzero", stream, pid=8, returncode=86)
+        emit_event("worker_stopped", stream, pid=10, action="terminated")
+        assert job_status(tmp_path)["worker_events"] == [
+            {"event": "worker_hung", "pid": 7, "action": "killed"},
+            {"event": "worker_exit_nonzero", "pid": 8, "returncode": 86},
+            {"event": "worker_stopped", "pid": 10, "action": "terminated"},
+        ]
+
+    def test_watch_emits_its_events_to_the_stream(self, tmp_path):
+        ensure_plan(small_specs(), tmp_path, shards=2)
+        proc = subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+        events = wait_for_workers(
+            [proc], tmp_path, lease_ttl=0.5, grace_s=5.0, poll_s=0.05
         )
-        record_worker_events(
-            tmp_path,
-            [{"event": "worker_exit_nonzero", "pid": 8, "returncode": 86}],
-        )
-        events = load_worker_events(tmp_path)
-        assert [event["pid"] for event in events] == [7, 8]
         assert job_status(tmp_path)["worker_events"] == events

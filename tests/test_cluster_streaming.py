@@ -1,4 +1,4 @@
-"""The PR's cluster satellites: streaming merge, auto shards, retry, timing.
+"""Cluster satellites: streaming merge, auto shards, retry, timing.
 
 * :func:`~repro.cluster.coordinator.run_sharded_iter` yields every
   batch index exactly once with payloads byte-identical to
@@ -9,14 +9,17 @@
   the *resolved* integer is what the manifest records.
 * :func:`~repro.cluster.coordinator.retry_failed` re-queues exactly
   the quarantined specs: dead letters and their shards' sealed results
-  (and timing sidecars) go away, everything else stays byte-identical.
-* Workers leave observational per-shard timing sidecars that
-  ``job_status`` folds into a ``timing`` map (wall-clock, specs/sec).
+  go away, everything else stays byte-identical.
+* Workers emit a ``shard_sealed`` event per published shard that
+  ``job_status`` folds into a ``timing`` map (wall-clock, specs/sec);
+  the event stream is the job's only observational record.
 """
 
 from __future__ import annotations
 
 import copy
+import subprocess
+import sys
 
 import pytest
 
@@ -25,13 +28,12 @@ from repro.api.runner import clear_result_cache
 from repro.cluster import (
     ensure_plan,
     job_status,
-    load_shard_timing,
     merge_results,
     resolve_shards,
     retry_failed,
     run_sharded,
     run_sharded_iter,
-    timing_path,
+    wait_for_workers,
     work_loop,
 )
 from repro.cluster.planner import load_plan, plan_shards
@@ -39,6 +41,7 @@ from repro.cluster.queue import result_path
 from repro.cluster.worker import dead_letter_path
 from repro.errors import ClusterError
 from repro.results import canonical_json
+from repro.telemetry.events import emit_event, events_dir_of, read_events
 
 
 def small_batch() -> list[RunSpec]:
@@ -216,20 +219,24 @@ class TestRetryFailed:
         assert job_status(job)["complete"] is True
 
 
+def sealed_events(job):
+    events, _ = read_events(events_dir_of(job))
+    return [event for event in events if event["event"] == "shard_sealed"]
+
+
 class TestShardTiming:
-    def test_workers_leave_timing_sidecars(self, tmp_path):
+    def test_workers_emit_sealed_events(self, tmp_path):
         specs = small_batch()
         job = tmp_path / "job"
         plan = ensure_plan(specs, job, shards=2)
-        work_loop(job)
-        for shard in range(plan.shards):
-            assert timing_path(job, shard).exists()
-            timing = load_shard_timing(
-                job, shard, plan_fingerprint=plan.plan_fingerprint()
-            )
-            assert timing is not None
-            assert timing["wall_clock_s"] >= 0
-            assert timing["specs_total"] == len(plan.assignment[shard])
+        work_loop(job, worker_id="w-one")
+        sealed = {event["shard"]: event for event in sealed_events(job)}
+        assert set(sealed) == set(range(plan.shards))
+        for shard, event in sealed.items():
+            assert event["plan_fingerprint"] == plan.plan_fingerprint()
+            assert event["shard_worker"] == "w-one"
+            assert event["wall_clock_s"] >= 0
+            assert event["specs_total"] == len(plan.assignment[shard])
 
     def test_job_status_folds_timing_into_done_shards(self, tmp_path):
         specs = small_batch()
@@ -247,17 +254,78 @@ class TestShardTiming:
         )
         assert executed == len({spec.fingerprint() for spec in specs})
 
-    def test_foreign_timing_sidecar_is_ignored(self, tmp_path):
+    def test_foreign_seal_event_is_ignored(self, tmp_path):
         specs = small_batch()
         job = tmp_path / "job"
-        plan = ensure_plan(specs, job, shards=2)
-        work_loop(job)
-        assert (
-            load_shard_timing(job, 0, plan_fingerprint="f" * 64) is None
+        ensure_plan(specs, job, shards=2)
+        work_loop(job, worker_id="w-real")
+        # A later seal of another plan (the directory was re-planned)
+        # must not shadow this plan's seal...
+        emit_event(
+            "shard_sealed",
+            events_dir_of(job),
+            shard=0,
+            plan_fingerprint="f" * 64,
+            shard_worker="w-foreign",
+            specs_total=1,
+            specs_executed=1,
+            wall_clock_s=9.0,
         )
-        assert (
-            load_shard_timing(
-                job, 1, plan_fingerprint=plan.plan_fingerprint()
-            )
-            is not None
+        timing = job_status(job)["timing"]
+        assert timing["0"]["worker"] == "w-real"
+        assert timing["1"]["worker"] == "w-real"
+        # ...and a foreign seal alone gives no entry at all.
+        for path in events_dir_of(job).glob("*.jsonl"):
+            path.unlink()
+        emit_event(
+            "shard_sealed",
+            events_dir_of(job),
+            shard=0,
+            plan_fingerprint="f" * 64,
+            shard_worker="w-foreign",
+            specs_total=1,
+            specs_executed=1,
+            wall_clock_s=9.0,
         )
+        assert job_status(job)["timing"] == {}
+
+    def test_finished_job_keeps_only_the_event_stream(self, tmp_path):
+        job = tmp_path / "job"
+        run_sharded(small_batch(), job, shards=2)
+        proc = subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+        wait_for_workers([proc], job, lease_ttl=0.5, grace_s=5.0, poll_s=0.05)
+        status = job_status(job)
+        assert set(status["timing"]) == {"0", "1"}
+        assert status["worker_events"] == [
+            {"event": "worker_exit_nonzero", "pid": proc.pid, "returncode": 3}
+        ]
+        assert (job / "events").is_dir()
+        assert not (job / "events.json").exists()
+        assert not (job / "timings").exists()
+
+    def test_timing_reports_the_new_seal_after_retry(self, tmp_path):
+        specs, poison = poisoned_batch()
+        job = tmp_path / "job"
+        ensure_plan(specs, job, shards=2)
+        capture = FailurePolicy(on_error="capture")
+        work_loop(job, worker_id="w-first", on_error=capture)
+        shard = str(load_plan(job).shard_of(poison.fingerprint()))
+        assert job_status(job)["timing"][shard]["worker"] == "w-first"
+
+        retry_failed(job)
+        # The old seal event stays in the stream, but the shard is not
+        # done, so it has no done-timing entry.
+        assert shard not in job_status(job)["timing"]
+
+        work_loop(job, worker_id="w-second", on_error=capture)
+        entry = job_status(job)["timing"][shard]
+        seals = [
+            event for event in sealed_events(job) if str(event["shard"]) == shard
+        ]
+        assert [event["shard_worker"] for event in seals] == [
+            "w-first",
+            "w-second",
+        ]
+        assert entry["worker"] == "w-second"
+        assert entry["wall_clock_s"] == seals[-1]["wall_clock_s"]
+        assert entry["specs_executed"] == seals[-1]["specs_executed"]
