@@ -15,8 +15,8 @@ estimate (its messages are single colors of ``O(log n + log Δ)`` bits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ModelViolationError, ParameterError
 from repro.model.algorithm import NodeAlgorithm
@@ -107,55 +107,33 @@ class CongestScheduler(Scheduler):
             raise ParameterError(
                 f"bandwidth_bits must be >= 1, got {bandwidth_bits}"
             )
-        # The columnar send log replaces the Message-envelope trace:
-        # the bit audit reads the same flat columns the engine delivers
-        # through, without building an envelope per message (so
-        # ``report.result.trace`` is empty — the send log holds the
-        # messages).  The repr-size audit stays on so
+        # The bit audit reads the recorded trace: one Message per
+        # delivered message, carrying the round, sender and receiver a
+        # violation report names.  The repr-size audit runs too, so
         # ``report.result.max_message_size`` keeps reporting the LOCAL
-        # size metric alongside the bit metric; it costs one memo probe
-        # per distinct payload, not per message.
-        super().__init__(
-            network,
-            max_rounds=max_rounds,
-            record_send_log=True,
-            audit_message_sizes=True,
-        )
+        # size metric alongside the bit metric.
+        super().__init__(network, max_rounds=max_rounds, record_trace=True)
         self._bandwidth_bits = bandwidth_bits
         self._strict = strict
-
-    def _describe_send(self, sender_slot: int) -> tuple[Any, Any]:
-        """Resolve a flat sender slot to (sender node, receiver node)."""
-        from bisect import bisect_right
-
-        row_start, col_receiver, _ports, _dest = (
-            self._network.delivery_columns()
-        )
-        sender_index = bisect_right(row_start, sender_slot) - 1
-        return (
-            self._network.node_at(sender_index),
-            self._network.node_at(col_receiver[sender_slot]),
-        )
 
     def run_congest(self, algorithm: NodeAlgorithm) -> CongestReport:
         """Execute and audit every message against the budget.
 
-        The audit walks the engine's recorded send columns ``(round,
-        sender_slot, payload)`` — node labels are only reconstructed
-        for the error message of a violation.  Distributed algorithms
+        The audit walks the result's trace, so ``report.result.trace``
+        holds exactly the audited messages.  Distributed algorithms
         resend the same few payloads (colors, IDs) millions of times,
         so sizes of hashable payloads are memoized — the audit costs
         one dict probe per message instead of a recursive traversal.
         """
         result = super().run(algorithm)
-        round_col, slot_col, payload_col = self.send_log()
         max_bits = 0
         violations = 0
         # Keyed by type then value: equal payloads of different types
         # (1 vs 1.0) must not share an entry — payload_bits is
         # type-strict and e.g. rejects floats.
         sizes: dict[type, dict[Any, int]] = {}
-        for position, payload in enumerate(payload_col):
+        for message in result.trace:
+            payload = message.payload
             try:
                 bits = sizes[payload.__class__][payload]
             except TypeError:  # unhashable payload; size it directly
@@ -170,12 +148,9 @@ class CongestScheduler(Scheduler):
             if bits > self._bandwidth_bits:
                 violations += 1
                 if self._strict:
-                    sender, receiver = self._describe_send(
-                        slot_col[position]
-                    )
                     raise ModelViolationError(
-                        f"round {round_col[position]}: message "
-                        f"{sender!r} -> {receiver!r} "
+                        f"round {message.round_index}: message "
+                        f"{message.sender!r} -> {message.receiver!r} "
                         f"uses {bits} bits > budget {self._bandwidth_bits}"
                     )
         return CongestReport(

@@ -110,5 +110,5 @@ def reference_run(
         messages_sent=messages_sent,
         outputs=outputs,
         trace=trace,
-        _max_message_size=max_message_size,
+        max_message_size=max_message_size,
     )

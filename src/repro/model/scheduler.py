@@ -12,13 +12,18 @@ The scheduler realises the LOCAL model's semantics exactly:
 
 Columnar round engine
 ---------------------
-This is the scheduler's only backend: every run — clean, traced, or
-under a delivery hook — goes through it.  It is the compiled
-counterpart of the original reference loop (preserved
-verbatim-in-behavior in :mod:`repro.model.reference` and pinned by the
-scheduler-equivalence tests).  Delivery runs over **flat parallel
-buffers** addressed by the network's compiled column layout
-(:meth:`Network.delivery_columns`) instead of per-node dictionaries.
+This is the scheduler's only backend and :meth:`Scheduler.run` its
+only round loop: every run — clean, traced, or under a delivery hook —
+goes through it.  It is the compiled counterpart of the original
+reference loop (preserved verbatim-in-behavior in
+:mod:`repro.model.reference` and pinned by the scheduler-equivalence
+tests).  Delivery runs over **flat parallel buffers** addressed by the
+network's compiled column layout (:meth:`Network.delivery_columns`)
+instead of per-node dictionaries.  A delivery hook changes the loop in
+three places only — crashes before compose, composed sends collected
+for the hook's ``gate`` instead of written, and a flush of the released
+sends — and shares every buffer and the receive phase with the clean
+path.
 
 Buffer layout
 ~~~~~~~~~~~~~
@@ -108,18 +113,12 @@ stale payloads into a later run — sharing is observably free.
 
 Size accounting
 ~~~~~~~~~~~~~~~
-With ``audit_message_sizes=True`` (the default) the running
-``max_message_size`` is kept exactly as the reference does, but the
-``repr`` size of each *distinct* payload value is computed once and
-memoized, and consecutive sends of the *same object* within one outbox
-(broadcasts) are audited once — no user code runs between the ports of
-one outbox, so the object cannot change size in between.  Passing
-``audit_message_sizes=False`` opts out entirely (the attribute then
-reports 0, unless a recorded trace allows deriving it).  A cheaper
-columnar alternative to the full ``record_trace`` is
-``record_send_log=True``, which retains the per-message send columns
-``(round, sender_slot, payload)`` without building ``Message``
-envelopes — the CONGEST audit reads those columns.
+The running ``max_message_size`` is kept exactly as the reference
+does, but the ``repr`` size of each *distinct* payload value is
+computed once and memoized, and consecutive sends of the *same object*
+within one outbox (broadcasts) are audited once — no user code runs
+between the ports of one outbox, so the object cannot change size in
+between.
 """
 
 from __future__ import annotations
@@ -144,15 +143,20 @@ Send = tuple[int, int, Any]
 class DeliveryHook(Protocol):
     """The narrow seam adversarial execution models plug into.
 
-    A hook never forks the engine: the scheduler still composes,
-    flushes through the same flat stamp/payload columns, and
+    A hook never forks the engine: :meth:`Scheduler.run` still
+    composes, flushes through the same flat stamp/payload columns, and
     materialises inboxes from them — the hook only decides *which*
     composed messages flush *when*, and which nodes the adversary
-    crashes.  :mod:`repro.scenarios.models` implements the concrete
-    models (bounded asynchrony, crash-stop, lossy links) on top of it.
+    crashes.  Every composed message reaches ``gate`` individually, so
+    hooked runs never use the broadcast column.
+    :mod:`repro.scenarios.models` implements the concrete models
+    (bounded asynchrony, crash-stop, lossy links) on top of it.
 
     Contract notes:
 
+    * ``begin_run`` and ``initially_crashed`` are called once at the
+      start of a run, and ``end_run`` once at its end — also when the
+      run raises, with the rounds and flushed messages so far.
     * ``gate`` receives this round's freshly composed sends and returns
       the sends to flush now; anything withheld (a backlog the hook
       owns) must resurface through a later ``gate`` or be reported via
@@ -196,8 +200,6 @@ class ExecutionResult:
     max_message_size:
         Largest payload ``repr`` size observed (LOCAL ignores message
         size; reported so experiments can discuss CONGEST-feasibility).
-        0 when the scheduler ran with ``audit_message_sizes=False``
-        and no trace was recorded.
     trace:
         Optional list of all messages (populated when tracing is on).
     """
@@ -206,21 +208,7 @@ class ExecutionResult:
     messages_sent: int
     outputs: dict[Hashable, Any]
     trace: list[Message] = field(default_factory=list)
-    _max_message_size: int | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def max_message_size(self) -> int:
-        if self._max_message_size is None:
-            if self.trace:
-                # Auditing was off but a trace exists — derive from it.
-                self._max_message_size = max(
-                    message.size_estimate() for message in self.trace
-                )
-            else:
-                self._max_message_size = 0
-        return self._max_message_size
+    max_message_size: int = 0
 
 
 class RoundArena:
@@ -353,6 +341,24 @@ def build_contexts(
 _UNSEEN = object()
 
 
+def _repr_size_miss(
+    size_memo: dict[type, dict[Any, int]], payload: Any
+) -> int:
+    """Size a payload the memo missed, and memoize it if hashable.
+
+    The hit is probed inline at each call site, ``size_memo[type][value]``:
+    keyed by type then value because equal payloads of different types
+    (1 vs 1.0 vs True) repr differently.  Unhashable payloads are sized
+    on every send.
+    """
+    size = len(repr(payload))
+    try:
+        size_memo.setdefault(payload.__class__, {})[payload] = size
+    except TypeError:  # unhashable: no memo entry
+        pass
+    return size
+
+
 class Scheduler:
     """Runs a :class:`NodeAlgorithm` on a :class:`Network`.
 
@@ -364,31 +370,19 @@ class Scheduler:
         Hard budget; exceeding it raises :class:`RoundLimitExceededError`.
     record_trace:
         When ``True``, every message is kept in the result's trace
-        (memory-heavy; meant for tests and small demos).
-    audit_message_sizes:
-        When ``True`` (default), ``ExecutionResult.max_message_size``
-        is tracked with a per-distinct-payload ``repr`` memo (at most
-        one dict probe per message, one per *distinct consecutive*
-        payload within an outbox).  ``False`` skips the audit entirely
-        — the fastest mode for pure LOCAL runs that never inspect
-        message sizes.
-    record_send_log:
-        When ``True``, the raw send columns ``(round, sender_slot,
-        payload)`` of every message are retained on the scheduler
-        (:meth:`send_log`) — the columnar, envelope-free alternative to
-        ``record_trace`` that the CONGEST audit reads.
+        (memory-heavy; meant for tests, small demos and the CONGEST
+        audit).
     arena:
         Buffer arena to lease from.  ``None`` uses the ambient arena
         installed by :func:`shared_arena`, or a private one.
     delivery_hook:
         Optional :class:`DeliveryHook` realising an adversarial
         execution model (see :mod:`repro.scenarios`).  ``None`` (the
-        default) runs the untouched synchronous fast path — the hooked
-        loop is a separate method, so the hook costs nothing when
-        absent.  With a hook installed, ``messages_sent`` counts
-        messages actually *flushed* into the delivery columns (dropped
-        and still-deferred messages are the hook's bookkeeping), the
-        trace/send-log record deliveries rather than sends, and
+        default) runs the synchronous path with the broadcast column.
+        With a hook installed, ``messages_sent`` counts messages
+        actually *flushed* into the delivery columns (dropped and
+        still-deferred messages are the hook's bookkeeping), the trace
+        records deliveries rather than sends, and
         ``ExecutionResult.outputs`` covers surviving (non-crashed)
         nodes only.
     """
@@ -399,40 +393,27 @@ class Scheduler:
         *,
         max_rounds: int = 10_000,
         record_trace: bool = False,
-        audit_message_sizes: bool = True,
-        record_send_log: bool = False,
         arena: RoundArena | None = None,
         delivery_hook: DeliveryHook | None = None,
     ) -> None:
         self._network = network
         self._max_rounds = max_rounds
         self._record_trace = record_trace
-        self._audit_message_sizes = audit_message_sizes
-        self._record_send_log = record_send_log
         self._arena = arena
         self._delivery_hook = delivery_hook
-        self._send_log: tuple[list[int], list[int], list[Any]] | None = None
-
-    def send_log(self) -> tuple[list[int], list[int], list[Any]]:
-        """The last run's send columns ``(round, sender_slot, payload)``.
-
-        ``sender_slot`` is the flat CSR index ``row_start[i] + port``
-        of the sending (node, port) pair; resolve it against
-        :meth:`Network.delivery_columns` / :meth:`Network.row_start_table`.
-        Only populated when the scheduler was built with
-        ``record_send_log=True``.
-        """
-        if self._send_log is None:
-            raise RuntimeError(
-                "no send log recorded; construct the Scheduler with "
-                "record_send_log=True and run it first"
-            )
-        return self._send_log
 
     def run(self, algorithm: NodeAlgorithm) -> ExecutionResult:
-        """Execute ``algorithm`` to global halting and return the result."""
-        if self._delivery_hook is not None:
-            return self._run_hooked(algorithm)
+        """Execute ``algorithm`` to global halting and return the result.
+
+        Under a delivery hook, composed sends are flushed only when the
+        hook's ``gate`` releases them (withheld sends carry over inside
+        the hook and re-enter through later gates — the monotone stamps
+        make late flushes indistinguishable from fresh ones), and the
+        hook may crash nodes at the start of any round.  Crashed nodes
+        stop composing and receiving immediately and are excluded from
+        ``outputs``; survivors keep running against whatever stale
+        state their inboxes reflect.
+        """
         network = self._network
         nodes = network.nodes()
         degrees = network.degree_table()
@@ -441,6 +422,7 @@ class Scheduler:
         )
         neighbor_rows = network.neighbor_index_rows()
         n = network.n
+        hook = self._delivery_hook
 
         contexts, active = build_contexts(network, algorithm)
 
@@ -454,7 +436,6 @@ class Scheduler:
         )
         bcast_payload_get = bcast_payload.__getitem__
         bcast_stamp_get = bcast_stamp.__getitem__
-        arena._in_use = True
         # Canonical port sets per degree: a full outbox keyed exactly
         # by {0 .. deg-1} is eligible for the broadcast column.  The
         # keys-view comparison is one C set-equality per sender with no
@@ -468,27 +449,22 @@ class Scheduler:
         trace: list[Message] = []
         trace_append = trace.append
         record_trace = self._record_trace
-        audit = self._audit_message_sizes
-        # repr-size memo keyed by type then value: equal payloads of
-        # different types (1 vs 1.0 vs True) repr differently.
         size_memo: dict[type, dict[Any, int]] = {}
         max_message_size = 0
         max_rounds = self._max_rounds
         compose = algorithm.compose_messages
         receive = algorithm.receive_messages
-        # A failed run must not leave an earlier run's log readable.
-        self._send_log = None
-        log_cols: tuple[list[int], list[int], list[Any]] | None = None
-        if self._record_send_log:
-            log_cols = ([], [], [])
-            log_round_append = log_cols[0].append
-            log_slot_append = log_cols[1].append
-            log_payload_append = log_cols[2].append
-        # Tracing needs one record per message in send order, so it
-        # forces every outbox through the per-message push path.
-        slow_path = record_trace or log_cols is not None
+        crashed: set[int] = set()
 
         try:
+            arena._in_use = True
+            if hook is not None:
+                hook.begin_run(network)
+                for index in hook.initially_crashed():
+                    crashed.add(index)
+                    contexts[index].halt()
+                if crashed:
+                    active = [i for i in active if i not in crashed]
             while active:
                 if rounds >= max_rounds:
                     stuck = [nodes[index] for index in active[:5]]
@@ -501,11 +477,23 @@ class Scheduler:
                 any_broadcast = False
                 any_push = False
 
+                if hook is not None:
+                    # Adversary phase: crashes take effect before
+                    # compose, so a node crashed in round r sends
+                    # nothing in r.
+                    for index in hook.round_crashes(rounds):
+                        if index not in crashed:
+                            crashed.add(index)
+                            contexts[index].halt()
+                    new_sends: list[Send] = []
+                    new_sends_append = new_sends.append
+
                 # Phase 1: all active nodes compose against start-of-
-                # round state.  A uniform full outbox lands in the
-                # broadcast column in O(1); anything else is pushed
-                # payload by payload into flat receiver slots.  No
-                # inbox dicts exist during the send phase.
+                # round state.  Under a hook each send is collected for
+                # the gate.  Otherwise a uniform full outbox lands in
+                # the broadcast column in O(1) and anything else is
+                # pushed payload by payload into flat receiver slots.
+                # No inbox dicts exist during the send phase.
                 for index in active:
                     ctx = contexts[index]
                     if ctx.halted:
@@ -514,10 +502,19 @@ class Scheduler:
                     if not outbox:
                         continue
                     degree = degrees[index]
+                    if hook is not None:
+                        for port, payload in outbox.items():
+                            if not 0 <= port < degree:
+                                ctx.require_port(port)  # raises
+                            new_sends_append((index, port, payload))
+                        continue
                     broadcast = None
+                    # Tracing needs one record per message in send
+                    # order, so it forces every outbox through the
+                    # per-message push path.
                     if (
                         len(outbox) == degree
-                        and not slow_path
+                        and not record_trace
                         and outbox.keys() == port_sets[degree]
                     ):
                         # Identity, not equality: every port must carry
@@ -535,72 +532,85 @@ class Scheduler:
                         bcast_stamp[index] = stamp
                         any_broadcast = True
                         messages_sent += degree
-                        payload = broadcast
-                    else:
-                        any_push = True
-                        base = row_start[index]
-                        prev = _UNSEEN
-                        for port, payload in outbox.items():
-                            if not 0 <= port < degree:
-                                ctx.require_port(port)  # raises
-                            idx = base + port
-                            slot = col_dest[idx]
-                            payload_buf[slot] = payload
-                            stamp_buf[slot] = stamp
-                            receiver = col_receiver[idx]
-                            if recv_stamp[receiver] != stamp:
-                                recv_stamp[receiver] = stamp
-                            if audit and payload is not prev:
-                                prev = payload
-                                try:
-                                    size = size_memo[payload.__class__][
-                                        payload
-                                    ]
-                                except TypeError:  # unhashable
-                                    size = len(repr(payload))
-                                except KeyError:
-                                    size = len(repr(payload))
-                                    try:
-                                        size_memo.setdefault(
-                                            payload.__class__, {}
-                                        )[payload] = size
-                                    except TypeError:  # unhashable
-                                        pass
-                                if size > max_message_size:
-                                    max_message_size = size
-                            if slow_path:
-                                if record_trace:
-                                    trace_append(
-                                        Message(
-                                            sender=nodes[index],
-                                            receiver=nodes[receiver],
-                                            round_index=rounds,
-                                            payload=payload,
-                                        )
-                                    )
-                                if log_cols is not None:
-                                    log_round_append(rounds)
-                                    log_slot_append(idx)
-                                    log_payload_append(payload)
-                        messages_sent += len(outbox)
-                        continue
-                    # Broadcast audit: every copy is the same object,
-                    # so one memo probe accounts for all deg messages.
-                    if audit:
+                        # Every copy is the same object, so one memo
+                        # probe accounts for all deg messages.
                         try:
-                            size = size_memo[payload.__class__][payload]
-                        except TypeError:  # unhashable: size directly
-                            size = len(repr(payload))
-                        except KeyError:
-                            size = len(repr(payload))
-                            try:
-                                size_memo.setdefault(
-                                    payload.__class__, {}
-                                )[payload] = size
-                            except TypeError:  # unhashable: no memo
-                                pass
+                            size = size_memo[broadcast.__class__][broadcast]
+                        except (KeyError, TypeError):  # miss, unhashable
+                            size = _repr_size_miss(size_memo, broadcast)
                         if size > max_message_size:
                             max_message_size = size
+                        continue
+                    any_push = True
+                    base = row_start[index]
+                    prev = _UNSEEN
+                    for port, payload in outbox.items():
+                        if not 0 <= port < degree:
+                            ctx.require_port(port)  # raises
+                        idx = base + port
+                        slot = col_dest[idx]
+                        payload_buf[slot] = payload
+                        stamp_buf[slot] = stamp
+                        receiver = col_receiver[idx]
+                        if recv_stamp[receiver] != stamp:
+                            recv_stamp[receiver] = stamp
+                        if payload is not prev:
+                            prev = payload
+                            try:
+                                size = size_memo[payload.__class__][payload]
+                            except (KeyError, TypeError):
+                                size = _repr_size_miss(size_memo, payload)
+                            if size > max_message_size:
+                                max_message_size = size
+                        if record_trace:
+                            trace_append(
+                                Message(
+                                    sender=nodes[index],
+                                    receiver=nodes[receiver],
+                                    round_index=rounds,
+                                    payload=payload,
+                                )
+                            )
+                    messages_sent += len(outbox)
+
+                if hook is not None:
+                    # Flush phase: exactly the sends the hook releases
+                    # land in the flat columns.  A link carries one
+                    # message per round — surplus sends on a busy link
+                    # go back to the hook and re-enter through a later
+                    # gate.
+                    any_push = True
+                    busy: list[Send] = []
+                    for send in hook.gate(rounds, new_sends):
+                        sender, port, payload = send
+                        idx = row_start[sender] + port
+                        slot = col_dest[idx]
+                        if stamp_buf[slot] == stamp:
+                            busy.append(send)
+                            continue
+                        payload_buf[slot] = payload
+                        stamp_buf[slot] = stamp
+                        receiver = col_receiver[idx]
+                        if recv_stamp[receiver] != stamp:
+                            recv_stamp[receiver] = stamp
+                        messages_sent += 1
+                        try:
+                            size = size_memo[payload.__class__][payload]
+                        except (KeyError, TypeError):
+                            size = _repr_size_miss(size_memo, payload)
+                        if size > max_message_size:
+                            max_message_size = size
+                        if record_trace:
+                            trace_append(
+                                Message(
+                                    sender=nodes[sender],
+                                    receiver=nodes[receiver],
+                                    round_index=rounds,
+                                    payload=payload,
+                                )
+                            )
+                    if busy:
+                        hook.requeue(rounds, busy)
 
                 # Phase 2: simultaneous delivery and state transition.
                 # Each receiver materialises its inbox from contiguous
@@ -674,196 +684,9 @@ class Scheduler:
                 active = next_active
         finally:
             arena._in_use = False
+            if hook is not None:
+                hook.end_run(rounds, messages_sent)
 
-        if log_cols is not None:
-            self._send_log = log_cols
-        output = algorithm.output
-        outputs = {ctx.node: output(ctx) for ctx in contexts}
-        return ExecutionResult(
-            rounds=rounds,
-            messages_sent=messages_sent,
-            outputs=outputs,
-            trace=trace,
-            _max_message_size=max_message_size if audit else None,
-        )
-
-    def _run_hooked(self, algorithm: NodeAlgorithm) -> ExecutionResult:
-        """The gated round loop behind the delivery-hook seam.
-
-        Same compose → flush → receive cycle over the same flat
-        stamp/payload columns as the fast path, with three differences:
-        every outbox takes the per-message push path (a hook gates
-        individual messages, so the broadcast column does not apply),
-        composed sends are flushed only when the hook's ``gate``
-        releases them (withheld sends carry over inside the hook and
-        re-enter through later gates — the monotone stamps make late
-        flushes indistinguishable from fresh ones), and the hook may
-        crash nodes at the start of any round.  Crashed nodes stop
-        composing and receiving immediately and are excluded from
-        ``outputs``; survivors keep running against whatever stale
-        state their inboxes reflect.
-        """
-        network = self._network
-        nodes = network.nodes()
-        degrees = network.degree_table()
-        row_start, col_receiver, _col_port, col_dest = (
-            network.delivery_columns()
-        )
-        n = network.n
-        hook = self._delivery_hook
-        assert hook is not None
-
-        contexts, active = build_contexts(network, algorithm)
-
-        arena = self._arena
-        if arena is None:
-            arena = _ACTIVE_ARENA.get()
-        if arena is None or arena._in_use:
-            arena = RoundArena()
-        payload_buf, stamp_buf, recv_stamp, _bcast_payload, _bcast_stamp = (
-            arena.lease(row_start[n], n)
-        )
-        arena._in_use = True
-
-        hook.begin_run(network)
-        crashed: set[int] = set()
-        for index in hook.initially_crashed():
-            crashed.add(index)
-            contexts[index].halt()
-        if crashed:
-            active = [index for index in active if index not in crashed]
-
-        rounds = 0
-        messages_sent = 0
-        trace: list[Message] = []
-        trace_append = trace.append
-        record_trace = self._record_trace
-        audit = self._audit_message_sizes
-        size_memo: dict[type, dict[Any, int]] = {}
-        max_message_size = 0
-        max_rounds = self._max_rounds
-        compose = algorithm.compose_messages
-        receive = algorithm.receive_messages
-        self._send_log = None
-        log_cols: tuple[list[int], list[int], list[Any]] | None = None
-        if self._record_send_log:
-            log_cols = ([], [], [])
-
-        try:
-            while active:
-                if rounds >= max_rounds:
-                    stuck = [nodes[index] for index in active[:5]]
-                    raise RoundLimitExceededError(
-                        f"round budget {max_rounds} exhausted; "
-                        f"non-halted nodes include {stuck!r}"
-                    )
-                rounds += 1
-                stamp = arena.tick()
-
-                # Adversary phase: crashes take effect before compose,
-                # so a node crashed in round r sends nothing in r.
-                for index in hook.round_crashes(rounds):
-                    if index not in crashed:
-                        crashed.add(index)
-                        contexts[index].halt()
-
-                # Compose phase: collect this round's sends without
-                # touching the buffers — delivery is the gate's call.
-                new_sends: list[Send] = []
-                new_sends_append = new_sends.append
-                for index in active:
-                    ctx = contexts[index]
-                    if ctx.halted:
-                        continue
-                    outbox = compose(ctx)
-                    if not outbox:
-                        continue
-                    degree = degrees[index]
-                    for port, payload in outbox.items():
-                        if not 0 <= port < degree:
-                            ctx.require_port(port)  # raises
-                        new_sends_append((index, port, payload))
-
-                # Flush phase: exactly the sends the hook releases land
-                # in the flat columns.  A link carries one message per
-                # round — surplus sends on a busy link go back to the
-                # hook and re-enter through a later gate.
-                busy: list[Send] = []
-                for send in hook.gate(rounds, new_sends):
-                    sender, port, payload = send
-                    idx = row_start[sender] + port
-                    slot = col_dest[idx]
-                    if stamp_buf[slot] == stamp:
-                        busy.append(send)
-                        continue
-                    payload_buf[slot] = payload
-                    stamp_buf[slot] = stamp
-                    receiver = col_receiver[idx]
-                    if recv_stamp[receiver] != stamp:
-                        recv_stamp[receiver] = stamp
-                    messages_sent += 1
-                    if audit:
-                        try:
-                            size = size_memo[payload.__class__][payload]
-                        except TypeError:  # unhashable
-                            size = len(repr(payload))
-                        except KeyError:
-                            size = len(repr(payload))
-                            try:
-                                size_memo.setdefault(
-                                    payload.__class__, {}
-                                )[payload] = size
-                            except TypeError:  # unhashable
-                                pass
-                        if size > max_message_size:
-                            max_message_size = size
-                    if record_trace:
-                        trace_append(
-                            Message(
-                                sender=nodes[sender],
-                                receiver=nodes[receiver],
-                                round_index=rounds,
-                                payload=payload,
-                            )
-                        )
-                    if log_cols is not None:
-                        log_cols[0].append(rounds)
-                        log_cols[1].append(idx)
-                        log_cols[2].append(payload)
-                if busy:
-                    hook.requeue(rounds, busy)
-
-                # Receive phase: pushed slices only (no broadcast
-                # column in hooked mode), same stamp-gated materialise
-                # as the fast path's push branch.
-                next_active: list[int] = []
-                next_active_append = next_active.append
-                for index in active:
-                    ctx = contexts[index]
-                    if ctx.halted:
-                        continue
-                    if recv_stamp[index] == stamp:
-                        base = row_start[index]
-                        end = row_start[index + 1]
-                        stamps = stamp_buf[base:end]
-                        payloads = payload_buf[base:end]
-                        inbox = {
-                            port: payloads[port]
-                            for port in range(end - base)
-                            if stamps[port] == stamp
-                        }
-                    else:
-                        inbox = {}
-                    receive(ctx, inbox)
-                    if not ctx.halted:
-                        next_active_append(index)
-                active = next_active
-        finally:
-            arena._in_use = False
-            hook.end_run(rounds, messages_sent)
-
-        if log_cols is not None:
-            self._send_log = log_cols
         output = algorithm.output
         outputs = {
             ctx.node: output(ctx)
@@ -875,7 +698,7 @@ class Scheduler:
             messages_sent=messages_sent,
             outputs=outputs,
             trace=trace,
-            _max_message_size=max_message_size if audit else None,
+            max_message_size=max_message_size,
         )
 
 

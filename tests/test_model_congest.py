@@ -82,7 +82,10 @@ class TestCongestExecution:
         g = nx.path_graph(6)
         net = Network(g, ids={i: 2**40 + i for i in range(6)})
         scheduler = CongestScheduler(net, bandwidth_bits=8, strict=True)
-        with pytest.raises(ModelViolationError):
+        with pytest.raises(
+            ModelViolationError,
+            match="round 1: message 0 -> 1 uses 41 bits > budget 8",
+        ):
             scheduler.run_congest(FloodMaxAlgorithm(horizon=2))
 
     def test_lenient_mode_counts_violations(self):
@@ -91,11 +94,12 @@ class TestCongestExecution:
         scheduler = CongestScheduler(net, bandwidth_bits=8, strict=False)
         report = scheduler.run_congest(FloodMaxAlgorithm(horizon=2))
         assert not report.congest_compatible
-        assert report.violations > 0
+        assert report.violations == 20
         assert report.max_bits_seen >= 41
+        assert len(report.result.trace) == report.result.messages_sent
 
     def test_result_still_reports_repr_size_metric(self):
-        """The send-log audit must not cost the LOCAL size metric:
+        """The bit audit must not cost the LOCAL size metric:
         max_message_size stays available on CONGEST results."""
         g = nx.path_graph(10)
         scheduler = CongestScheduler(

@@ -1,8 +1,8 @@
 """The hooked round loop: the path every adversarial run takes.
 
-With a delivery hook installed, :meth:`Scheduler.run` leaves the fast
-path for ``_run_hooked``, which pushes every message individually
-through the hook's gate.  These tests pin that loop three ways:
+With a delivery hook installed, :meth:`Scheduler.run` skips the
+broadcast column and pushes every message individually through the
+hook's gate.  These tests pin that mode of the loop four ways:
 
 1. with a pass-through hook (the base :class:`ScenarioHook` gates
    nothing) it must equal the seed loop in
@@ -11,7 +11,8 @@ through the hook's gate.  These tests pin that loop three ways:
 2. under each adversarial model its results must not depend on the
    round arena it runs on (a shared arena dirtied by earlier runs, or
    a private one) nor on whether a trace is recorded;
-3. through the executor, a run is reproducible byte for byte, and a
+3. a hook that raises during run setup leaves a shared arena free;
+4. through the executor, a run is reproducible byte for byte, and a
    disk-cached result is served without re-executing.
 """
 
@@ -171,6 +172,28 @@ class TestAdversarialRunsAreArenaIndependent:
         assert traced.messages_sent == plain.messages_sent
         assert traced.outputs == plain.outputs
         assert len(traced.trace) == traced.messages_sent
+
+
+class TestHookFailureReleasesArena:
+    """A hook that raises during run setup must not strand a shared
+    arena: later runs in the sweep keep leasing it."""
+
+    def test_raising_begin_run_frees_shared_arena(self):
+        class BrokenHook(ScenarioHook):
+            def begin_run(self, network):
+                raise RuntimeError("hook setup failed")
+
+        network = _network(1)
+        with shared_arena() as arena:
+            with pytest.raises(RuntimeError, match="hook setup failed"):
+                Scheduler(network, delivery_hook=BrokenHook(seed=0)).run(
+                    FloodMaxAlgorithm(3)
+                )
+            assert not arena._in_use
+            clock = arena._clock
+            result = Scheduler(network).run(FloodMaxAlgorithm(3))
+            assert result.rounds > 0
+            assert arena._clock == clock + result.rounds
 
 
 class TestExecutorReproducibility:

@@ -85,22 +85,6 @@ class TestSynchronousSemantics:
         result = run_on_graph(EchoOnce(), nx.path_graph(2))
         assert result.max_message_size >= 1
 
-    def test_max_message_size_audit_opt_out(self):
-        scheduler = Scheduler(
-            Network(nx.path_graph(2)), audit_message_sizes=False
-        )
-        result = scheduler.run(EchoOnce())
-        assert result.max_message_size == 0
-
-    def test_max_message_size_derived_from_trace_when_audit_off(self):
-        scheduler = Scheduler(
-            Network(nx.path_graph(2)),
-            audit_message_sizes=False,
-            record_trace=True,
-        )
-        result = scheduler.run(EchoOnce())
-        assert result.max_message_size >= 1
-
     def test_message_size_estimate_cached(self):
         from repro.model.message import Message
 
@@ -146,27 +130,15 @@ class TestSynchronousSemantics:
 
 
 class TestMaxMessageSizeFlagMatrix:
-    """Regression for the audit x trace flag combinations.
+    """The size audit always runs: tracing must not change
+    ``max_message_size``, and the trace holds one record per message
+    only when it is on."""
 
-    ``audit_message_sizes=False`` must still derive
-    ``max_message_size`` from a recorded trace when tracing is on; it
-    reports 0 only when *neither* source exists.
-    """
-
-    @pytest.mark.parametrize("audit", [True, False])
     @pytest.mark.parametrize("trace", [True, False])
-    def test_all_flag_combinations(self, audit, trace):
-        scheduler = Scheduler(
-            Network(nx.path_graph(4)),
-            audit_message_sizes=audit,
-            record_trace=trace,
-        )
+    def test_with_and_without_trace(self, trace):
+        scheduler = Scheduler(Network(nx.path_graph(4)), record_trace=trace)
         result = scheduler.run(FloodMaxAlgorithm(2))
-        expected = len(repr(4))  # largest flooded ID
-        if audit or trace:
-            assert result.max_message_size == expected
-        else:
-            assert result.max_message_size == 0
+        assert result.max_message_size == len(repr(4))  # largest flooded ID
         assert len(result.trace) == (result.messages_sent if trace else 0)
 
 
@@ -202,29 +174,3 @@ class TestRoundArena:
         second = Scheduler(network, arena=arena).run(FloodMaxAlgorithm(2))
         assert first.outputs == second.outputs
         assert arena._clock == first.rounds + second.rounds
-
-    def test_send_log_requires_flag(self):
-        scheduler = Scheduler(Network(nx.path_graph(3)))
-        scheduler.run(FloodMaxAlgorithm(1))
-        with pytest.raises(RuntimeError):
-            scheduler.send_log()
-
-    def test_failed_run_clears_previous_send_log(self):
-        scheduler = Scheduler(
-            Network(nx.path_graph(3)), record_send_log=True, max_rounds=2
-        )
-        scheduler.run(FloodMaxAlgorithm(1))  # succeeds, log populated
-        with pytest.raises(RoundLimitExceededError):
-            scheduler.run(NeverHalts())
-        with pytest.raises(RuntimeError):
-            scheduler.send_log()  # stale log must not survive
-
-    def test_send_log_columns_cover_every_message(self):
-        network = Network(nx.path_graph(4))
-        scheduler = Scheduler(network, record_send_log=True)
-        result = scheduler.run(FloodMaxAlgorithm(2))
-        rounds_col, slot_col, payload_col = scheduler.send_log()
-        assert len(rounds_col) == len(slot_col) == len(payload_col)
-        assert len(payload_col) == result.messages_sent
-        row_start, *_ = network.delivery_columns()
-        assert all(0 <= slot < row_start[network.n] for slot in slot_col)

@@ -51,19 +51,15 @@ class TestPassThroughHook:
         assert hooked.messages_sent == plain.messages_sent
         assert hooked.outputs == plain.outputs
 
-    def test_hooked_run_supports_trace_and_send_log(self):
+    def test_hooked_run_supports_trace(self):
         network = Network(path_graph(4))
         scheduler = Scheduler(
             network,
             record_trace=True,
-            record_send_log=True,
             delivery_hook=ScenarioHook(seed=0),
         )
         result = scheduler.run(FloodMaxAlgorithm(2))
-        rounds_col, slots_col, payloads_col = scheduler.send_log()
         assert len(result.trace) == result.messages_sent
-        assert len(rounds_col) == len(slots_col) == len(payloads_col)
-        assert len(rounds_col) == result.messages_sent
 
 
 class TestBoundedAsynchrony:
