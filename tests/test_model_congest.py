@@ -98,6 +98,15 @@ class TestCongestExecution:
         assert report.max_bits_seen >= 41
         assert len(report.result.trace) == report.result.messages_sent
 
+    def test_violations_are_the_traced_messages_over_budget(self):
+        g = nx.path_graph(6)
+        net = Network(g, ids={i: 2**40 + i for i in range(6)})
+        scheduler = CongestScheduler(net, bandwidth_bits=8, strict=False)
+        report = scheduler.run_congest(FloodMaxAlgorithm(horizon=2))
+        bits = [payload_bits(m.payload) for m in report.result.trace]
+        assert report.violations == sum(b > 8 for b in bits)
+        assert report.max_bits_seen == max(bits)
+
     def test_result_still_reports_repr_size_metric(self):
         """The bit audit must not cost the LOCAL size metric:
         max_message_size stays available on CONGEST results."""

@@ -11,7 +11,8 @@ hook's gate.  These tests pin that mode of the loop four ways:
 2. under each adversarial model its results must not depend on the
    round arena it runs on (a shared arena dirtied by earlier runs, or
    a private one) nor on whether a trace is recorded;
-3. a hook that raises during run setup leaves a shared arena free;
+3. a hook that raises during run setup leaves a shared arena free,
+   and a run that dies mid-loop still closes the hook's run;
 4. through the executor, a run is reproducible byte for byte, and a
    disk-cached result is served without re-executing.
 """
@@ -25,6 +26,7 @@ import pytest
 
 from repro.api import InstanceSpec, RunSpec, ScenarioSpec
 from repro.api.runner import clear_result_cache, run
+from repro.errors import RoundLimitExceededError
 from repro.graphs.generators import random_regular
 from repro.graphs.properties import assign_unique_ids
 from repro.model.network import Network
@@ -175,8 +177,8 @@ class TestAdversarialRunsAreArenaIndependent:
 
 
 class TestHookFailureReleasesArena:
-    """A hook that raises during run setup must not strand a shared
-    arena: later runs in the sweep keep leasing it."""
+    """A run that fails — in hook setup or mid-loop — must not strand
+    a shared arena, and the hook's run is still closed."""
 
     def test_raising_begin_run_frees_shared_arena(self):
         class BrokenHook(ScenarioHook):
@@ -194,6 +196,30 @@ class TestHookFailureReleasesArena:
             result = Scheduler(network).run(FloodMaxAlgorithm(3))
             assert result.rounds > 0
             assert arena._clock == clock + result.rounds
+
+    def test_round_limit_still_ends_the_hooks_run(self):
+        """``end_run`` runs in the loop's ``finally``: a run that exceeds
+        its round budget reports the rounds and deliveries it made."""
+
+        class RecordingHook(ScenarioHook):
+            def __init__(self, seed):
+                super().__init__(seed=seed)
+                self.ended = []
+
+            def end_run(self, rounds, delivered=0):
+                self.ended.append((rounds, delivered))
+                super().end_run(rounds, delivered)
+
+        network = _network(2)
+        hook = RecordingHook(seed=0)
+        with shared_arena() as arena:
+            with pytest.raises(RoundLimitExceededError):
+                Scheduler(network, max_rounds=2, delivery_hook=hook).run(
+                    FloodMaxAlgorithm(5)
+                )
+            assert not arena._in_use
+        flood = Scheduler(network).run(FloodMaxAlgorithm(2))
+        assert hook.ended == [(2, flood.messages_sent)]
 
 
 class TestExecutorReproducibility:

@@ -13,6 +13,8 @@ from repro.model.scheduler import (
     shared_arena,
 )
 from repro.primitives.node_algorithms import FloodMaxAlgorithm
+from repro.scenarios import ScenarioHook
+from test_model_scheduler_equivalence import MixedSendPattern
 
 
 class EchoOnce(NodeAlgorithm):
@@ -141,6 +143,35 @@ class TestMaxMessageSizeFlagMatrix:
         assert result.max_message_size == len(repr(4))  # largest flooded ID
         assert len(result.trace) == (result.messages_sent if trace else 0)
 
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_hooked_run_audits_the_same_size(self, trace):
+        """The hooked mode shares the audit: a pass-through hook
+        reports the same size, with or without a trace."""
+        scheduler = Scheduler(
+            Network(nx.path_graph(4)),
+            record_trace=trace,
+            delivery_hook=ScenarioHook(seed=0),
+        )
+        result = scheduler.run(FloodMaxAlgorithm(2))
+        assert result.max_message_size == len(repr(4))
+        assert len(result.trace) == (result.messages_sent if trace else 0)
+
+    def test_silent_run_reports_zero(self):
+        result = run_on_graph(FloodMaxAlgorithm(0), nx.path_graph(3))
+        assert result.messages_sent == 0
+        assert result.max_message_size == 0
+
+    def test_audit_equals_largest_traced_payload(self):
+        """Broadcast-column and push accounting agree with sizing every
+        delivered message one by one."""
+        network = Network(nx.gnp_random_graph(12, 0.4, seed=5))
+        plain = Scheduler(network).run(MixedSendPattern(4))
+        traced = Scheduler(network, record_trace=True).run(
+            MixedSendPattern(4)
+        )
+        largest = max(len(repr(m.payload)) for m in traced.trace)
+        assert plain.max_message_size == traced.max_message_size == largest
+
 
 class TestRoundArena:
     def test_shared_arena_reuse_is_observably_free(self):
@@ -174,3 +205,27 @@ class TestRoundArena:
         second = Scheduler(network, arena=arena).run(FloodMaxAlgorithm(2))
         assert first.outputs == second.outputs
         assert arena._clock == first.rounds + second.rounds
+
+    def test_trace_covers_every_message(self):
+        graph = nx.path_graph(4)
+        result = Scheduler(Network(graph), record_trace=True).run(
+            FloodMaxAlgorithm(2)
+        )
+        assert len(result.trace) == result.messages_sent
+        assert all(graph.has_edge(m.sender, m.receiver) for m in result.trace)
+        assert {m.round_index for m in result.trace} == set(
+            range(1, result.rounds + 1)
+        )
+
+    def test_failed_run_leaves_no_stale_trace(self):
+        scheduler = Scheduler(
+            Network(nx.path_graph(3)), record_trace=True, max_rounds=2
+        )
+        first = scheduler.run(FloodMaxAlgorithm(1))
+        with shared_arena() as arena:
+            with pytest.raises(RoundLimitExceededError):
+                scheduler.run(NeverHalts())
+            assert not arena._in_use
+        again = scheduler.run(FloodMaxAlgorithm(1))
+        assert again.trace == first.trace
+        assert len(again.trace) == again.messages_sent
