@@ -119,6 +119,29 @@ def _first_doc_line(func: Callable[..., object]) -> str:
     return doc.splitlines()[0] if doc else ""
 
 
+#: The paper solver's entry; it never changes.
+_PAPER_ENTRY = AlgorithmInfo(
+    name=PAPER_ALGORITHM,
+    kind="paper",
+    label=PAPER_LABEL,
+    description=(
+        "Balliu-Kuhn-Olivetti PODC'20: (deg(e)+1)-list edge coloring "
+        "in quasi-polylog-in-Δ̄ rounds (+ O(log* n))"
+    ),
+    runner=_paper_runner,
+)
+
+
+def _baseline_entry(name: str, func: Callable[..., RunResult]) -> AlgorithmInfo:
+    return AlgorithmInfo(
+        name=name,
+        kind="baseline",
+        label=name,
+        description=_first_doc_line(func),
+        runner=_wrap_baseline(name, func),
+    )
+
+
 def algorithm_registry() -> dict[str, AlgorithmInfo]:
     """Return the unified registry (name -> :class:`AlgorithmInfo`).
 
@@ -126,43 +149,31 @@ def algorithm_registry() -> dict[str, AlgorithmInfo]:
     name.  Rebuilt on each call (it is cheap) so late baseline
     registrations are picked up.
     """
-    registry: dict[str, AlgorithmInfo] = {
-        PAPER_ALGORITHM: AlgorithmInfo(
-            name=PAPER_ALGORITHM,
-            kind="paper",
-            label=PAPER_LABEL,
-            description=(
-                "Balliu-Kuhn-Olivetti PODC'20: (deg(e)+1)-list edge coloring "
-                "in quasi-polylog-in-Δ̄ rounds (+ O(log* n))"
-            ),
-            runner=_paper_runner,
-        )
-    }
+    registry = {PAPER_ALGORITHM: _PAPER_ENTRY}
     for name, func in sorted(all_baselines().items()):
-        registry[name] = AlgorithmInfo(
-            name=name,
-            kind="baseline",
-            label=name,
-            description=_first_doc_line(func),
-            runner=_wrap_baseline(name, func),
-        )
+        registry[name] = _baseline_entry(name, func)
     return registry
 
 
 def algorithm_names() -> list[str]:
     """Every registered algorithm name, paper solver first."""
-    return list(algorithm_registry())
+    return [PAPER_ALGORITHM] + sorted(all_baselines())
 
 
 def get_algorithm(name: str) -> AlgorithmInfo:
-    """Look up one algorithm by name."""
-    registry = algorithm_registry()
-    try:
-        return registry[name]
-    except KeyError:
+    """Look up one algorithm by name.
+
+    Builds only that entry, from the baselines registered at the time
+    of the call.
+    """
+    if name == PAPER_ALGORITHM:
+        return _PAPER_ENTRY
+    func = all_baselines().get(name)
+    if func is None:
         raise KeyError(
-            f"unknown algorithm {name!r}; have {list(registry)}"
-        ) from None
+            f"unknown algorithm {name!r}; have {algorithm_names()}"
+        )
+    return _baseline_entry(name, func)
 
 
 def run_algorithm(

@@ -39,7 +39,7 @@ def greedy_sequential_coloring(
             raise AlgorithmInvariantError(
                 f"greedy ran out of colors at {edge!r}"
             )
-        coloring.assign(edge, min(residual))
+        coloring.assign(edge, residual[0])
     return BaselineResult(
         name="greedy_sequential",
         coloring=coloring.as_dict(),

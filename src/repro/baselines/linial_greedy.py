@@ -28,8 +28,8 @@ def linial_greedy_coloring(
     """``(2Δ-1)``-edge coloring in ``O(Δ̄² + log* n)`` rounds."""
     delta = max_degree(graph)
     palette = Palette.of_size(max(1, 2 * delta - 1))
-    lists = uniform_lists(graph, palette)
     index = EdgeIndex(graph)
+    lists = uniform_lists(graph, palette, index=index)
     coloring = PartialEdgeColoring(graph, lists, index=index)
 
     classes, class_palette, linial_rounds = compute_initial_edge_coloring(

@@ -105,7 +105,7 @@ def panconesi_rizzi_coloring(
                     other = other_endpoint(edge, node)
                     free = [
                         color
-                        for color in sorted(coloring.residual_list(edge))
+                        for color in coloring.residual_list(edge)
                         if color not in taken_here
                     ]
                     if not free:  # pragma: no cover — 2Δ-1 suffices

@@ -53,7 +53,7 @@ def randomized_luby_coloring(
             residual = coloring.residual_list(edge)
             # Residual lists are never empty: (2Δ-1)-lists always
             # dominate deg(e)+1.
-            proposals[edge] = rng.choice(sorted(residual))
+            proposals[edge] = rng.choice(residual)
         for edge in pending:
             color = proposals[edge]
             conflict = any(

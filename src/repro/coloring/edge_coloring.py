@@ -14,12 +14,13 @@ Every stage of the paper's algorithm (the per-class coloring of
 Lemma 4.2, the per-subspace recursion of Lemma 4.3, the greedy base
 case) colors *some* edges and recurses on the residual, so this class
 centralises the bookkeeping: it tracks used colors per edge
-neighborhood, exposes residual lists and residual degrees, and refuses
-improper assignments outright.
+neighborhood (as a bitmask per edge id), exposes residual lists and
+residual degrees, and refuses improper assignments outright.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
 import networkx as nx
@@ -28,6 +29,10 @@ from repro.errors import ColoringValidationError, InvalidInstanceError
 from repro.coloring.lists import ListAssignment
 from repro.graphs.edges import Edge, edge_set
 from repro.graphs.index import EdgeIndex
+
+
+#: Maps the digits of ``bin(mask)`` to the bytes 0 and 1.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class PartialEdgeColoring:
@@ -39,11 +44,37 @@ class PartialEdgeColoring:
         The host graph.
     lists:
         The instance's color lists (must cover every edge of ``graph``).
+    index:
+        The compiled line graph of ``graph``, if the caller holds it.
+
+    Attributes
+    ----------
+    list_masks:
+        Per edge id, the mask of its list.
+    blocked:
+        Per edge id, the mask of the colors its colored neighbors use
+        (meaningful for uncolored edges only).
+    colored:
+        Per edge id, whether it is colored.
+
+    The three lists are read-only for callers; :meth:`assign` keeps
+    them.
 
     Notes
     -----
+    The state lives on the edge ids of the :class:`EdgeIndex`, as
+    Python-int bitmasks over the palette: bit ``r`` stands for the
+    ``r``-th smallest palette color, so the lowest set bit of a mask is
+    its smallest color whatever order the palette lists its colors in.
+    A list's mask is built once per distinct list (uniform lists cost
+    one).  :meth:`assign` checks a write by bit tests and ORs the
+    color's bit into the edge's line-graph row; a residual list is
+    ``list & ~blocked``, which :meth:`residual_list` decodes into
+    ascending colors.  The solver works on the masks by id
+    (:meth:`mask_of`, :meth:`lowest_color`, :meth:`assign_id`).
+
     The class *enforces* properness and list membership on every
-    :meth:`assign`; algorithms cannot corrupt it.  Final results are
+    assignment; algorithms cannot corrupt it.  Final results are
     still re-checked by :mod:`repro.coloring.verify` — defence in
     depth, because validators must not trust the data structure they
     are validating.
@@ -59,18 +90,25 @@ class PartialEdgeColoring:
         self._graph = graph
         self._lists = lists
         self._index = EdgeIndex(graph) if index is None else index
-        missing = [e for e in self._index.edges if e not in lists]
-        if missing:
-            raise InvalidInstanceError(
-                f"edges without lists: {sorted(missing, key=repr)[:3]!r}"
-            )
+        self._edges = self._index.edges
         self._position = self._index.position
         self._rows = self._index.rows()
+        #: Palette colors by bit: bit ``r`` of a mask is ``_by_bit[r]``.
+        self._by_bit = sorted(lists.palette)
+        self._bit = {color: 1 << rank for rank, color in enumerate(self._by_bit)}
+        list_of = lists.lists
+        try:
+            edge_lists = [list_of[edge] for edge in self._edges]
+        except KeyError:
+            missing = [e for e in self._edges if e not in lists]
+            raise InvalidInstanceError(
+                f"edges without lists: {sorted(missing, key=repr)[:3]!r}"
+            ) from None
+        masks = {colors: self.mask_of(colors) for colors in set(edge_lists)}
+        self.list_masks = list(map(masks.__getitem__, edge_lists))
         self._colors: dict[Edge, int] = {}
-        # Per edge id, the colors already used by its colored
-        # neighbors; maintained incrementally on every assignment.
-        self._blocked: list[set[int]] = [set() for _ in self._rows]
-        self._colored = [False] * len(self._rows)
+        self.blocked = [0] * len(self._rows)
+        self.colored = [False] * len(self._rows)
 
     # ------------------------------------------------------------------
     # Read API
@@ -89,6 +127,21 @@ class PartialEdgeColoring:
         """The compiled line graph this coloring maintains its state on."""
         return self._index
 
+    def mask_of(self, colors: Iterable[int]) -> int:
+        """The mask of the distinct ``colors``, which must lie in the
+        palette."""
+        return sum(map(self._bit.__getitem__, colors))
+
+    def colors_of(self, mask: int) -> list[int]:
+        """The colors of ``mask``, ascending."""
+        # The mask's bits, lowest first, as the bytes 0 and 1.
+        flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+        return list(compress(self._by_bit, flags))
+
+    def lowest_color(self, mask: int) -> int:
+        """The smallest color of a non-empty ``mask``."""
+        return self._by_bit[(mask & -mask).bit_length() - 1]
+
     def color_of(self, edge: Edge) -> int | None:
         """Return the color of ``edge`` or ``None`` if uncolored."""
         return self._colors.get(edge)
@@ -105,29 +158,32 @@ class PartialEdgeColoring:
         return self._in_repr_order(False)
 
     def _in_repr_order(self, colored: bool) -> list[Edge]:
-        edges, flags = self._index.edges, self._colored
+        edges, flags = self._edges, self.colored
         return [edges[i] for i in self._index.repr_order if flags[i] == colored]
 
     def is_complete(self) -> bool:
         """Return ``True`` when every edge has a color."""
         return len(self._colors) == len(self._rows)
 
-    def residual_list(self, edge: Edge) -> frozenset[int]:
-        """Return ``L_e`` minus the colors used by colored neighbors.
+    def residual_list(self, edge: Edge) -> list[int]:
+        """Return ``L_e`` minus the colors used by colored neighbors,
+        ascending.
 
-        This is the list the *residual instance* gives to ``edge``; the
-        paper's procedures always work against residual lists.
+        This is the list the *residual instance* gives to an uncolored
+        ``edge``; the paper's procedures always work against residual
+        lists.
         """
-        return self._lists.list_of(edge) - self._blocked[self._position[edge]]
+        i = self._position[edge]
+        return self.colors_of(self.list_masks[i] & ~self.blocked[i])
 
     def residual_degree(self, edge: Edge) -> int:
         """Return the number of *uncolored* neighbors of ``edge``."""
-        colored = self._colored
+        colored = self.colored
         return sum(1 for n in self._rows[self._position[edge]] if not colored[n])
 
     def neighbors(self, edge: Edge) -> list[Edge]:
         """Return the line-graph neighbors of ``edge``."""
-        edges = self._index.edges
+        edges = self._edges
         return [edges[n] for n in self._rows[self._position[edge]]]
 
     def as_dict(self) -> dict[Edge, int]:
@@ -143,6 +199,8 @@ class PartialEdgeColoring:
 
         Raises
         ------
+        InvalidInstanceError
+            If ``edge`` is not an edge of the graph.
         ColoringValidationError
             If the edge is already colored, the color is not in the
             edge's (original) list, or a neighbor already uses it.
@@ -150,24 +208,29 @@ class PartialEdgeColoring:
         i = self._position.get(edge)
         if i is None:
             raise InvalidInstanceError(f"unknown edge {edge!r}")
-        if edge in self._colors:
+        self.assign_id(i, color)
+
+    def assign_id(self, i: int, color: int) -> None:
+        """:meth:`assign` by edge id."""
+        edge = self._edges[i]
+        if self.colored[i]:
             raise ColoringValidationError(
                 f"edge {edge!r} is already colored with {self._colors[edge]}"
             )
-        if color not in self._lists.list_of(edge):
+        bit = self._bit.get(color, 0)
+        if not bit & self.list_masks[i]:
             raise ColoringValidationError(
                 f"color {color} is not in the list of edge {edge!r}"
             )
-        if color in self._blocked[i]:
+        blocked = self.blocked
+        if bit & blocked[i]:
             raise ColoringValidationError(
                 f"color {color} is already used by a neighbor of {edge!r}"
             )
         self._colors[edge] = color
-        self._colored[i] = True
-        blocked, colored = self._blocked, self._colored
+        self.colored[i] = True
         for n in self._rows[i]:
-            if not colored[n]:
-                blocked[n].add(color)
+            blocked[n] |= bit
 
     def assign_batch(self, assignments: Iterable[tuple[Edge, int]]) -> None:
         """Assign several colors; the batch must be conflict-free.
@@ -196,7 +259,7 @@ class PartialEdgeColoring:
         for u, v in remaining:
             sub.add_edge(u, v)
         residual_lists = {
-            edge: self.residual_list(edge) for edge in remaining
+            edge: frozenset(self.residual_list(edge)) for edge in remaining
         }
         return sub, ListAssignment(residual_lists, self._lists.palette)
 

@@ -19,6 +19,7 @@ import networkx as nx
 from repro.errors import InvalidInstanceError, ParameterError
 from repro.coloring.palette import Palette
 from repro.graphs.edges import Edge, edge_key, edge_set
+from repro.graphs.index import EdgeIndex
 from repro.graphs.line_graph import edge_degree
 
 
@@ -41,6 +42,10 @@ class ListAssignment:
 
     def __post_init__(self) -> None:
         ambient = self.palette.as_set
+        # Check each distinct list once (uniform lists share one); name
+        # the first offending edge only when one fails.
+        if all(colors <= ambient for colors in set(self.lists.values())):
+            return
         for edge, colors in self.lists.items():
             if not colors <= ambient:
                 stray = sorted(colors - ambient)[:3]
@@ -99,14 +104,33 @@ class ListAssignment:
             slack = min(slack, len(colors) / degree)
         return slack
 
-    def validate_deg_plus_one(self, graph: nx.Graph) -> None:
+    def is_uniform(self) -> bool:
+        """Whether every edge's list is the whole palette."""
+        ambient = self.palette.as_set
+        return all(colors == ambient for colors in set(self.lists.values()))
+
+    def validate_deg_plus_one(
+        self, graph: nx.Graph, *, index: EdgeIndex | None = None
+    ) -> None:
         """Raise unless ``|L_e| >= deg(e) + 1`` for every edge.
 
         This is the slack-1 precondition: ``|L_e| > deg(e)`` (strictly
-        greater), i.e. the instance is greedily solvable.
+        greater), i.e. the instance is greedily solvable.  ``index``,
+        the compiled line graph of ``graph`` if the caller holds it,
+        supplies the degrees of the graph's edges.
         """
+        if (
+            index is not None
+            and self.lists.keys() == index.position.keys()
+            and min(map(len, self.lists.values()), default=1)
+            > index.degrees.max(initial=0)
+        ):
+            return  # every list is longer than the largest edge degree
+        position = index.position if index is not None else {}
+        degrees = index.degrees.tolist() if index is not None else []
         for edge, colors in self.lists.items():
-            degree = edge_degree(graph, edge)
+            i = position.get(edge)
+            degree = edge_degree(graph, edge) if i is None else degrees[i]
             if len(colors) < degree + 1:
                 raise InvalidInstanceError(
                     f"edge {edge!r} has deg(e)={degree} but only "
@@ -168,14 +192,19 @@ def deg_plus_one_lists(
     return ListAssignment(lists, palette)
 
 
-def uniform_lists(graph: nx.Graph, palette: Palette) -> ListAssignment:
+def uniform_lists(
+    graph: nx.Graph, palette: Palette, *, index: EdgeIndex | None = None
+) -> ListAssignment:
     """Give every edge the *full* palette as its list.
 
     With ``palette = {1, ..., 2Δ - 1}`` this is exactly the classic
     ``(2Δ - 1)``-edge coloring problem stated as a list problem.
+    ``index``, the compiled line graph of ``graph`` if the caller holds
+    it, supplies the edges.
     """
     full = frozenset(palette.as_set)
-    return ListAssignment({edge: full for edge in edge_set(graph)}, palette)
+    edges = edge_set(graph) if index is None else index.edges
+    return ListAssignment(dict.fromkeys(edges, full), palette)
 
 
 def lists_from_mapping(

@@ -77,12 +77,23 @@ class SolveResult(RunResult):
     """
 
 
+#: Masks of colors per edge id: an instance's (possibly narrowed) lists.
+WorkMasks = Mapping[int, int]
+
+
 class RecursiveSolver:
     """One solver instance bound to one (sub-)problem.
 
     Auxiliary subspace-index assignments spawn child solvers that share
     the policy and the ledger but own their instance's graph and
     master coloring.
+
+    Internally an instance is a list of edge ids of :attr:`index`, and
+    a list is a color mask of :attr:`master` (see
+    :class:`~repro.coloring.edge_coloring.PartialEdgeColoring`): an
+    edge's effective list is ``work & ~blocked``, and it takes the
+    lowest color of that mask.  Masks become frozensets only where an
+    instance enters Lemma 4.3's :func:`reduce_color_space`.
     """
 
     def __init__(
@@ -110,26 +121,27 @@ class RecursiveSolver:
             raise InvalidInstanceError(
                 f"edges without an initial color: {missing[:3]!r}"
             )
+        #: Per edge id, its initial color: the base case's Linial seed.
+        self.seeds = [self.initial[edge] for edge in self.index.edges]
 
     # ------------------------------------------------------------------
     # Instance measurements
     # ------------------------------------------------------------------
 
-    def _uncolored(self, edges: Sequence[Edge]) -> list[Edge]:
-        return [e for e in edges if not self.master.is_colored(e)]
+    def _uncolored(self, ids: Sequence[int]) -> list[int]:
+        colored = self.master.colored
+        return [i for i in ids if not colored[i]]
 
-    def _induced_degrees(
-        self, edges: Sequence[Edge]
-    ) -> tuple[Csr, dict[Edge, int]]:
-        """The line graph induced by ``edges`` (a subset of the index) and its degrees."""
-        induced = self.index.induced(self.index.ids(edges))
-        return induced, dict(zip(edges, induced.degrees.tolist()))
+    def _induced_degrees(self, ids: Sequence[int]) -> tuple[Csr, list[int]]:
+        """The line graph induced by the edge ids ``ids`` and its degrees,
+        aligned with ``ids``."""
+        induced = self.index.induced(ids)
+        return induced, induced.degrees.tolist()
 
-    def _effective_list(
-        self, edge: Edge, work_lists: Mapping[Edge, frozenset[int]]
-    ) -> frozenset[int]:
-        """Colors usable right now: narrowed list minus neighbor-used."""
-        return work_lists[edge] & self.master.residual_list(edge)
+    def _effective_mask(self, i: int, work: WorkMasks) -> int:
+        """Colors usable right now by edge ``i``: its narrowed list
+        minus the colors its colored neighbors use."""
+        return work[i] & ~self.master.blocked[i]
 
     # ------------------------------------------------------------------
     # Base case: Linial + (optional KW) + greedy class sweep
@@ -137,29 +149,29 @@ class RecursiveSolver:
 
     def _base_case(
         self,
-        edges: Sequence[Edge],
-        work_lists: Mapping[Edge, frozenset[int]],
+        ids: Sequence[int],
+        work: WorkMasks,
         reason: str,
-        induced: tuple[Csr, dict[Edge, int]] | None = None,
+        induced: tuple[Csr, list[int]] | None = None,
     ) -> None:
-        """Color ``edges`` by a class sweep; defer infeasible edges.
+        """Color the edges ``ids`` by a class sweep; defer infeasible edges.
 
-        ``induced`` is ``self._induced_degrees(edges)`` when the caller
-        already holds it (its ``edges`` are then all uncolored).
+        ``induced`` is ``self._induced_degrees(ids)`` when the caller
+        already holds it (its ``ids`` are then all uncolored).
 
         Cost: ``O(log* X)`` (Linial from the ambient X-coloring) plus
         ``O(Δ̄ log Δ̄)`` (optional KW compression) plus one round per
         class — the paper's ``O(log* X)`` base case for constant Δ̄.
         """
-        current = self._uncolored(edges) if induced is None else edges
+        current = self._uncolored(ids) if induced is None else ids
         if not current:
             return
         self.ledger.bump(f"base_case/{reason}")
         adjacency, degrees = induced or self._induced_degrees(current)
-        dbar = max(degrees.values(), default=0)
+        dbar = max(degrees, default=0)
 
-        seed = {edge: self.initial[edge] for edge in current}
-        linial = linial_reduce(adjacency, seed)
+        seeds = self.seeds
+        linial = linial_reduce(adjacency, [seeds[i] for i in current])
         classes = linial.colors
         class_count = linial.palette_size
         rounds = linial.rounds
@@ -169,23 +181,22 @@ class RecursiveSolver:
             and dbar >= 1
             and class_count > 2 * (dbar + 2)
         ):
-            reduction = kuhn_wattenhofer_reduction(adjacency.adjacency(), classes)
+            reduction = kuhn_wattenhofer_reduction(adjacency, classes)
             classes = reduction.colors
             class_count = reduction.palette_size
             rounds += reduction.rounds
 
         with self.ledger.sequential(f"base case [{reason}]"):
             self.ledger.charge("class-count reduction", rounds)
-            by_class: dict[int, list[Edge]] = {}
-            for edge in current:
-                by_class.setdefault(classes[edge], []).append(edge)
-            for class_value in range(class_count):
-                for edge in by_class.get(class_value, []):
-                    effective = self._effective_list(edge, work_lists)
-                    if effective:
-                        self.master.assign(edge, min(effective))
-                    else:
-                        self.ledger.bump("deferred_edges")
+            blocked = self.master.blocked
+            assign, lowest = self.master.assign_id, self.master.lowest_color
+            for position in sorted(range(len(current)), key=classes.__getitem__):
+                i = current[position]
+                effective = work[i] & ~blocked[i]
+                if effective:
+                    assign(i, lowest(effective))
+                else:
+                    self.ledger.bump("deferred_edges")
             self.ledger.charge("greedy class sweep", class_count)
 
     # ------------------------------------------------------------------
@@ -194,19 +205,21 @@ class RecursiveSolver:
 
     def _solve_slack1(
         self,
-        edges: Sequence[Edge],
-        work_lists: Mapping[Edge, frozenset[int]],
+        ids: Sequence[int],
+        work: WorkMasks,
         palette: Palette,
         depth: int,
     ) -> None:
         """Solve a slack-1 instance (Lemma 4.2's driving loop)."""
-        current = self._uncolored(edges)
+        current = self._uncolored(ids)
         if not current:
             return
         induced = self._induced_degrees(current)
         degrees = induced[1]
-        dbar = max(degrees.values(), default=0)
+        dbar = max(degrees, default=0)
         iteration_cap = 2 * math.ceil(math.log2(dbar + 2)) + 4
+        edges = self.index.edges
+        blocked, colored = self.master.blocked, self.master.colored
 
         for _iteration in range(iteration_cap):
             if (
@@ -214,7 +227,7 @@ class RecursiveSolver:
                 or len(palette) <= self.policy.base_palette_threshold
                 or depth >= self.policy.max_depth
             ):
-                self._base_case(current, work_lists, "slack1 bottom", induced)
+                self._base_case(current, work, "slack1 bottom", induced)
                 return
 
             beta = self.policy.beta(dbar, len(palette))
@@ -223,24 +236,27 @@ class RecursiveSolver:
             self.ledger.bump("lem42/iterations")
             self.ledger.record_max("max_depth_seen", depth)
 
-            seed = {edge: self.initial[edge] for edge in current}
             defective = defective_edge_coloring(
-                self.graph, beta, seed, index=self.index, edges=current
+                self.graph,
+                beta,
+                self.initial,
+                index=self.index,
+                edges=[edges[i] for i in current],
             )
             self.ledger.charge(
                 f"Lemma 4.2 defective coloring (β={beta})", defective.rounds
             )
 
-            by_class: dict[int, list[Edge]] = {}
-            for edge in current:
-                by_class.setdefault(defective.colors[edge], []).append(edge)
+            # Classes as positions in ``current``, which are also the
+            # ids of the induced graph.
+            labels = [defective.colors[edges[i]] for i in current]
+            by_class: dict[int, list[int]] = {}
+            for position, label in enumerate(labels):
+                by_class.setdefault(label, []).append(position)
             # The class conflict graph, built once per iteration: each
             # class's relaxed instance is an induced subgraph of it.
-            class_graph = induced[0].within_classes(
-                np.array([defective.colors[edge] for edge in current])
-            )
+            class_graph = induced[0].within_classes(np.array(labels))
             class_degrees = class_graph.degrees.tolist()
-            position = {edge: index for index, edge in enumerate(current)}
 
             inactive_total = 0
             # Empty classes and all-inactive ones still cost one
@@ -251,43 +267,47 @@ class RecursiveSolver:
                 f"Lemma 4.2 classes (β={beta}, Δ̄={dbar})"
             ):
                 for class_value in sorted(by_class):
-                    members = self._uncolored(by_class[class_value])
+                    members = [
+                        position
+                        for position in by_class[class_value]
+                        if not colored[current[position]]
+                    ]
                     effective = {
-                        edge: self._effective_list(edge, work_lists)
-                        for edge in members
+                        p: work[current[p]] & ~blocked[current[p]] for p in members
                     }
                     selection = select_active_edges(
-                        members, lambda e: len(effective[e]), degrees
+                        members, lambda p: effective[p].bit_count(), degrees
                     )
                     inactive_total += len(selection.inactive)
                     if not selection.active:
                         idle_classes += 1
                         continue
                     self.slack_stats.relaxed_invocations += 1
-                    active = list(selection.active)
-                    ids = [position[edge] for edge in active]
+                    active = selection.active
                     # Most classes have no conflict inside: such an
                     # independent set needs no induce, and like any
                     # instance without an edge it is colored inline.
                     instance = (
-                        class_graph.induced(ids)
-                        if any(class_degrees[i] for i in ids)
+                        class_graph.induced(active)
+                        if any(class_degrees[p] for p in active)
                         else None
                     )
                     if instance is None or not instance.neighbors.size:
                         self._color_independent_class(
-                            class_value, active, effective
+                            class_value,
+                            [current[p] for p in active],
+                            [effective[p] for p in active],
                         )
                         continue
                     with self.ledger.sequential(f"class {class_value}"):
                         self.ledger.charge("activity check", 1)
                         self._solve_relaxed(
-                            active,
-                            work_lists,
+                            [current[p] for p in active],
+                            work,
                             palette,
                             beta,
                             depth + 1,
-                            (instance, dict(zip(active, instance.degrees.tolist()))),
+                            (instance, instance.degrees.tolist()),
                         )
                 if idle_classes:
                     self.ledger.charge(
@@ -301,26 +321,22 @@ class RecursiveSolver:
                 return
             induced = self._induced_degrees(remaining)
             new_degrees = induced[1]
-            new_dbar = max(new_degrees.values(), default=0)
+            new_dbar = max(new_degrees, default=0)
             if new_dbar >= dbar and len(remaining) >= len(current):
                 # No progress: the theory regime did not engage; finish
                 # deterministically rather than looping.
                 self.ledger.bump("lem42/no_progress_fallbacks")
-                self._base_case(
-                    remaining, work_lists, "slack1 no-progress", induced
-                )
+                self._base_case(remaining, work, "slack1 no-progress", induced)
                 return
             current, degrees, dbar = remaining, new_degrees, new_dbar
 
-        self._base_case(
-            self._uncolored(current), work_lists, "slack1 iteration cap"
-        )
+        self._base_case(self._uncolored(current), work, "slack1 iteration cap")
 
     def _color_independent_class(
         self,
         class_value: int,
-        active: Sequence[Edge],
-        effective: Mapping[Edge, frozenset[int]],
+        active: Sequence[int],
+        effective: Sequence[int],
     ) -> None:
         """Color a Lemma 4.2 class whose relaxed instance has no edge.
 
@@ -329,9 +345,10 @@ class RecursiveSolver:
         where Linial needs no round and one class, and the sweep gives
         every edge the smallest color of its effective list.  No two
         active edges are adjacent, so one assignment never narrows
-        another's list: ``effective`` (taken before the activity check)
-        is still exact, and it is non-empty because the edge is active.
-        This writes the same ledger entries and counters as that path.
+        another's list: ``effective`` (the masks taken before the
+        activity check, aligned with the ids ``active``) is still
+        exact, and it is non-empty because the edge is active.  This
+        writes the same ledger entries and counters as that path.
         """
         ledger = self.ledger
         with ledger.sequential(f"class {class_value}"):
@@ -339,9 +356,9 @@ class RecursiveSolver:
             ledger.bump("base_case/relaxed bottom")
             with ledger.sequential("base case [relaxed bottom]"):
                 ledger.charge("class-count reduction", 0)
-                assign = self.master.assign
-                for edge in active:
-                    assign(edge, min(effective[edge]))
+                assign, lowest = self.master.assign_id, self.master.lowest_color
+                for i, mask in zip(active, effective):
+                    assign(i, lowest(mask))
                 ledger.charge("greedy class sweep", 1)
 
     # ------------------------------------------------------------------
@@ -350,40 +367,43 @@ class RecursiveSolver:
 
     def _solve_relaxed(
         self,
-        edges: Sequence[Edge],
-        work_lists: Mapping[Edge, frozenset[int]],
+        ids: Sequence[int],
+        work: WorkMasks,
         palette: Palette,
         slack_beta: int,
         depth: int,
-        induced: tuple[Csr, dict[Edge, int]] | None = None,
+        induced: tuple[Csr, list[int]] | None = None,
     ) -> None:
         """Solve a relaxed (slack > 1) instance by splitting the palette.
 
-        ``induced`` is ``self._induced_degrees(edges)`` when the caller
-        already holds it (its ``edges`` are then all uncolored).
+        ``induced`` is ``self._induced_degrees(ids)`` when the caller
+        already holds it (its ``ids`` are then all uncolored).
         """
-        current = self._uncolored(edges) if induced is None else edges
+        current = self._uncolored(ids) if induced is None else ids
         if not current:
             return
         if induced is None:
             induced = self._induced_degrees(current)
         adjacency, degrees = induced
-        dbar = max(degrees.values(), default=0)
+        dbar = max(degrees, default=0)
         if (
             dbar <= self.policy.base_degree_threshold
             or len(palette) <= self.policy.base_palette_threshold
             or depth >= self.policy.max_depth
         ):
-            self._base_case(current, work_lists, "relaxed bottom", induced)
+            self._base_case(current, work, "relaxed bottom", induced)
             return
 
         p = self.policy.split(dbar, len(palette))
         if p < 2 or p > len(palette) // 2:
-            self._base_case(current, work_lists, "relaxed p infeasible", induced)
+            self._base_case(current, work, "relaxed p infeasible", induced)
             return
 
+        master = self.master
+        edges = [self.index.edges[i] for i in current]
         effective = {
-            edge: self._effective_list(edge, work_lists) for edge in current
+            edge: frozenset(master.colors_of(self._effective_mask(i, work)))
+            for edge, i in zip(edges, current)
         }
         self.ledger.bump("lem43/reductions")
         self.ledger.record_max("max_depth_seen", depth)
@@ -413,12 +433,12 @@ class RecursiveSolver:
                 return chosen
 
         outcome = reduce_color_space(
-            current,
+            edges,
             effective,
             palette,
             p,
             adjacency.adjacency(),
-            degrees,
+            dict(zip(edges, degrees)),
             self.initial,
             solve_index_instance,
         )
@@ -427,20 +447,18 @@ class RecursiveSolver:
 
         with self.ledger.parallel(f"Lemma 4.3 subspaces (p={p})"):
             for index, subspace in enumerate(outcome.subspaces):
-                sub_edges = [
-                    edge
-                    for edge in current
+                sub_ids = [
+                    i
+                    for edge, i in zip(edges, current)
                     if outcome.assignment.get(edge) == index
                 ]
-                if not sub_edges:
+                if not sub_ids:
                     continue
-                narrowed = {
-                    edge: work_lists[edge] & subspace.as_set
-                    for edge in sub_edges
-                }
+                subspace_mask = master.mask_of(subspace)
+                narrowed = {i: work[i] & subspace_mask for i in sub_ids}
                 with self.ledger.sequential(f"subspace {index}"):
                     self._solve_relaxed(
-                        sub_edges, narrowed, subspace, slack_beta, depth + 1
+                        sub_ids, narrowed, subspace, slack_beta, depth + 1
                     )
 
         # Deferred edges (and any sub-instance leftovers) are finished
@@ -448,7 +466,7 @@ class RecursiveSolver:
         # because narrowing only ever shrank the allowed sets.
         remaining = self._uncolored(current)
         if remaining:
-            self._base_case(remaining, work_lists, "relaxed leftovers")
+            self._base_case(remaining, work, "relaxed leftovers")
 
     # ------------------------------------------------------------------
     # Entry points
@@ -457,19 +475,19 @@ class RecursiveSolver:
     def solve_internal(self, depth: int | None = None) -> dict[Edge, int]:
         """Solve this solver's whole instance; returns edge -> color."""
         start_depth = self.depth if depth is None else depth
-        all_edges = list(self.index.edges)
-        work_lists = {edge: self.lists.list_of(edge) for edge in all_edges}
-        self._solve_slack1(all_edges, work_lists, self.lists.palette, start_depth)
+        all_ids = range(len(self.index))
+        work = dict(enumerate(self.master.list_masks))
+        self._solve_slack1(all_ids, work, self.lists.palette, start_depth)
 
         # Final cleanup: anything deferred is colored from full residual
         # lists — always feasible by the residual invariant.
-        for _attempt in range(len(all_edges) + 1):
-            remaining = self.master.uncolored_edges()
+        repr_order = self.index.repr_order
+        for _attempt in range(len(all_ids) + 1):
+            remaining = self._uncolored(repr_order)
             if not remaining:
                 break
-            before = len(remaining)
-            self._base_case(remaining, work_lists, "final cleanup")
-            if len(self.master.uncolored_edges()) >= before:
+            self._base_case(remaining, work, "final cleanup")
+            if len(self._uncolored(remaining)) >= len(remaining):
                 raise AlgorithmInvariantError(
                     "final cleanup failed to make progress; "
                     "the instance was not (deg+1)-feasible"
@@ -504,13 +522,11 @@ def compute_initial_edge_coloring(
         index = EdgeIndex(graph)
     ids = assign_unique_ids(graph, seed=seed)
     max_id = max(ids.values(), default=0)
-    edge_ids = {
-        edge: edge_identifier(edge, ids, max_id) for edge in index.edges
-    }
+    edge_ids = [edge_identifier(edge, ids, max_id) for edge in index.edges]
     result = linial_reduce(index, edge_ids)
     if ledger is not None:
         ledger.charge("initial Linial edge coloring (O(log* n))", result.rounds)
-    return result.colors, result.palette_size, result.rounds
+    return dict(zip(index.edges, result.colors)), result.palette_size, result.rounds
 
 
 def solve_list_edge_coloring(
@@ -521,6 +537,7 @@ def solve_list_edge_coloring(
     seed: int | None = None,
     initial_coloring: Mapping[Edge, int] | None = None,
     initial_palette: int | None = None,
+    index: EdgeIndex | None = None,
 ) -> SolveResult:
     """Solve a ``(deg(e)+1)``-list edge coloring instance (Theorem 4.1).
 
@@ -538,17 +555,25 @@ def solve_list_edge_coloring(
         Optionally supply a precomputed proper edge coloring to skip
         the Linial stage (used by benchmarks that sweep policies on a
         fixed instance).
+    index:
+        The compiled line graph of ``graph``, if the caller holds it.
 
     Returns
     -------
     SolveResult
-        With a coloring already validated against the instance.
+        Every assignment was checked against properness and the lists
+        as it was made (:class:`PartialEdgeColoring`).  A coloring of
+        custom lists is validated against the instance once more here.
+        One of uniform lists (every list the whole palette) is not:
+        there list membership is the palette bound, which
+        :func:`repro.api.run` checks with properness on every result.
     """
-    lists.validate_deg_plus_one(graph)
+    if index is None:
+        index = EdgeIndex(graph)
+    lists.validate_deg_plus_one(graph, index=index)
     if policy is None:
         policy = scaled_policy()
     ledger = RoundLedger()
-    index = EdgeIndex(graph)
 
     if initial_coloring is None:
         initial_coloring, initial_palette, _rounds = compute_initial_edge_coloring(
@@ -563,7 +588,8 @@ def solve_list_edge_coloring(
         graph, lists, initial_coloring, policy, ledger, depth=0, index=index
     )
     coloring = solver.solve_internal()
-    check_list_edge_coloring(graph, lists, coloring)
+    if not lists.is_uniform():
+        check_list_edge_coloring(graph, lists, coloring)
 
     stats: dict[str, object] = dict(ledger.counters())
     stats["dbar_trajectory"] = list(solver.slack_stats.dbar_trajectory)
@@ -592,7 +618,9 @@ def solve_edge_coloring(
     The corollary of Theorem 4.1: run the list solver with every edge
     holding the full ``{1, ..., 2Δ-1}`` palette.
     """
-    delta = max_degree(graph)
-    palette = Palette.of_size(max(1, 2 * delta - 1))
-    lists = uniform_lists(graph, palette)
-    return solve_list_edge_coloring(graph, lists, policy=policy, seed=seed)
+    index = EdgeIndex(graph)
+    palette = Palette.of_size(max(1, 2 * max_degree(graph) - 1))
+    lists = uniform_lists(graph, palette, index=index)
+    return solve_list_edge_coloring(
+        graph, lists, policy=policy, seed=seed, index=index
+    )

@@ -23,11 +23,13 @@ exact round counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import AlgorithmInvariantError, InvalidInstanceError
+from repro.graphs.index import Csr
 
 
 @dataclass(frozen=True)
@@ -37,14 +39,16 @@ class ReductionResult:
     Attributes
     ----------
     colors:
-        Item -> color in ``{0, ..., palette_size - 1}``.
+        Item -> color in ``{0, ..., palette_size - 1}``: a dict, or a
+        list aligned with the item ids (see
+        :func:`kuhn_wattenhofer_reduction`).
     palette_size:
         Final palette size (``d + 1`` unless the input was smaller).
     rounds:
         Synchronous rounds consumed.
     """
 
-    colors: dict[Hashable, int]
+    colors: dict[Hashable, int] | list[int]
     palette_size: int
     rounds: int
 
@@ -100,8 +104,8 @@ def one_color_per_round_reduction(
 
 
 def kuhn_wattenhofer_reduction(
-    adjacency: Mapping[Hashable, list[Hashable]],
-    colors: Mapping[Hashable, int],
+    adjacency: Mapping[Hashable, list[Hashable]] | Csr,
+    colors: Mapping[Hashable, int] | Sequence[int],
 ) -> ReductionResult:
     """Reduce a proper ``m``-coloring to ``d + 1`` colors in ``O(d log m)``.
 
@@ -117,59 +121,90 @@ def kuhn_wattenhofer_reduction(
     Each phase costs ``2(d + 1)`` rounds and halves the class count, so
     the total is ``O(d log(m / d))`` rounds — with Linial's ``O(log* n)``
     start this is the [SV93, KW06] edge coloring baseline.
+
+    ``adjacency`` is a mapping or a compiled
+    :class:`~repro.graphs.index.Csr`; ``colors`` a mapping, or a
+    sequence aligned with the ids of a compiled ``adjacency``.  The
+    result's ``colors`` has the same form.  A mapping result lists the
+    items in the order the last phase recolored them.
     """
-    if not adjacency:
-        return ReductionResult(colors={}, palette_size=0, rounds=0)
-    _validate_proper(adjacency, colors)
-    degree = max(len(n) for n in adjacency.values())
-    target = degree + 1
-    working = {item: colors[item] for item in adjacency}
+    graph = adjacency if isinstance(adjacency, Csr) else Csr.from_adjacency(adjacency)
+    if not isinstance(colors, Mapping):
+        working, order, rounds = _kw_phases(graph, [int(c) for c in colors])
+        return ReductionResult(
+            colors=working,
+            palette_size=max(working, default=-1) + 1,
+            rounds=rounds,
+        )
+    items = graph.items
+    for item in items:
+        if item not in colors:
+            raise InvalidInstanceError(f"item {item!r} has no color")
+    working, order, rounds = _kw_phases(graph, [colors[item] for item in items])
+    return ReductionResult(
+        colors={items[i]: working[i] for i in order},
+        palette_size=max(working, default=-1) + 1,
+        rounds=rounds,
+    )
+
+
+def _kw_phases(graph: Csr, working: list[int]) -> tuple[list[int], list[int], int]:
+    """:func:`kuhn_wattenhofer_reduction` on ids.
+
+    Returns the final colors by id, the ids in the order the last phase
+    recolored them, and the rounds.  Each phase buckets its movers by
+    step once instead of rescanning every item at each step.
+    """
+    order = list(range(len(working)))
+    if not order:
+        return working, order, 0
+    owners, labels = graph.slot_owners(), np.array(working)
+    clash = np.flatnonzero(labels[owners] == labels[graph.neighbors])
+    if clash.size:
+        owner = int(owners[clash[0]])
+        neighbor = graph.items[int(graph.neighbors[clash[0]])]
+        raise InvalidInstanceError(
+            f"input coloring is improper: {graph.items[owner]!r} and "
+            f"{neighbor!r} share color {working[owner]}"
+        )
+    rows = graph.rows()
+    target = int(graph.degrees.max()) + 1
+    bucket_span = 2 * target
     rounds = 0
 
-    while max(working.values()) + 1 > target:
-        palette = max(working.values()) + 1
-        bucket_span = 2 * target
-        bucket_count = math.ceil(palette / bucket_span)
-        # New colors live in a separate namespace during the phase.
-        fresh: dict[Hashable, int] = {}
-        for step in range(bucket_span):
-            # One round: in every bucket simultaneously, the items whose
-            # class is the bucket's step-th source class recolor.
-            rounds += 1
-            movers = [
-                item
-                for item, c in working.items()
-                if item not in fresh and c % bucket_span == step
-            ]
-            for item in movers:
-                bucket = working[item] // bucket_span
-                base = bucket * target
-                used = {
-                    fresh[n]
-                    for n in adjacency[item]
-                    if n in fresh and base <= fresh[n] < base + target
-                }
-                for candidate in range(base, base + target):
-                    if candidate not in used:
-                        fresh[item] = candidate
-                        break
-                else:  # pragma: no cover — d+1 targets vs <= d neighbors
+    while max(working) + 1 > target:
+        palette = max(working) + 1
+        # One round per step: in every bucket simultaneously, the items
+        # whose class is the bucket's step-th source class recolor.
+        movers: list[list[int]] = [[] for _ in range(bucket_span)]
+        for i in order:
+            movers[working[i] % bucket_span].append(i)
+        # New colors live in a separate namespace during the phase
+        # (-1: not yet recolored).
+        fresh = [-1] * len(working)
+        for step_movers in movers:
+            for i in step_movers:
+                base = working[i] // bucket_span * target
+                used = 0
+                for n in rows[i]:
+                    offset = fresh[n] - base
+                    if 0 <= offset < target:
+                        used |= 1 << offset
+                hole = (~used & (used + 1)).bit_length() - 1
+                if hole >= target:  # pragma: no cover — d+1 targets > d neighbors
                     raise AlgorithmInvariantError(
-                        f"bucket {bucket} ran out of target colors for {item!r}"
+                        f"bucket {working[i] // bucket_span} ran out of "
+                        f"target colors for {graph.items[i]!r}"
                     )
-        unmoved = [item for item in working if item not in fresh]
-        if unmoved:  # pragma: no cover — every class index is swept
-            raise AlgorithmInvariantError(
-                f"{len(unmoved)} items were never recolored in a KW phase"
-            )
+                fresh[i] = base + hole
+        rounds += bucket_span
+        order = [i for step_movers in movers for i in step_movers]
         working = fresh
-        new_palette = max(working.values()) + 1
+        new_palette = max(working) + 1
         if new_palette >= palette:
             raise AlgorithmInvariantError(
                 "KW phase failed to shrink the palette "
                 f"({palette} -> {new_palette})"
             )
 
-    return ReductionResult(
-        colors=working, palette_size=max(working.values()) + 1, rounds=rounds
-    )
+    return working, order, rounds

@@ -108,7 +108,7 @@ def greedy_by_classes(
                     f"edge {edge!r} ran out of list colors during the "
                     "greedy sweep; the instance was not (deg+1)-feasible"
                 )
-            coloring.assign(edge, min(residual))
+            coloring.assign(edge, residual[0])
             edges_colored += 1
 
     return GreedyClassResult(rounds=class_count, edges_colored=edges_colored)

@@ -21,6 +21,7 @@ polynomials; the new color ``(x, f(x))`` lives in a palette of size
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
@@ -79,7 +80,9 @@ class LinialResult:
     Attributes
     ----------
     colors:
-        Item -> color in ``{0, ..., palette_size - 1}``.
+        Item -> color in ``{0, ..., palette_size - 1}``: a dict, or a
+        list aligned with the item ids when the input colors were one
+        (see :func:`linial_reduce`).
     palette_size:
         Size of the final palette (``O(d²)``).
     rounds:
@@ -88,7 +91,7 @@ class LinialResult:
         The ``(q, k)`` used by each round, for analysis/benchmarks.
     """
 
-    colors: dict[Hashable, int]
+    colors: dict[Hashable, int] | list[int]
     palette_size: int
     rounds: int
     step_parameters: tuple[LinialStepParameters, ...]
@@ -103,53 +106,70 @@ def _digits(colors: np.ndarray, q: int, k: int) -> np.ndarray:
     """Row ``i``: the ``k`` base-``q`` digits of color ``i``, least
     significant first (:func:`repro.utils.gf.digits_base_q`) — the
     coefficients of the color's polynomial."""
-    digits = np.empty((len(colors), k), dtype=np.int64)
-    rest = colors
-    for j in range(k):
-        digits[:, j] = rest % q
-        rest = rest // q
-    return digits
+    # q^(k-1) < the palette size, so the place values fit the dtype.
+    place = np.array([q**j for j in range(k)], dtype=colors.dtype)
+    return (colors[:, None] // place % q).astype(np.int64, copy=False)
+
+
+@functools.lru_cache(maxsize=4096)
+def _pass_points(q: int, k: int, low: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points ``xs`` of the pass starting at ``low`` and
+    ``powers[j, x] = x^j mod q`` over them (shared, read-only)."""
+    xs = np.arange(low, min(q, low + _POINTS_PER_PASS), dtype=np.int64)
+    powers = np.ones((k, len(xs)), dtype=np.int64)
+    for j in range(1, k):
+        powers[j] = powers[j - 1] * xs % q
+    xs.flags.writeable = powers.flags.writeable = False
+    return xs, powers
 
 
 def _one_round(
-    graph: Csr, colors: np.ndarray, params: LinialStepParameters
+    graph: Csr,
+    colors: np.ndarray,
+    params: LinialStepParameters,
+    owners: np.ndarray,
 ) -> np.ndarray:
     """Execute one synchronous reduction round (all items in parallel).
 
     Whole-array form of the textbook step.  Each CSR slot joins the
-    item owning its row to one neighbor and forbids the owner the
-    points where their polynomials agree; the item's new color is
-    ``(x, f(x))`` at its first free ``x``.  Points are tried in passes
-    of ``_POINTS_PER_PASS``: a pass evaluates every polynomial on its
-    points (a ``digits @ powers`` product mod ``q``), marks collisions
-    over the slots of the items still looking, and settles each item
-    that has a free point.  Tests cross-check the result against
-    :meth:`FieldPolynomial.agreement_points`.
+    item owning its row (``owners``, :meth:`Csr.slot_owners`) to one
+    neighbor and forbids the owner the points where their polynomials
+    agree; the item's new color is ``(x, f(x))`` at its first free
+    ``x``.  Points are tried in passes of ``_POINTS_PER_PASS``: a pass
+    evaluates every polynomial on its points (a ``digits @ powers``
+    product mod ``q``), marks collisions over the slots of the items
+    still looking, and settles each item that has a free point.  Rows
+    are gathered with ``np.take`` and collisions addressed by flat
+    index, which on the small arrays of the base case costs a fraction
+    of 2-D fancy indexing.  Tests cross-check the result against
+    :meth:`FieldPolynomial.agreement_points` and against the 2-D form.
     """
     q, k = params.q, params.k
+    n = len(colors)
     digits = _digits(colors, q, k)
-    owners = graph.slot_owners()
-    new_colors = np.empty(len(colors), dtype=np.int64)
-    looking = np.ones(len(colors), dtype=bool)
+    new_colors = np.empty(n, dtype=np.int64)
+    looking = np.ones(n, dtype=bool)
+    # The slots of the items still looking: all of them in the first pass.
+    own, other = owners, graph.neighbors
     for low in range(0, q, _POINTS_PER_PASS):
-        xs = np.arange(low, min(q, low + _POINTS_PER_PASS), dtype=np.int64)
-        # powers[j, x] = x^j mod q
-        powers = np.ones((k, len(xs)), dtype=np.int64)
-        for j in range(1, k):
-            powers[j] = powers[j - 1] * xs % q
+        xs, powers = _pass_points(q, k, low)
+        width = len(xs)
         values = digits @ powers % q
-        slots = np.flatnonzero(looking[owners])
-        own, other = owners[slots], graph.neighbors[slots]
-        hits, points = np.nonzero(values[own] == values[other])
-        free = np.ones(values.shape, dtype=bool)
-        free[own[hits], points] = False
-        free &= looking[:, None]
-        settled = np.flatnonzero(free.any(axis=1))
+        agree = values.take(own, axis=0) == values.take(other, axis=0)
+        same = agree.ravel().nonzero()[0]
+        # Flat index into the (item, point) table of free points.
+        free = looking.repeat(width)
+        free[own[same // width] * width + same % width] = False
+        free = free.reshape(n, width)
+        settled = free.any(axis=1).nonzero()[0]
         first = free[settled].argmax(axis=1)
-        new_colors[settled] = xs[first] * q + values[settled, first]
+        chosen = values.ravel()[settled * width + first]
+        new_colors[settled] = xs[first] * q + chosen
         looking[settled] = False
         if not looking.any():
             return new_colors
+        slots = looking[own].nonzero()[0]
+        own, other = own[slots], other[slots]
     item = int(np.flatnonzero(looking)[0])
     raise AlgorithmInvariantError(
         f"no evaluation point left for {graph.items[item]!r}: q={q} too "
@@ -159,7 +179,7 @@ def _one_round(
 
 def linial_reduce(
     adjacency: Mapping[Hashable, Sequence[Hashable]] | Csr,
-    initial_colors: Mapping[Hashable, int],
+    initial_colors: Mapping[Hashable, int] | Sequence[int],
     *,
     stop_at: int | None = None,
 ) -> LinialResult:
@@ -174,7 +194,10 @@ def linial_reduce(
         :class:`~repro.graphs.index.EdgeIndex` or a subset of one).
     initial_colors:
         Proper coloring with non-negative integer colors — typically
-        the unique IDs, giving the ``O(log* n)`` round bound.
+        the unique IDs, giving the ``O(log* n)`` round bound.  Either a
+        mapping ``item -> color``, or a sequence aligned with the ids
+        of a compiled ``adjacency`` (``initial_colors[i]`` is the color
+        of ``adjacency.items[i]``).
     stop_at:
         Optional early-exit palette size: stop as soon as the palette
         is at most this value.
@@ -183,23 +206,37 @@ def linial_reduce(
     -------
     LinialResult
         Final proper coloring, its palette size and the round count.
+        ``colors`` has the form of ``initial_colors``: a dict for a
+        mapping, a list aligned with the ids for a sequence.
     """
     graph = adjacency if isinstance(adjacency, Csr) else Csr.from_adjacency(adjacency)
+    if not isinstance(initial_colors, Mapping):
+        return _reduce(graph, [int(color) for color in initial_colors], stop_at)
     items = graph.items
-    if not items:
-        return LinialResult(colors={}, palette_size=0, rounds=0, step_parameters=())
     missing = [item for item in items if item not in initial_colors]
     if missing:
         raise InvalidInstanceError(
             f"items without initial colors: {missing[:3]!r}"
         )
-    start = [int(initial_colors[item]) for item in items]
+    result = _reduce(graph, [int(initial_colors[item]) for item in items], stop_at)
+    return dataclasses.replace(result, colors=dict(zip(items, result.colors)))
+
+
+def _reduce(graph: Csr, start: list[int], stop_at: int | None) -> LinialResult:
+    """:func:`linial_reduce` on ids: ``start[i]`` is item ``i``'s color."""
+    items = graph.items
+    if len(start) != len(items):
+        raise InvalidInstanceError(
+            f"{len(start)} initial colors for {len(items)} items"
+        )
+    if not items:
+        return LinialResult(colors=[], palette_size=0, rounds=0, step_parameters=())
     if min(start) < 0:
         raise InvalidInstanceError("initial colors must be non-negative")
     if not len(graph.neighbors):
         # No conflicts at all: a single color suffices, zero rounds.
         return LinialResult(
-            colors=dict.fromkeys(items, 0),
+            colors=[0] * len(items),
             palette_size=1,
             rounds=0,
             step_parameters=(),
@@ -208,7 +245,7 @@ def linial_reduce(
     # Beyond int64 the first round's digits are taken on Python ints.
     colors = np.array(start, dtype=np.int64 if palette_size < 2**62 else object)
     owners = graph.slot_owners()
-    clash = np.flatnonzero(colors[owners] == colors[graph.neighbors])
+    clash = (colors[owners] == colors[graph.neighbors]).nonzero()[0]
     if clash.size:
         owner = int(owners[clash[0]])
         neighbor = items[int(graph.neighbors[clash[0]])]
@@ -228,12 +265,12 @@ def linial_reduce(
         params = linial_step_parameters(palette_size, degree)
         if params.new_palette_size >= palette_size:
             break  # fixpoint reached; further rounds would not shrink
-        colors = _one_round(graph, colors, params)
+        colors = _one_round(graph, colors, params, owners)
         palette_size = params.new_palette_size
         steps.append(params)
 
     return LinialResult(
-        colors=dict(zip(items, colors.tolist())),
+        colors=colors.tolist(),
         palette_size=palette_size,
         rounds=len(steps),
         step_parameters=tuple(steps),

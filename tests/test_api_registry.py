@@ -45,6 +45,34 @@ class TestRegistryCompleteness:
         with pytest.raises(KeyError, match="bko20"):
             get_algorithm("nope")
 
+    def test_lookup_builds_the_same_entry_as_the_table(self):
+        registry = algorithm_registry()
+        for name, info in registry.items():
+            found = get_algorithm(name)
+            assert (found.name, found.kind, found.label, found.description) == (
+                info.name, info.kind, info.label, info.description
+            )
+
+    def test_baseline_registered_after_first_lookup_is_found(self, monkeypatch):
+        from repro.baselines import registry as baseline_registry
+
+        get_algorithm("greedy_sequential")
+        # Register into a copy, so the late entry leaves with the test.
+        monkeypatch.setattr(
+            baseline_registry, "_REGISTRY", dict(baseline_registry._REGISTRY)
+        )
+
+        @baseline_registry.register("late_greedy")
+        def late_greedy(graph, *, seed=None):
+            """A baseline registered late."""
+            return run_baseline("greedy_sequential", graph, seed=seed)
+
+        info = get_algorithm("late_greedy")
+        assert (info.kind, info.description) == ("baseline", "A baseline registered late.")
+        assert "late_greedy" in algorithm_names()
+        result = info.run(complete_bipartite(2, 2))
+        assert result.coloring == run_baseline("greedy_sequential", complete_bipartite(2, 2)).coloring
+
 
 class TestUnifiedExecution:
     def test_baseline_through_registry_matches_direct_call(self):

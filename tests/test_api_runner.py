@@ -195,6 +195,29 @@ class TestDiskCache:
         assert resumed.rounds == first.rounds
         assert resumed.coloring == first.coloring
 
+    @pytest.mark.parametrize("corruption", ["neighbor color", "off palette"])
+    def test_corrupted_bko20_result_fails_validation(self, monkeypatch, corruption):
+        """The solver leaves uniform lists unchecked; the runner's
+        properness and palette checks still catch a bad result."""
+        from repro.core.solver import RecursiveSolver
+        from repro.errors import ColoringValidationError
+
+        solve_internal = RecursiveSolver.solve_internal
+
+        def corrupted(self, depth=None):
+            coloring = solve_internal(self, depth)
+            edge = min(coloring, key=repr)
+            neighbor = self.master.neighbors(edge)[0]
+            coloring[edge] = (
+                coloring[neighbor] if corruption == "neighbor color" else 0
+            )
+            return coloring
+
+        monkeypatch.setattr(RecursiveSolver, "solve_internal", corrupted)
+        spec = RunSpec(InstanceSpec(family="complete_bipartite", size=3, seed=2))
+        with pytest.raises(ColoringValidationError):
+            run(spec, cache=False)
+
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         spec = RunSpec(InstanceSpec(family="cycle", size=9, seed=1))
         first = run(spec, cache_dir=tmp_path)

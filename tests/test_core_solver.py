@@ -4,7 +4,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import InvalidInstanceError
+from repro.errors import ColoringValidationError, InvalidInstanceError
+from repro.graphs.edges import edge_set
+from repro.graphs.index import EdgeIndex
 from repro.coloring.lists import ListAssignment, deg_plus_one_lists, uniform_lists
 from repro.coloring.palette import Palette
 from repro.coloring.verify import (
@@ -14,6 +16,7 @@ from repro.coloring.verify import (
 )
 from repro.core.params import fixed_policy, kuhn20_style_policy, paper_policy, scaled_policy
 from repro.core.solver import (
+    RecursiveSolver,
     compute_initial_edge_coloring,
     solve_edge_coloring,
     solve_list_edge_coloring,
@@ -121,6 +124,67 @@ class TestListColoring:
         )
         check_proper_edge_coloring(g, result.coloring)
         assert result.initial_palette == palette
+
+
+class TestValidateOnce:
+    """Custom lists are validated by the solver; uniform lists are left
+    to the runner, whose properness and palette checks imply them."""
+
+    @staticmethod
+    def _recolor_one(monkeypatch, color_for):
+        """Make the solver return its coloring with one edge recolored."""
+        solve_internal = RecursiveSolver.solve_internal
+
+        def corrupted(self, depth=None):
+            coloring = solve_internal(self, depth)
+            edge = min(coloring, key=repr)
+            coloring[edge] = color_for(self, edge, coloring)
+            return coloring
+
+        monkeypatch.setattr(RecursiveSolver, "solve_internal", corrupted)
+
+    def test_custom_lists_reject_an_off_list_color(self, monkeypatch):
+        g = random_regular(4, 12, seed=3)
+        lists = deg_plus_one_lists(g, palette=Palette.of_size(12), seed=7)
+        def off_list(solver, edge, coloring):
+            # Free at the edge, so only the list check can object.
+            used = {coloring[n] for n in solver.master.neighbors(edge)}
+            return min(set(lists.palette) - lists.list_of(edge) - used)
+
+        self._recolor_one(monkeypatch, off_list)
+        with pytest.raises(ColoringValidationError, match="not in its list"):
+            solve_list_edge_coloring(g, lists, seed=1)
+
+    def test_uniform_lists_leave_the_check_to_the_runner(self, monkeypatch):
+        g = random_regular(4, 12, seed=3)
+        self._recolor_one(monkeypatch, lambda solver, edge, coloring: 10**6)
+        result = solve_edge_coloring(g, seed=1)  # no list check here
+        assert 10**6 in result.coloring.values()
+
+    def test_uniformity(self):
+        g = random_regular(4, 12, seed=3)
+        palette = Palette.of_size(7)
+        assert uniform_lists(g, palette).is_uniform()
+        assert deg_plus_one_lists(g, palette=palette, seed=2).is_uniform()
+        wider = Palette.of_size(10)
+        assert not deg_plus_one_lists(g, palette=wider, seed=2).is_uniform()
+        shared = frozenset(range(1, 7))
+        assert not ListAssignment(dict.fromkeys(edge_set(g), shared), palette).is_uniform()
+
+    def test_deg_plus_one_check_on_the_index_keeps_its_message(self):
+        g = random_regular(4, 12, seed=3)
+        lists = deg_plus_one_lists(g, seed=7)
+        edge = edge_set(g)[5]
+        short = dict(lists.lists)
+        short[edge] = frozenset(sorted(short[edge])[:3])
+        bad = ListAssignment(short, lists.palette)
+        messages = []
+        for index in (None, EdgeIndex(g)):
+            with pytest.raises(InvalidInstanceError) as caught:
+                bad.validate_deg_plus_one(g, index=index)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert "deg(e)=6 but only 3 list colors" in messages[0]
 
 
 class TestPolicies:

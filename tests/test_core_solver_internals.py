@@ -36,9 +36,22 @@ class TestEffectiveLists:
         solver = _solver(graph, lists)
         edge_a, edge_b = (0, 1), (0, 2)
         solver.master.assign(edge_a, 2)
-        narrowed = {edge_b: frozenset({1, 2, 3})}
-        effective = solver._effective_list(edge_b, narrowed)
-        assert effective == frozenset({1, 3})  # 2 blocked by neighbor
+        b = solver.index.position[edge_b]
+        narrowed = {b: solver.master.mask_of({1, 2, 3})}
+        effective = solver._effective_mask(b, narrowed)
+        assert solver.master.colors_of(effective) == [1, 3]  # 2 blocked by neighbor
+        assert effective == solver.master.mask_of({1, 3})
+
+    def test_lowest_bit_is_smallest_color_of_unordered_palette(self):
+        graph = nx.star_graph(3)
+        palette = Palette((9, 4, 7, 1, 6))
+        solver = _solver(graph, uniform_lists(graph, palette))
+        solver.master.assign((0, 1), 4)
+        b = solver.index.position[(0, 2)]
+        narrowed = {b: solver.master.mask_of({9, 4, 7})}
+        effective = solver._effective_mask(b, narrowed)
+        assert solver.master.colors_of(effective) == [7, 9]
+        assert solver.master.lowest_color(effective) == 7
 
 
 class TestBaseCase:
@@ -48,12 +61,13 @@ class TestBaseCase:
         graph = nx.path_graph(3)
         lists = uniform_lists(graph, Palette.of_size(3))
         solver = _solver(graph, lists)
+        ids = solver.index.ids([(0, 1), (1, 2)])
         narrowed = {
-            (0, 1): frozenset({1}),
-            (1, 2): frozenset(),  # impossible narrow list
+            ids[0]: solver.master.mask_of({1}),
+            ids[1]: 0,  # impossible narrow list
         }
-        solver._base_case([(0, 1), (1, 2)], narrowed, "test")
-        assert solver.master.is_colored((0, 1))
+        solver._base_case(ids, narrowed, "test")
+        assert solver.master.color_of((0, 1)) == 1
         assert not solver.master.is_colored((1, 2))
         assert solver.ledger.counter("deferred_edges") == 1
 
@@ -61,18 +75,18 @@ class TestBaseCase:
         graph = random_regular(4, 12, seed=2)
         lists = deg_plus_one_lists(graph, seed=9)
         solver = _solver(graph, lists)
-        edges = edge_set(graph)
-        work = {e: lists.list_of(e) for e in edges}
-        solver._base_case(edges, work, "test")
+        ids = solver.index.ids(edge_set(graph))
+        work = dict(enumerate(solver.master.list_masks))
+        solver._base_case(ids, work, "test")
         assert solver.master.is_complete()
         check_list_edge_coloring(graph, lists, solver.master.as_dict())
 
     def test_base_case_reason_counted(self):
         graph = nx.cycle_graph(5)
         solver = _solver(graph)
-        edges = edge_set(graph)
-        work = {e: solver.lists.list_of(e) for e in edges}
-        solver._base_case(edges, work, "my-reason")
+        ids = solver.index.ids(edge_set(graph))
+        work = dict(enumerate(solver.master.list_masks))
+        solver._base_case(ids, work, "my-reason")
         assert solver.ledger.counter("base_case/my-reason") == 1
 
 

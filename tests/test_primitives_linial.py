@@ -154,7 +154,8 @@ def _first_round_color(ids, adjacency, node, params):
 
     graph = Csr.from_adjacency(adjacency)
     colors = np.array([ids[item] for item in graph.items], dtype=np.int64)
-    return int(_one_round(graph, colors, params)[graph.items.index(node)])
+    new_colors = _one_round(graph, colors, params, graph.slot_owners())
+    return int(new_colors[graph.items.index(node)])
 
 
 class TestFixpointPalette:

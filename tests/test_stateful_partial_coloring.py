@@ -1,12 +1,17 @@
 """Stateful property testing of PartialEdgeColoring.
 
-Hypothesis drives random interleavings of assigns, residual queries and
-residual-instance extractions against an independent model; the
-residual invariant and the blocked-color bookkeeping must hold after
-every step, whatever the order of operations.
+Hypothesis drives random interleavings of assigns, refused assigns,
+residual queries and residual-instance extractions against an
+independent set-based model; the residual invariant and the
+blocked-color bookkeeping must hold after every step, whatever the
+order of operations.  The coloring keeps its state as bitmasks over
+the palette's sorted colors, so the palette is sometimes unordered and
+non-contiguous, and the masks are checked against the model's sets.
 """
 
-import networkx as nx
+import random
+
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -19,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.coloring.edge_coloring import PartialEdgeColoring
 from repro.coloring.lists import deg_plus_one_lists
-from repro.graphs.edges import edge_set
+from repro.coloring.palette import Palette
+from repro.errors import ColoringValidationError
 from repro.graphs.generators import random_regular
 from repro.graphs.line_graph import line_graph_adjacency
 
@@ -30,13 +36,23 @@ class PartialColoringMachine(RuleBasedStateMachine):
     @initialize(
         graph_seed=st.integers(min_value=0, max_value=30),
         list_seed=st.integers(min_value=0, max_value=1000),
+        palette_seed=st.none() | st.integers(min_value=0, max_value=1000),
     )
-    def setup(self, graph_seed, list_seed):
+    def setup(self, graph_seed, list_seed, palette_seed):
         self.graph = random_regular(4, 10, seed=graph_seed)
-        self.lists = deg_plus_one_lists(self.graph, seed=list_seed)
+        palette = None
+        if palette_seed is not None:
+            # 2Δ-1 spread-out colors in a shuffled order.
+            colors = [3 * c + 11 for c in range(7)]
+            random.Random(palette_seed).shuffle(colors)
+            palette = Palette(tuple(colors))
+        self.lists = deg_plus_one_lists(self.graph, palette=palette, seed=list_seed)
         self.coloring = PartialEdgeColoring(self.graph, self.lists)
         self.adjacency = line_graph_adjacency(self.graph)
         self.model: dict = {}  # independent record of assignments
+
+    def _neighbor_colors(self, edge) -> set:
+        return {self.model[n] for n in self.adjacency[edge] if n in self.model}
 
     # ------------------------------------------------------------------
 
@@ -56,6 +72,25 @@ class PartialColoringMachine(RuleBasedStateMachine):
         color = colors[choice % len(colors)]
         self.coloring.assign(edge, color)
         self.model[edge] = color
+
+    @rule(choice=st.integers(min_value=0, max_value=10**6))
+    def refused_assign_changes_nothing(self, choice):
+        """An off-list color, a neighbor's color or a second color for
+        a colored edge is refused, and the state stays as it was."""
+        edges = sorted(self.adjacency, key=repr)
+        edge = edges[choice % len(edges)]
+        palette = sorted(self.lists.palette)
+        if edge in self.model:
+            bad = [c for c in palette if c != self.model[edge]]
+        else:
+            allowed = self.lists.list_of(edge) - self._neighbor_colors(edge)
+            bad = [c for c in palette if c not in allowed] + [max(palette) + 1]
+        color = bad[choice % len(bad)]
+        blocked = list(self.coloring.blocked)
+        with pytest.raises(ColoringValidationError):
+            self.coloring.assign(edge, color)
+        assert self.coloring.blocked == blocked
+        assert self.coloring.color_of(edge) == self.model.get(edge)
 
     @rule()
     def residual_instance_is_always_feasible(self):
@@ -82,13 +117,31 @@ class PartialColoringMachine(RuleBasedStateMachine):
             if edge in self.model:
                 continue
             residual = self.coloring.residual_list(edge)
-            neighbor_colors = {
-                self.model[n]
-                for n in self.adjacency[edge]
-                if n in self.model
-            }
-            assert not (residual & neighbor_colors)
-            assert residual == self.lists.list_of(edge) - neighbor_colors
+            neighbor_colors = self._neighbor_colors(edge)
+            assert not (set(residual) & neighbor_colors)
+            assert residual == sorted(self.lists.list_of(edge) - neighbor_colors)
+
+    @invariant()
+    def masks_match_the_model(self):
+        """Bit r is the r-th smallest palette color; each edge's list
+        mask is its list and an uncolored edge's blocked mask is its
+        colored neighbors' colors."""
+        coloring, position = self.coloring, self.coloring.index.position
+        for rank, color in enumerate(sorted(self.lists.palette)):
+            assert coloring.mask_of({color}) == 1 << rank
+        for edge in self.adjacency:
+            i = position[edge]
+            list_colors = self.lists.list_of(edge)
+            assert coloring.list_masks[i] == coloring.mask_of(list_colors)
+            assert coloring.colors_of(coloring.list_masks[i]) == sorted(list_colors)
+            assert coloring.colored[i] == (edge in self.model)
+            if edge not in self.model:
+                neighbor_colors = self._neighbor_colors(edge)
+                assert coloring.blocked[i] == coloring.mask_of(neighbor_colors)
+                residual = list_colors - neighbor_colors
+                if residual:
+                    mask = coloring.list_masks[i] & ~coloring.blocked[i]
+                    assert coloring.lowest_color(mask) == min(residual)
 
     @invariant()
     def residual_degree_counts_uncolored(self):
