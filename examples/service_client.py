@@ -57,11 +57,16 @@ def main() -> None:
         from repro.service import ReproService, make_server
 
         data_dir = tempfile.mkdtemp(prefix="repro-service-demo-")
-        server = make_server(ReproService(data_dir))
+        service = ReproService(data_dir)  # forks the solve pool
+        server = make_server(service)
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
         threading.Thread(target=server.serve_forever, daemon=True).start()
-        cleanup = server.shutdown
+
+        def cleanup() -> None:
+            server.shutdown()
+            service.close()
+
         print(f"started in-process service at {base} (data in {data_dir})")
 
     try:

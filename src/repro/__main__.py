@@ -822,7 +822,9 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"serve smoke ok at {summary['address']}: "
                 f"{summary['clients']} concurrent identical POSTs -> "
                 f"{summary['executions']} execution "
-                f"({summary['coalesced']} coalesced); sharded job "
+                f"({summary['coalesced']} coalesced); 503 beyond "
+                f"{summary['max_inflight']} in-flight runs on "
+                f"{summary['workers']} pool workers; sharded job "
                 f"{summary['job']}… streamed {summary['streamed']} results "
                 "byte-identical to serial run_many; "
                 f"{summary['events']} job events resumed exactly-once; "
@@ -852,6 +854,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     finally:
         server.shutdown()
         server.server_close()
+        service.close()
     return 0
 
 

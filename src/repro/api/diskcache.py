@@ -30,7 +30,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.results import RunResult, fingerprint_of
+from repro.results import RunResult
 from repro.telemetry.trace import trace
 
 #: On-disk entry format version (bumped on incompatible layout change).
@@ -95,14 +95,16 @@ def disk_store(
     """Write one sealed JSON entry per fingerprint (atomic, last-writer-wins).
 
     The embedded ``result_fingerprint`` seals the payload; loads that
-    do not reproduce it are discarded.
+    do not reproduce it are discarded.  The result is serialized once,
+    for both the payload and its seal.
     """
+    body, seal = result.sealed_dict()
     payload = {
         "format": DISK_FORMAT,
         "fingerprint": fingerprint,
         "validated": bool(validated),
-        "result": result.to_dict(),
-        "result_fingerprint": result.result_fingerprint(),
+        "result": body,
+        "result_fingerprint": seal,
     }
     with trace("cache.publish", fingerprint=fingerprint[:12]):
         atomic_write_json(disk_path(cache_dir, fingerprint), payload)
@@ -114,7 +116,9 @@ def disk_load(
     """Load a sealed entry; returns ``(result, validated)`` or ``None``.
 
     Any malformed, mismatched, or unreadable entry is a miss — the
-    caller simply re-runs the spec and the entry is rewritten.
+    caller simply re-runs the spec and the entry is rewritten.  The
+    seal check computes the loaded result's own fingerprint, which the
+    result keeps, so later ledger records do not serialize it again.
     """
     with trace("cache.load", fingerprint=fingerprint[:12]) as span:
         payload = read_json(disk_path(cache_dir, fingerprint))
@@ -130,7 +134,7 @@ def disk_load(
         except Exception:
             span.annotate(hit=False)
             return None
-        if fingerprint_of(result.to_dict()) != payload.get("result_fingerprint"):
+        if result.result_fingerprint() != payload.get("result_fingerprint"):
             span.annotate(hit=False)
             return None
         span.annotate(hit=True)

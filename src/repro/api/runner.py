@@ -233,6 +233,37 @@ def _lookup_layers(
     return None, None
 
 
+def _replay(
+    fingerprint: str,
+    spec: RunSpec,
+    *,
+    validate: bool,
+    cache: bool,
+    cache_dir: str | Path | None,
+    ledger_dir: str | None,
+) -> tuple[RunResult | None, str | None]:
+    """Resolve a spec from a cache layer and record the hit.
+
+    Returns ``(result, disposition)`` on a hit — the ledger row and the
+    ``spec_resolved`` event are written here — and ``(None, None)`` on
+    a miss, which records nothing.
+    """
+    hit, layer = _lookup_layers(fingerprint, spec, validate, cache, cache_dir)
+    if hit is None:
+        return None, None
+    disposition = f"cache_{layer}"
+    record_run(
+        ledger_dir,
+        spec=spec,
+        fingerprint=fingerprint,
+        disposition=disposition,
+        result=hit,
+        attempts=0,
+    )
+    emit_event("spec_resolved", fingerprint=fingerprint, disposition=disposition)
+    return hit, disposition
+
+
 def _execute_once(spec: RunSpec, fingerprint: str, validate: bool) -> RunResult:
     """One execution attempt: build, run, stamp, validate."""
     graph = spec.instance.build()
@@ -346,6 +377,7 @@ def run(
     on_error: str | FailurePolicy = "raise",
     ledger_dir: str | Path | None = None,
     _fingerprint: str | None = None,
+    _observed: dict[str, Any] | None = None,
 ) -> RunResult:
     """Execute one spec and return its fingerprinted, validated result.
 
@@ -375,31 +407,36 @@ def run(
     type, same caches, same fingerprint discipline; the identity
     (``synchronous``) scenario is normalised away and takes this plain
     path bit-for-bit.
+
+    ``_observed``, when given, receives what the ledger row of this
+    resolution records beside the result (``disposition``,
+    ``attempts``, ``wall_clock_s``): a pool worker sends it back to a
+    caller that keeps the ledger itself.
     """
     policy = resolve_policy(on_error)
     ledger = resolve_ledger_dir(ledger_dir)
     fingerprint = spec.fingerprint() if _fingerprint is None else _fingerprint
-    hit, layer = _lookup_layers(fingerprint, spec, validate, cache, cache_dir)
+    observed: dict[str, Any] = {} if _observed is None else _observed
+    hit, disposition = _replay(
+        fingerprint,
+        spec,
+        validate=validate,
+        cache=cache,
+        cache_dir=cache_dir,
+        ledger_dir=ledger,
+    )
     if hit is not None:
-        record_run(
-            ledger,
-            spec=spec,
-            fingerprint=fingerprint,
-            disposition=f"cache_{layer}",
-            result=hit,
-            attempts=0,
-        )
-        emit_event(
-            "spec_resolved",
-            fingerprint=fingerprint,
-            disposition=f"cache_{layer}",
-        )
+        observed.update(disposition=disposition, attempts=0, wall_clock_s=None)
         return hit
-    observed: dict[str, Any] = {}
     started = time.perf_counter()
     result = _execute_with_policy(spec, fingerprint, validate, policy, observed)
     wall_clock_s = time.perf_counter() - started
     if result.is_failure():
+        observed.update(
+            disposition="failed",
+            attempts=policy.attempts,
+            wall_clock_s=wall_clock_s,
+        )
         record_run(
             ledger,
             spec=spec,
@@ -417,20 +454,22 @@ def run(
             error_type=result.error_type,
         )
         return result
+    observed.update(disposition="executed", wall_clock_s=wall_clock_s)
+    observed.setdefault("attempts", 1)
     record_run(
         ledger,
         spec=spec,
         fingerprint=fingerprint,
         disposition="executed",
         result=result,
-        attempts=observed.get("attempts", 1),
+        attempts=observed["attempts"],
         wall_clock_s=wall_clock_s,
     )
     emit_event(
         "spec_resolved",
         fingerprint=fingerprint,
         disposition="executed",
-        attempts=observed.get("attempts", 1),
+        attempts=observed["attempts"],
         wall_clock_s=round(wall_clock_s, 6),
     )
     if cache:
@@ -443,32 +482,36 @@ def run(
 
 
 def _run_in_worker(
-    payload: tuple[dict[str, Any], bool, dict[str, Any] | None, str | None]
-) -> RunResult:
+    payload: tuple[dict[str, Any], dict[str, Any], bool]
+) -> RunResult | tuple[dict[str, Any], dict[str, Any]]:
     """Pool entry point: rebuild the spec from its dict form and run it.
 
-    The failure policy crosses the pool boundary as a dict so capture
-    (and its retries/deadline) happens *inside* the worker — the
-    traceback the failure record digests is the algorithm's, identical
-    to what a serial run would have captured.  The ledger directory
-    rides along the same way (it is per-call executor state, not spec
-    state, so the worker must be told explicitly) — ledger records are written at the execution
-    site, so a pooled batch produces the same rows a serial one does,
-    stamped with the worker's own pid.
+    ``payload`` is ``(spec_dict, options, as_dict)``.  ``options`` are
+    :func:`run`'s keyword arguments, with the failure policy as its
+    dict: capture (and its retries/deadline) happens *inside* the
+    worker, so the traceback a failure record digests is the
+    algorithm's, identical to what a serial run would have captured.
+    The ledger directory rides along the same way (it is per-call
+    executor state, not spec state), so a pooled batch writes the same
+    rows a serial one does, stamped with the worker's own pid.
+
+    With ``as_dict`` false the result comes back pickled, ledger tree
+    and all (``run_many(parallel=N)``).  With ``as_dict`` true it comes
+    back as ``(result.to_dict(), observed)``, where ``observed`` holds
+    the disposition, attempts and wall-clock of the resolution: the
+    caller rebuilds the result with :meth:`RunResult.from_dict` (the
+    form a disk-cache hit serves) and writes the ledger row itself.
     """
-    spec_dict, validate, policy_dict, ledger_dir = payload
-    policy = (
-        FailurePolicy.from_dict(policy_dict)
-        if policy_dict is not None
-        else FailurePolicy()
+    spec_dict, options, as_dict = payload
+    options = dict(options)
+    options["on_error"] = FailurePolicy.from_dict(options["on_error"])
+    observed: dict[str, Any] = {}
+    result = run(
+        RunSpec.from_dict(spec_dict), cache=False, _observed=observed, **options
     )
-    return run(
-        RunSpec.from_dict(spec_dict),
-        validate=validate,
-        cache=False,
-        on_error=policy,
-        ledger_dir=ledger_dir,
-    )
+    if as_dict:
+        return result.to_dict(), observed
+    return result
 
 
 def run_many_iter(
@@ -517,7 +560,7 @@ def run_many_iter(
             cache=cache,
             cache_dir=cache_dir,
             policy=resolve_policy(on_error),
-                ledger_dir=resolve_ledger_dir(ledger_dir),
+            ledger_dir=resolve_ledger_dir(ledger_dir),
         )
     finally:
         # One prune per batch (not per store) — in a finally so the
@@ -572,21 +615,15 @@ def _run_many_iter_inner(
     for fingerprint, spec in zip(fingerprints, ordered):
         if fingerprint in resolved or fingerprint in todo:
             continue
-        hit, layer = _lookup_layers(fingerprint, spec, validate, cache, cache_dir)
+        hit, _ = _replay(
+            fingerprint,
+            spec,
+            validate=validate,
+            cache=cache,
+            cache_dir=cache_dir,
+            ledger_dir=ledger_dir,
+        )
         if hit is not None:
-            record_run(
-                ledger_dir,
-                spec=spec,
-                fingerprint=fingerprint,
-                disposition=f"cache_{layer}",
-                result=hit,
-                attempts=0,
-            )
-            emit_event(
-                "spec_resolved",
-                fingerprint=fingerprint,
-                disposition=f"cache_{layer}",
-            )
             resolved.add(fingerprint)
             yield from emissions(fingerprint, hit)
         else:
@@ -601,7 +638,7 @@ def _run_many_iter_inner(
                     cache=cache,
                     cache_dir=cache_dir,
                     on_error=policy,
-                                ledger_dir=ledger_dir,
+                    ledger_dir=ledger_dir,
                     _fingerprint=fingerprint,
                 )
             except Exception as exc:
@@ -612,12 +649,20 @@ def _run_many_iter_inner(
             yield from emissions(fingerprint, result)
     else:
         workers = min(parallel, len(todo))
-        policy_dict = policy.to_dict()
+        options = {
+            "validate": validate,
+            "on_error": policy.to_dict(),
+            "ledger_dir": ledger_dir,
+        }
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
                     _run_in_worker,
-                    (spec.to_dict(), validate, policy_dict, ledger_dir),
+                    (
+                        spec.to_dict(),
+                        {**options, "_fingerprint": fingerprint},
+                        False,
+                    ),
                 ): fingerprint
                 for fingerprint, spec in todo.items()
             }

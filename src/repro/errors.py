@@ -152,3 +152,13 @@ class ServiceError(ReproError, RuntimeError):
     Client-visible request errors are *not* exceptions: the HTTP layer
     reports them as 4xx JSON bodies.
     """
+
+
+class ServiceUnavailable(ReproError, RuntimeError):
+    """The service cannot take this run now; the client should retry.
+
+    Raised by :meth:`repro.service.app.ReproService.run_one` when the
+    solve pool already holds its bound of in-flight runs, or when a
+    pool worker died under the run.  The HTTP layer answers **503**
+    with a ``Retry-After`` header.
+    """

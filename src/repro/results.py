@@ -227,9 +227,26 @@ class RunResult:
         """SHA-256 over the canonical JSON form of this result.
 
         Two runs of the same spec — serial or parallel, this session or
-        the next — must agree byte-for-byte on this value.
+        the next — must agree byte-for-byte on this value.  Computed
+        once per object: the value is kept in the instance ``__dict__``,
+        outside the dataclass fields, so equality, pickling and
+        :func:`dataclasses.replace` never carry it.
         """
-        return fingerprint_of(self.to_dict())
+        cached = self.__dict__.get("_result_fingerprint")
+        if cached is None:
+            cached = self.sealed_dict()[1]
+        return cached
+
+    def sealed_dict(self) -> tuple[dict[str, Any], str]:
+        """``(to_dict(), result_fingerprint())`` from one serialization.
+
+        For writers that store the dict next to its seal (the disk
+        cache); also fills the :meth:`result_fingerprint` cache.
+        """
+        payload = self.to_dict()
+        fingerprint = fingerprint_of(payload)
+        object.__setattr__(self, "_result_fingerprint", fingerprint)
+        return payload, fingerprint
 
 
 @dataclass(frozen=True)

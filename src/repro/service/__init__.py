@@ -18,9 +18,12 @@ or in-process::
 
     from repro.service import ReproService, make_server
 
-    service = ReproService("service-data")
+    service = ReproService("service-data")  # forks the solve pool
     server = make_server(service, port=0)   # ephemeral port
-    server.serve_forever()
+    try:
+        server.serve_forever()
+    finally:
+        service.close()                     # stops the pool's workers
 
 Endpoints: ``POST /v1/run``, ``POST /v1/jobs``, ``GET /v1/jobs/<id>``,
 ``GET /v1/jobs/<id>/stream`` (NDJSON, batch order, exactly once),

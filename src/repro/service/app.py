@@ -15,6 +15,19 @@ identical request becomes a **follower** that blocks on the leader's
 :class:`threading.Event` and receives the same (immutable) result
 object.  A million identical POSTs cost one solve.
 
+**Solves run in a process pool.**  The solver is CPU-bound Python, so
+a solve on a handler thread would hold the GIL while cache hits wait.
+A leader's miss therefore goes to a fixed pool of forked worker
+processes (one per CPU), started when the service is constructed.  A
+worker builds, solves, validates and stores the disk-cache entry, and
+sends back only the result's ``to_dict()`` form; the server rebuilds
+it with :meth:`~repro.results.RunResult.from_dict`, the form a
+disk-cache hit serves.  Coalescing, cache lookups, the run ledger and
+metrics stay in the server process.  At most
+``INFLIGHT_PER_WORKER * workers`` runs are in flight: a further miss
+is refused with :class:`~repro.errors.ServiceUnavailable` (HTTP 503),
+while hits and followers are always served.
+
 **Jobs are identified by their plan fingerprint.**  ``submit_job``
 plans the batch with :func:`repro.cluster.planner.plan_shards` and
 uses the plan fingerprint as the job id, so resubmitting the same
@@ -33,17 +46,22 @@ Everything is stdlib; the service adds no dependencies to the library.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.api.diskcache import disk_path
-from repro.api.runner import run
+from repro.api.failures import FailurePolicy
+from repro.api.runner import _replay as _replay_cached, _run_in_worker
 from repro.api.spec import RunSpec
 from repro.cluster.coordinator import job_status, run_sharded_iter
 from repro.cluster.planner import plan_shards
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ServiceUnavailable
 from repro.results import RunResult
 from repro.telemetry.ledger import record_run
 from repro.telemetry.metrics import MetricsRegistry
@@ -57,6 +75,51 @@ JOBS_SUBDIR = "jobs"
 #: Subdirectory holding the service's run ledger (single runs; each
 #: job keeps its own ledger under ``jobs/<id>/ledger/``).
 LEDGER_SUBDIR = "ledger"
+
+#: In-flight single runs admitted per pool worker; a miss beyond
+#: ``INFLIGHT_PER_WORKER * workers`` of them is refused with a 503.
+INFLIGHT_PER_WORKER = 2
+
+#: Seconds a refused client is told to wait (the ``Retry-After`` header).
+RETRY_AFTER_S = 1
+
+#: Seconds between a pool worker's checks that the server still lives.
+PARENT_POLL_S = 0.5
+
+
+def _worker_init(server_pid: int) -> None:
+    """Pool worker set-up: ignore Ctrl-C, exit with the server.
+
+    A terminal's Ctrl-C reaches the whole process group; the server
+    alone handles it and shuts the pool down.  A forked worker holds
+    both ends of the call-queue pipe, so if the server dies without
+    shutting the pool down (``SIGKILL``), nothing would ever wake the
+    worker; a daemon thread polls the parent pid and exits instead.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch() -> None:
+        while os.getppid() == server_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-server-watch", daemon=True).start()
+
+
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A fork-context pool with all ``workers`` processes forked now.
+
+    A fork-context pool forks every worker on its first submit; an
+    empty task makes that happen here, not on the first miss.
+    """
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_worker_init,
+        initargs=(os.getpid(),),
+    )
+    pool.submit(int)
+    return pool
 
 
 class _InFlight:
@@ -163,6 +226,9 @@ class ReproService:
     default_shards:
         Shard count for jobs that do not specify one (``"auto"`` sizes
         to CPU count and batch length).
+
+    The solve pool's workers, one per CPU, are forked here, before any
+    server thread starts; call :meth:`close` to stop them.
     """
 
     def __init__(
@@ -188,6 +254,24 @@ class ReproService:
         self._inflight_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
+        self.workers = os.cpu_count() or 1
+        self.max_inflight = INFLIGHT_PER_WORKER * self.workers
+        self._worker_options = {
+            "validate": validate,
+            "cache_dir": str(self.cache_dir),
+            "cache_max_entries": cache_max_entries,
+            "on_error": FailurePolicy(on_error="capture").to_dict(),
+            "ledger_dir": None,
+        }
+        self._solving = 0
+        self._pool_lock = threading.Lock()
+        self._pool = _start_pool(self.workers)
+
+    def close(self) -> None:
+        """Shut the solve pool down and wait for its workers to exit."""
+        with self._pool_lock:
+            pool = self._pool
+        pool.shutdown(wait=True, cancel_futures=True)
 
     # -- single runs ----------------------------------------------------
 
@@ -202,18 +286,26 @@ class ReproService:
         failures come back as :class:`~repro.results.FailedResult`
         objects through the same three paths — a failure is an answer,
         not a transport error.
+
+        A leader holds one of :attr:`max_inflight` slots from the moment
+        it registers.  With every slot taken, a new fingerprint is
+        still served from the disk cache, but a miss raises
+        :class:`~repro.errors.ServiceUnavailable`; followers join their
+        leader whatever the load.
         """
         fingerprint = spec.fingerprint()
         with self._inflight_lock:
             entry = self._inflight.get(fingerprint)
             if entry is not None:
                 entry.waiters += 1
-                leader = False
+                role = "follower"
+            elif len(self._inflight) >= self.max_inflight:
+                role = "overflow"
             else:
                 entry = _InFlight()
                 self._inflight[fingerprint] = entry
-                leader = True
-        if not leader:
+                role = "leader"
+        if role == "follower":
             entry.event.wait()
             if entry.error is not None:
                 raise entry.error
@@ -233,18 +325,30 @@ class ReproService:
             )
             self._observe_run("coalesced", result)
             return fingerprint, result, "coalesced"
-        cached = disk_path(self.cache_dir, fingerprint).exists()
+        if role == "overflow":
+            result = self._from_cache(spec, fingerprint)
+            if result is None:
+                raise ServiceUnavailable(
+                    f"{self.max_inflight} runs already in flight; retry"
+                )
+            self._observe_run("cache", result)
+            return fingerprint, result, "cache"
         try:
-            result = run(
-                spec,
-                validate=self.validate,
-                cache=False,  # the process-global memo would bypass LRU
-                cache_dir=self.cache_dir,
-                cache_max_entries=self.cache_max_entries,
-                on_error="capture",
-                ledger_dir=self.ledger_dir,
-                _fingerprint=fingerprint,
-            )
+            result = self._from_cache(spec, fingerprint)
+            source = "cache"
+            if result is None:
+                result, observed = self._solve(spec, fingerprint)
+                record_run(
+                    self.ledger_dir,
+                    spec=spec,
+                    fingerprint=fingerprint,
+                    disposition=observed["disposition"],
+                    result=result,
+                    attempts=observed["attempts"],
+                    wall_clock_s=observed["wall_clock_s"],
+                )
+                if not observed["disposition"].startswith("cache_"):
+                    source = "executed"
             entry.result = result
         except BaseException as exc:
             entry.error = exc
@@ -253,9 +357,70 @@ class ReproService:
             with self._inflight_lock:
                 self._inflight.pop(fingerprint, None)
             entry.event.set()
-        source = "cache" if cached else "executed"
         self._observe_run(source, result)
         return fingerprint, result, source
+
+    def _from_cache(self, spec: RunSpec, fingerprint: str) -> RunResult | None:
+        """The disk-cache entry of ``fingerprint`` (ledger row written),
+        or ``None`` on a miss."""
+        result, _ = _replay_cached(
+            fingerprint,
+            spec,
+            validate=self.validate,
+            cache=False,  # the process-global memo would bypass LRU
+            cache_dir=self.cache_dir,
+            ledger_dir=self.ledger_dir,
+        )
+        return result
+
+    def _solve(
+        self, spec: RunSpec, fingerprint: str
+    ) -> tuple[RunResult, dict[str, Any]]:
+        """Hand one spec to the solve pool; returns ``(result, observed)``.
+
+        The one place a spec leaves the server process, and so the seam
+        tests and the smoke wrap to count executions.  ``observed``
+        holds the disposition, attempts and wall-clock the ledger row
+        records.  A pool found broken before the submit is replaced
+        and the spec submitted to the new one; a worker that dies
+        under this solve fails it (and its followers) once with
+        :class:`~repro.errors.ServiceUnavailable`, and the next
+        request gets a fresh pool.
+        """
+        payload = (
+            spec.to_dict(),
+            {**self._worker_options, "_fingerprint": fingerprint},
+            True,
+        )
+        with self._pool_lock:
+            pool = self._pool
+            self._solving += 1
+        try:
+            try:
+                future = pool.submit(_run_in_worker, payload)
+            except BrokenProcessPool:
+                pool = self._replace_pool(pool)
+                future = pool.submit(_run_in_worker, payload)
+            try:
+                body, observed = future.result()
+            except BrokenProcessPool as exc:
+                self._replace_pool(pool)
+                raise ServiceUnavailable(
+                    "a solve worker died during this run; retry"
+                ) from exc
+        finally:
+            with self._pool_lock:
+                self._solving -= 1
+        return RunResult.from_dict(body), observed
+
+    def _replace_pool(self, broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Swap a broken pool for a fresh one (once, however many
+        requests saw it break); returns the current pool."""
+        with self._pool_lock:
+            if self._pool is broken:
+                broken.shutdown(wait=False)
+                self._pool = _start_pool(self.workers)
+            return self._pool
 
     def _observe_run(self, source: str, result: RunResult) -> None:
         self.metrics.observe_run(source)
@@ -265,9 +430,10 @@ class ReproService:
     def inflight_waiters(self, fingerprint: str) -> int:
         """Followers currently blocked on this fingerprint's leader.
 
-        Observability for tests and the smoke: a leader's fault hook
-        can hold the solve open until the expected crowd has gathered,
-        making the exactly-one-execution assertion deterministic.
+        Observability for tests and the smoke: a wrapper around
+        :meth:`_solve` can hold the leader open until the expected
+        crowd has gathered, making the exactly-one-execution assertion
+        deterministic.
         """
         with self._inflight_lock:
             entry = self._inflight.get(fingerprint)
@@ -365,13 +531,16 @@ class ReproService:
         metrics endpoint reads: uptime from the metrics registry's
         start stamp, ``active_requests`` from its in-handler gauge
         (includes this very request), ``inflight_runs`` from the
-        coalescing table, per-state job counts from the registry of
-        live jobs, and the lifetime request total.
+        coalescing table, the solve pool's worker count, solves in
+        the pool and admission bound, per-state job counts from the
+        registry of live jobs, and the lifetime request total.
         """
         with self._jobs_lock:
             jobs = list(self._jobs.values())
         with self._inflight_lock:
             inflight = len(self._inflight)
+        with self._pool_lock:
+            solving = self._solving
         states: dict[str, int] = {}
         for job in jobs:
             snapshot = job.snapshot()
@@ -382,6 +551,11 @@ class ReproService:
             "active_requests": self.metrics.active_requests(),
             "requests_total": self.metrics.requests_total(),
             "inflight_runs": inflight,
+            "pool": {
+                "workers": self.workers,
+                "solving": solving,
+                "max_inflight": self.max_inflight,
+            },
             "jobs": {"total": len(jobs), **states},
         }
 

@@ -35,6 +35,10 @@ Contract details the tests pin:
 * Poison specs are *answers*, not errors: captured failures return 200
   with ``failed: true`` and the serialized
   :class:`~repro.results.FailedResult` in ``result``.
+* A run the service cannot take now — the solve pool holds its bound
+  of in-flight runs, or a pool worker died under it — is a **503**
+  with ``Retry-After``; cache hits and coalesced followers are never
+  refused.
 * The stream endpoint speaks HTTP/1.0 with ``Connection: close`` and
   no Content-Length: each line is flushed as its slot fills, and EOF
   marks the end of the batch — readable with nothing but ``urllib``.
@@ -60,8 +64,8 @@ from typing import Any
 from urllib.parse import parse_qs
 
 from repro.api.spec import RunSpec
-from repro.errors import ReproError
-from repro.service.app import ReproService, registry_payload
+from repro.errors import ReproError, ServiceUnavailable
+from repro.service.app import RETRY_AFTER_S, ReproService, registry_payload
 from repro.telemetry.events import events_dir_of, parse_cursor, read_events
 from repro.telemetry.prometheus import (
     PROMETHEUS_CONTENT_TYPE,
@@ -106,10 +110,19 @@ def _endpoint_label(path: str) -> str:
 class _HttpError(Exception):
     """A client-visible error: status code + JSON body."""
 
-    def __init__(self, status: int, kind: str, message: str, **extra: Any):
+    def __init__(
+        self,
+        status: int,
+        kind: str,
+        message: str,
+        *,
+        headers: dict[str, str] | None = None,
+        **extra: Any,
+    ):
         super().__init__(message)
         self.status = status
         self.payload = {"error": kind, "message": message, **extra}
+        self.headers = headers
 
 
 def _parse_spec(payload: Any, *, where: str) -> RunSpec:
@@ -240,7 +253,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             with trace("http.request", method=method, endpoint=endpoint):
                 self._route(method, path, query)
         except _HttpError as err:
-            self._send_json(err.status, err.payload)
+            self._send_json(err.status, err.payload, headers=err.headers)
         except (BrokenPipeError, ConnectionError):
             pass  # client went away mid-response; nothing to tell it
         except Exception as exc:  # noqa: BLE001 — the 500 boundary
@@ -317,6 +330,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # A path-based instance whose edge-list file is unreadable
             # fails at fingerprint time — the request's fault, not ours.
             raise _HttpError(400, "bad_instance", str(exc)) from exc
+        except ServiceUnavailable as exc:
+            raise _HttpError(
+                503,
+                "unavailable",
+                str(exc),
+                headers={"Retry-After": str(RETRY_AFTER_S)},
+            ) from exc
         self._send_json(
             200,
             {

@@ -6,11 +6,12 @@ service on an ephemeral port and drives it with nothing but
 service's two headline contracts plus the request-hygiene ones:
 
 1. **Idempotent concurrency** — N threads POST the *same* spec
-   concurrently; exactly one execution happens (counted at the
-   executor's fault-hook seam, with the leader held open until every
-   follower has joined, so the assertion is deterministic, not a
-   race), and all N responses carry the same fingerprint and
-   byte-identical results.
+   concurrently; exactly one execution happens (counted where the
+   service hands a spec to its solve pool, with the leader held open
+   until every follower has joined, so the assertion is
+   deterministic, not a race), the run ledger holds exactly one
+   ``executed`` row for it, and all N responses carry the same
+   fingerprint and byte-identical results.
 2. **Streaming byte-identity** — a mixed batch (duplicate spec and
    adversarial scenarios included) submitted as a sharded
    multi-worker job streams every result exactly once, in batch
@@ -33,6 +34,10 @@ service's two headline contracts plus the request-hygiene ones:
    ``?after=<cursor>``: the two reads concatenate to exactly the full
    stream — nothing replayed, nothing missed — with per-worker
    sequence numbers strictly increasing.
+6. **Saturation** — with the solve pool holding its bound of
+   in-flight runs, a further miss is a 503 with ``Retry-After`` while
+   a cache hit is still served, and ``GET /v1/healthz`` reports the
+   pool's workers and in-flight runs.
 
 Any breach raises :class:`~repro.errors.ServiceError`.
 """
@@ -57,6 +62,7 @@ from repro.results import canonical_json
 from repro.scenarios.spec import ScenarioSpec
 from repro.service.app import ReproService
 from repro.service.http import MAX_BODY_BYTES, make_server
+from repro.telemetry.ledger import read_ledger_rows
 from repro.telemetry.prometheus import PROMETHEUS_CONTENT_TYPE
 
 #: Seconds the held-open leader waits for all followers to join.
@@ -132,25 +138,24 @@ def _check_idempotent_concurrency(
     service: ReproService, base: str, *, clients: int
 ) -> dict[str, Any]:
     """Contract 1: concurrent identical POSTs cost exactly one solve."""
-    from repro.api import runner as runner_module
-
     spec = _smoke_batch()[1]  # the paper solver — a real solve, not a replay
     target = spec.fingerprint()
-    executions: list[int] = []
+    executions: list[str] = []
+    solve = service._solve
 
-    def hook(fingerprint: str, attempt: int) -> None:
-        if fingerprint != target:
-            return
-        executions.append(attempt)
-        # Hold the solve open until every follower has joined the
-        # in-flight entry (or the deadline passes): the coalescing
-        # assertion below is then exact, not timing-dependent.
-        deadline = time.time() + BARRIER_TIMEOUT_S
-        while (
-            service.inflight_waiters(target) < clients - 1
-            and time.time() < deadline
-        ):
-            time.sleep(0.005)
+    def counted(spec: RunSpec, fingerprint: str):
+        if fingerprint == target:
+            executions.append(fingerprint)
+            # Hold the solve open until every follower has joined the
+            # in-flight entry (or the deadline passes): the coalescing
+            # assertion below is then exact, not timing-dependent.
+            deadline = time.time() + BARRIER_TIMEOUT_S
+            while (
+                service.inflight_waiters(target) < clients - 1
+                and time.time() < deadline
+            ):
+                time.sleep(0.005)
+        return solve(spec, fingerprint)
 
     responses: list[tuple[int, Any, dict[str, str]]] = []
     lock = threading.Lock()
@@ -160,8 +165,7 @@ def _check_idempotent_concurrency(
         with lock:
             responses.append(answer)
 
-    previous_hook = runner_module._FAULT_HOOK
-    runner_module._FAULT_HOOK = hook
+    service._solve = counted
     try:
         threads = [
             threading.Thread(target=post, name=f"smoke-client-{i}")
@@ -172,7 +176,7 @@ def _check_idempotent_concurrency(
         for thread in threads:
             thread.join()
     finally:
-        runner_module._FAULT_HOOK = previous_hook
+        del service._solve
 
     _expect(
         len(executions) == 1,
@@ -207,6 +211,17 @@ def _check_idempotent_concurrency(
         == clients - 1,
         f"sources {sources}, expected 1 executed + {clients - 1} coalesced",
     )
+    executed_rows = [
+        row
+        for row in read_ledger_rows(service.ledger_dir)
+        if row.get("fingerprint") == target
+        and row.get("disposition") == "executed"
+    ]
+    _expect(
+        len(executed_rows) == 1,
+        f"the ledger holds {len(executed_rows)} executed rows for the "
+        "coalesced spec, expected 1",
+    )
     # And a later, non-concurrent repeat is a disk-cache hit.
     status, body, _ = _request("POST", base + "/v1/run", spec.to_dict())
     _expect(
@@ -215,6 +230,101 @@ def _check_idempotent_concurrency(
         "expected 200/cache",
     )
     return {"clients": clients, "executions": 1, "coalesced": clients - 1}
+
+
+def _check_saturation(service: ReproService, base: str) -> dict[str, Any]:
+    """Contract 6: a miss beyond the in-flight bound is a 503.
+
+    Every admitted leader is held before the pool until the refused
+    request and a cache hit have been answered; then all are released
+    and must solve normally.  Runs after contract 1, whose spec is on
+    disk by then.
+    """
+    bound = service.max_inflight
+    release = threading.Event()
+    solve = service._solve
+
+    def held(spec: RunSpec, fingerprint: str):
+        release.wait(BARRIER_TIMEOUT_S)
+        return solve(spec, fingerprint)
+
+    specs = [
+        RunSpec(
+            instance=InstanceSpec(family="path", size=4 + index, seed=index),
+            algorithm="greedy_sequential",
+        )
+        for index in range(bound + 1)
+    ]
+    answers: list[tuple[int, Any, dict[str, str]]] = []
+    lock = threading.Lock()
+
+    def post(spec: RunSpec) -> None:
+        answer = _request("POST", base + "/v1/run", spec.to_dict())
+        with lock:
+            answers.append(answer)
+
+    service._solve = held
+    threads = [
+        threading.Thread(target=post, args=(spec,), name=f"smoke-held-{i}")
+        for i, spec in enumerate(specs[:bound])
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.time() + BARRIER_TIMEOUT_S
+        while (
+            service.health()["inflight_runs"] < bound
+            and time.time() < deadline
+        ):
+            time.sleep(0.005)
+        status, body, headers = _request(
+            "POST", base + "/v1/run", specs[bound].to_dict()
+        )
+        _expect(
+            status == 503
+            and body.get("error") == "unavailable"
+            and headers.get("Retry-After") is not None,
+            f"a miss beyond {bound} in-flight runs returned {status} "
+            f"({body.get('error')!r}, Retry-After "
+            f"{headers.get('Retry-After')!r}), expected a 503 with "
+            "Retry-After",
+        )
+        status, body, _ = _request(
+            "POST", base + "/v1/run", _smoke_batch()[1].to_dict()
+        )
+        _expect(
+            status == 200 and body.get("source") == "cache",
+            f"a cache hit at saturation returned {status}/"
+            f"{body.get('source')}, expected 200/cache",
+        )
+        status, health, _ = _request("GET", base + "/v1/healthz")
+        pool = health.get("pool", {})
+        _expect(
+            status == 200
+            and pool.get("workers") == service.workers
+            and pool.get("max_inflight") == bound
+            and health.get("inflight_runs") == bound,
+            f"healthz at saturation reports {health}, expected "
+            f"{service.workers} workers and {bound} runs in flight",
+        )
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join()
+        del service._solve
+    _expect(
+        sorted(status for status, _, _ in answers) == [200] * bound
+        and all(body.get("source") == "executed" for _, body, _ in answers),
+        f"held leaders answered {[(s, b.get('source')) for s, b, _ in answers]}, "
+        f"expected {bound} x 200/executed",
+    )
+    status, body, _ = _request("POST", base + "/v1/run", specs[bound].to_dict())
+    _expect(
+        status == 200 and body.get("source") == "executed",
+        f"the refused spec returned {status}/{body.get('source')} once "
+        "the pool drained, expected 200/executed",
+    )
+    return {"max_inflight": bound, "workers": service.workers}
 
 
 def _check_hygiene(base: str) -> None:
@@ -605,10 +715,10 @@ def _check_prometheus(base: str) -> dict[str, Any]:
 def smoke_check(*, clients: int = 6) -> dict[str, Any]:
     """Start a live service on an ephemeral port and check every contract.
 
-    Runs in a temporary data directory; the server is shut down (and
-    the executor's fault-hook seam restored) no matter what.  Returns
-    a JSON-safe summary; raises :class:`~repro.errors.ServiceError` on
-    any breach.
+    Runs in a temporary data directory; the server and the service's
+    solve pool are shut down (and the solve seam restored) no matter
+    what.  Returns a JSON-safe summary; raises
+    :class:`~repro.errors.ServiceError` on any breach.
     """
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as data_dir:
         service = ReproService(data_dir)
@@ -626,6 +736,7 @@ def smoke_check(*, clients: int = 6) -> dict[str, Any]:
             idempotency = _check_idempotent_concurrency(
                 service, base, clients=clients
             )
+            saturation = _check_saturation(service, base)
             _check_hygiene(base)
             streaming = _check_streaming_job(base)
             observability = _check_observability(base, clients=clients)
@@ -633,9 +744,11 @@ def smoke_check(*, clients: int = 6) -> dict[str, Any]:
         finally:
             server.shutdown()
             server.server_close()
+            service.close()
     return {
         "address": base,
         **idempotency,
+        **saturation,
         **streaming,
         **observability,
         **prometheus,

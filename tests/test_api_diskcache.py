@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from repro.api.diskcache import (
     read_json,
 )
 from repro.api.runner import run
+from repro.results import RunResult, fingerprint_of
 
 
 def _hammer_store(cache_dir: str, fingerprint: str, spec_dict: dict, rounds: int):
@@ -184,3 +186,67 @@ class TestPruneConcurrency:
             assert loaded is not None
         assert len(list(tmp_path.glob("*.json"))) == 2
         assert prune_cache(tmp_path, 1) == 1
+
+
+class TestResultFingerprintOnce:
+    """``result_fingerprint()`` is computed once per result object."""
+
+    @pytest.fixture()
+    def result(self):
+        spec = RunSpec(
+            instance=InstanceSpec(family="complete_bipartite", size=3, seed=2),
+            algorithm="bko20",
+        )
+        return run(spec, cache=False)
+
+    def test_cached_value_is_the_fingerprint_of_to_dict(self, result):
+        assert "_result_fingerprint" not in result.__dict__
+        value = result.result_fingerprint()
+        assert value == fingerprint_of(result.to_dict())
+        assert result.__dict__["_result_fingerprint"] == value
+        assert result.result_fingerprint() is value
+
+    def test_replace_starts_fresh(self, result):
+        before = result.result_fingerprint()
+        changed = dataclasses.replace(result, rounds=result.rounds + 1)
+        assert "_result_fingerprint" not in changed.__dict__
+        assert changed.result_fingerprint() == fingerprint_of(changed.to_dict())
+        assert changed.result_fingerprint() != before
+
+    def test_pickling_does_not_carry_it(self, result):
+        result.result_fingerprint()
+        _, (_, state) = result.__reduce__()
+        assert "_result_fingerprint" not in state
+        restored = pickle.loads(pickle.dumps(result))
+        assert "_result_fingerprint" not in restored.__dict__
+        assert restored.result_fingerprint() == result.result_fingerprint()
+
+    def test_store_serializes_once_and_load_primes(
+        self, result, tmp_path, monkeypatch
+    ):
+        calls = []
+        to_dict = RunResult.to_dict
+
+        def counted(self, **kwargs):
+            calls.append(1)
+            return to_dict(self, **kwargs)
+
+        monkeypatch.setattr(RunResult, "to_dict", counted)
+        disk_store(tmp_path, "f" * 64, result, True)
+        assert len(calls) == 1
+        loaded, _ = disk_load(tmp_path, "f" * 64)
+        assert len(calls) == 2  # the seal check
+        assert loaded.__dict__["_result_fingerprint"] == (
+            result.result_fingerprint()
+        )
+        loaded.result_fingerprint()
+        assert len(calls) == 2
+
+    def test_a_tampered_entry_is_still_a_miss(self, result, tmp_path):
+        disk_store(tmp_path, "f" * 64, result, True)
+        path = disk_path(tmp_path, "f" * 64)
+        payload = read_json(path)
+        token = next(iter(payload["result"]["coloring"]))
+        payload["result"]["coloring"][token] += 1
+        atomic_write_json(path, payload)
+        assert disk_load(tmp_path, "f" * 64) is None

@@ -6,10 +6,11 @@ ThreadingHTTPServer` with nothing but ``urllib`` — the transport a
 zero-dependency client actually uses.  The headline pins:
 
 * **Idempotent concurrency** — N threads POSTing the identical spec
-  cost exactly one execution (counted at the executor's fault-hook
-  seam, with the leader held open until every follower has joined the
-  in-flight entry, so the count is deterministic) and N byte-identical
-  fingerprinted responses.
+  cost exactly one execution (counted where the service hands a spec
+  to its solve pool, with the leader held open until every follower
+  has joined the in-flight entry, so the count is deterministic), one
+  ``executed`` ledger row, and N byte-identical fingerprinted
+  responses.
 * **Strict deserialization** — unknown fields are 400s that *name the
   field*; non-JSON and empty bodies are 400s, never tracebacks.
 * **Request limits** — an oversized ``Content-Length`` is a 413 sent
@@ -44,6 +45,7 @@ from repro.service.http import (
     REQUEST_TIMEOUT_S,
     ServiceHandler,
 )
+from repro.telemetry.ledger import read_ledger_rows
 
 BARRIER_S = 30.0
 
@@ -65,6 +67,7 @@ def live(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+        service.close()
 
 
 def request(method, url, payload=None, *, raw=None):
@@ -94,26 +97,26 @@ def spec_payload(**overrides):
 
 class TestIdempotentRuns:
     def test_concurrent_identical_posts_cost_one_execution(self, live):
-        from repro.api import runner as runner_module
-
         service, base = live
         clients = 5
         spec = RunSpec.from_dict(spec_payload())
         target = spec.fingerprint()
         executions = []
+        solve = service._solve
 
-        def hook(fingerprint, attempt):
-            if fingerprint != target:
-                return
-            executions.append(attempt)
-            # Hold the solve open until every follower has joined, so
-            # "exactly one execution" is an exact count, not a race.
-            deadline = time.time() + BARRIER_S
-            while (
-                service.inflight_waiters(target) < clients - 1
-                and time.time() < deadline
-            ):
-                time.sleep(0.005)
+        def counted(spec, fingerprint):
+            if fingerprint == target:
+                executions.append(fingerprint)
+                # Hold the solve open until every follower has joined,
+                # so "exactly one execution" is an exact count, not a
+                # race.
+                deadline = time.time() + BARRIER_S
+                while (
+                    service.inflight_waiters(target) < clients - 1
+                    and time.time() < deadline
+                ):
+                    time.sleep(0.005)
+            return solve(spec, fingerprint)
 
         responses = []
         lock = threading.Lock()
@@ -123,8 +126,7 @@ class TestIdempotentRuns:
             with lock:
                 responses.append(answer)
 
-        previous = runner_module._FAULT_HOOK
-        runner_module._FAULT_HOOK = hook
+        service._solve = counted
         try:
             threads = [
                 threading.Thread(target=post) for _ in range(clients)
@@ -134,7 +136,7 @@ class TestIdempotentRuns:
             for thread in threads:
                 thread.join()
         finally:
-            runner_module._FAULT_HOOK = previous
+            del service._solve
 
         assert len(executions) == 1
         assert [status for status, _, _ in responses] == [200] * clients
@@ -149,6 +151,13 @@ class TestIdempotentRuns:
         sources = sorted(body["source"] for body in bodies)
         assert sources.count("executed") == 1
         assert sources.count("coalesced") == clients - 1
+        dispositions = [
+            row["disposition"]
+            for row in read_ledger_rows(service.ledger_dir)
+            if row["fingerprint"] == target
+        ]
+        assert dispositions.count("executed") == 1
+        assert dispositions.count("coalesced") == clients - 1
 
     def test_repeat_post_replays_from_disk_cache(self, live):
         _, base = live
@@ -393,12 +402,15 @@ class TestServiceCore:
     """Transport-free checks on ReproService itself."""
 
     def test_run_one_sources(self, tmp_path):
-        service = ReproService(tmp_path / "data")
         spec = RunSpec.from_dict(spec_payload())
-        fingerprint, result, source = service.run_one(spec)
-        assert fingerprint == spec.fingerprint()
-        assert source == "executed"
-        again_fp, again, source = service.run_one(spec)
+        service = ReproService(tmp_path / "data")
+        try:
+            fingerprint, result, source = service.run_one(spec)
+            assert fingerprint == spec.fingerprint()
+            assert source == "executed"
+            again_fp, again, source = service.run_one(spec)
+        finally:
+            service.close()
         assert source == "cache"
         assert again_fp == fingerprint
         assert canonical_json(again.to_dict()) == canonical_json(
@@ -408,13 +420,16 @@ class TestServiceCore:
         assert again is not result
 
     def test_failed_driver_job_restarts_in_place(self, tmp_path):
-        service = ReproService(tmp_path / "data", default_shards=1)
         specs = [RunSpec.from_dict(spec_payload())]
-        job, created = service.submit_job(specs)
-        assert created is True
-        job.finish(error="InjectedError: simulated driver crash")
-        job.state = "failed"  # terminal failure, slots possibly empty
-        retried, created = service.submit_job(specs)
+        service = ReproService(tmp_path / "data", default_shards=1)
+        try:
+            job, created = service.submit_job(specs)
+            assert created is True
+            job.finish(error="InjectedError: simulated driver crash")
+            job.state = "failed"  # terminal failure, slots possibly empty
+            retried, created = service.submit_job(specs)
+        finally:
+            service.close()
         assert created is False
         assert retried is not job  # a fresh Job object, same id
         assert retried.id == job.id

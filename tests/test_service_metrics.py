@@ -53,6 +53,7 @@ def live(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+        service.close()
 
 
 def settle(service, expected_total: int, timeout: float = 5.0) -> None:

@@ -1,0 +1,341 @@
+"""The service's solve pool: byte identity, saturation, lifecycle.
+
+Single-run misses are solved in forked worker processes and come back
+in ``to_dict()`` form.  Pinned here:
+
+* **Byte identity** — a pooled response equals in-process
+  ``run(spec, cache=False)``, for the paper solver (whose result
+  carries a ledger), a baseline, an adversarial scenario and a poison
+  spec (its failure record, traceback digest included); the later
+  cache hit serves the same bytes.
+* **Saturation** — with the pool holding its bound of in-flight runs,
+  a new miss is a 503 with ``Retry-After``; cache hits and coalesced
+  followers are still answered, and ``GET /v1/healthz`` reports the
+  pool.
+* **Lifecycle** — no worker outlives a ``repro serve`` process,
+  whether it is stopped with SIGINT or killed with SIGKILL; a killed
+  worker costs at most one 503, after which fresh specs solve.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.api import InstanceSpec, RunSpec, ScenarioSpec, run
+from repro.results import canonical_json
+from repro.service import ReproService, make_server
+from repro.telemetry.ledger import read_ledger_rows
+
+from tests.test_service import request
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BARRIER_S = 30.0
+
+INSTANCE = InstanceSpec(family="complete_bipartite", size=3, seed=2)
+
+
+def serve(service: ReproService):
+    """Serve ``service`` on an ephemeral port; returns ``(server, base)``."""
+    server = make_server(service)
+    host, port = server.server_address[:2]
+    threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    ).start()
+    return server, f"http://{host}:{port}"
+
+
+@pytest.fixture()
+def live(tmp_path):
+    """A served service: ``(service, base_url)``."""
+    service = ReproService(tmp_path / "data")
+    server, base = serve(service)
+    try:
+        yield service, base
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+def wait_for(condition, what: str) -> None:
+    deadline = time.monotonic() + BARRIER_S
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+class TestPooledBytes:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec(instance=INSTANCE, algorithm="bko20"),
+            RunSpec(instance=INSTANCE, algorithm="kuhn_soda20"),
+            RunSpec(
+                instance=InstanceSpec(family="random_regular", size=4, seed=3),
+                algorithm="greedy_sequential",
+                scenario=ScenarioSpec(
+                    model="lossy_links", seed=5, params={"drop": 0.2}
+                ),
+            ),
+            RunSpec(instance=INSTANCE, algorithm="no_such_algorithm"),
+        ],
+        ids=["bko20", "baseline", "lossy_links", "poison"],
+    )
+    def test_pooled_response_equals_in_process_run(self, live, spec):
+        _, base = live
+        direct = run(spec, cache=False, on_error="capture")
+        expected = canonical_json(direct.to_dict())
+        status, first, _ = request("POST", base + "/v1/run", spec.to_dict())
+        assert status == 200 and first["source"] == "executed"
+        assert first["failed"] is direct.is_failure()
+        assert canonical_json(first["result"]) == expected
+        status, again, _ = request("POST", base + "/v1/run", spec.to_dict())
+        assert status == 200
+        # Failures are never cached: the poison spec runs again.
+        assert again["source"] == (
+            "executed" if direct.is_failure() else "cache"
+        )
+        assert canonical_json(again["result"]) == expected
+
+    def test_poison_record_keeps_its_traceback_digest(self, live):
+        _, base = live
+        spec = RunSpec(instance=INSTANCE, algorithm="no_such_algorithm")
+        direct = run(spec, cache=False, on_error="capture")
+        _, body, _ = request("POST", base + "/v1/run", spec.to_dict())
+        assert body["result"]["failure"]["traceback_digest"] == (
+            direct.traceback_digest
+        )
+
+    def test_ledger_rows_stay_in_the_server_file(self, live):
+        service, base = live
+        spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        request("POST", base + "/v1/run", spec.to_dict())
+        request("POST", base + "/v1/run", spec.to_dict())
+        files = sorted(service.ledger_dir.glob("*.jsonl"))
+        assert [path.name.rsplit("-", 1)[-1] for path in files] == [
+            f"{os.getpid()}.jsonl"
+        ]
+        rows = read_ledger_rows(service.ledger_dir)
+        assert [row["disposition"] for row in rows] == [
+            "executed",
+            "cache_disk",
+        ]
+        assert rows[0]["attempts"] == 1
+        assert rows[0]["observed"]["wall_clock_s"] > 0
+
+
+class TestSaturation:
+    def test_a_miss_beyond_the_bound_is_a_503(self, live):
+        service, base = live
+        bound = service.max_inflight
+        assert bound == 2 * service.workers
+        cached = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        status, _, _ = request("POST", base + "/v1/run", cached.to_dict())
+        assert status == 200
+        fresh = [
+            RunSpec(
+                instance=InstanceSpec(family="path", size=5 + i, seed=i),
+                algorithm="greedy_sequential",
+            )
+            for i in range(bound + 1)
+        ]
+        release = threading.Event()
+        solve = service._solve
+
+        def hold(spec, fingerprint):
+            release.wait(BARRIER_S)
+            return solve(spec, fingerprint)
+
+        answers = []
+        lock = threading.Lock()
+
+        def post(spec):
+            answer = request("POST", base + "/v1/run", spec.to_dict())
+            with lock:
+                answers.append(answer)
+
+        service._solve = hold
+        leaders = [
+            threading.Thread(target=post, args=(spec,)) for spec in fresh[:-1]
+        ]
+        follower = threading.Thread(target=post, args=(fresh[0],))
+        try:
+            for thread in leaders:
+                thread.start()
+            wait_for(
+                lambda: service.health()["inflight_runs"] == bound,
+                f"{bound} leaders",
+            )
+            follower.start()
+            wait_for(
+                lambda: service.inflight_waiters(fresh[0].fingerprint()) == 1,
+                "the follower",
+            )
+            status, body, headers = request(
+                "POST", base + "/v1/run", fresh[-1].to_dict()
+            )
+            assert status == 503
+            assert body["error"] == "unavailable"
+            assert headers["Retry-After"] == "1"
+            status, body, _ = request("POST", base + "/v1/run", cached.to_dict())
+            assert status == 200 and body["source"] == "cache"
+            status, health, _ = request("GET", base + "/v1/healthz")
+            assert health["pool"] == {
+                "workers": service.workers,
+                "solving": 0,  # every leader is held before the pool
+                "max_inflight": bound,
+            }
+            assert health["inflight_runs"] == bound
+        finally:
+            release.set()
+            for thread in leaders + [follower]:
+                thread.join()
+            del service._solve
+        sources = sorted(body["source"] for _, body, _ in answers)
+        assert sources == ["coalesced"] + ["executed"] * bound
+        status, body, _ = request("POST", base + "/v1/run", fresh[-1].to_dict())
+        assert status == 200 and body["source"] == "executed"
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie waiting to be reaped does not)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    match = re.search(r"^State:\s+(\S)", status, re.MULTILINE)
+    return match is not None and match.group(1) != "Z"
+
+
+def children_of(pid: int) -> list[int]:
+    found: list[int] = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        found += [int(p) for p in (task / "children").read_text().split()]
+    return found
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="needs Linux /proc"
+)
+
+
+@needs_proc
+class TestWorkerDeath:
+    def test_a_killed_worker_costs_at_most_one_503(self, tmp_path):
+        before = set(children_of(os.getpid()))
+        service = ReproService(tmp_path / "data")
+        server, base = serve(service)
+        spec = RunSpec(
+            instance=InstanceSpec(family="random_regular", size=3, seed=7),
+            algorithm="bko20",
+        )
+        try:
+            workers = set(children_of(os.getpid())) - before
+            assert len(workers) == service.workers
+            victim = min(workers)
+            os.kill(victim, signal.SIGKILL)
+            statuses = []
+            for _ in range(2):
+                status, body, _ = request(
+                    "POST", base + "/v1/run", spec.to_dict()
+                )
+                statuses.append(status)
+                if status == 200:
+                    break
+                assert status == 503 and body["error"] == "unavailable"
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert statuses[-1] == 200 and statuses.count(503) <= 1
+        assert body["source"] == "executed"
+        assert canonical_json(body["result"]) == canonical_json(
+            run(spec, cache=False).to_dict()
+        )
+        assert not alive(victim)
+
+    def test_close_stops_every_worker(self, tmp_path):
+        before = set(children_of(os.getpid()))
+        service = ReproService(tmp_path / "data")
+        workers = set(children_of(os.getpid())) - before
+        assert len(workers) == service.workers
+        assert all(alive(pid) for pid in workers)
+        service.close()
+        assert not any(alive(pid) for pid in workers)
+
+
+#: ``prctl`` option making this process adopt its orphaned descendants.
+PR_SET_CHILD_SUBREAPER = 36
+
+
+@pytest.fixture()
+def subreaper():
+    """Adopt orphaned descendants for the test, so it can reap them.
+
+    Workers orphaned by a killed server are otherwise re-parented to
+    PID 1, which in a container may never reap them.
+    """
+    libc = ctypes.CDLL(None, use_errno=True)
+    adopted = libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+    try:
+        yield
+    finally:
+        if adopted:
+            libc.prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
+
+
+@needs_proc
+@pytest.mark.usefixtures("subreaper")
+class TestNoOrphans:
+    """A ``repro serve`` child's pool workers die with it."""
+
+    def start(self, tmp_path) -> tuple[subprocess.Popen, list[int]]:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+             "--data-dir", str(tmp_path / "data")],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True,
+        )
+        line = proc.stdout.readline()
+        base = re.search(r"http://\S+:\d+", line).group(0)
+        spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        status, _, _ = request("POST", base + "/v1/run", spec.to_dict())
+        assert status == 200
+        workers = children_of(proc.pid)
+        assert workers and all(alive(pid) for pid in workers)
+        return proc, workers
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGKILL])
+    def test_no_worker_survives_the_server(self, tmp_path, signum):
+        proc, workers = self.start(tmp_path)
+        try:
+            proc.send_signal(signum)
+            proc.wait(timeout=BARRIER_S)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        wait_for(
+            lambda: not any(alive(pid) for pid in workers),
+            f"pool workers to exit after signal {signum}",
+        )
+        for pid in workers:  # adopted ones only; the server reaped the rest
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
