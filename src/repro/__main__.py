@@ -532,7 +532,6 @@ def _command_worker(args: argparse.Namespace) -> int:
         args.job_dir,
         worker_id=args.worker_id,
         lease_ttl=args.lease_ttl,
-        validate=not args.no_validate,
         on_error=_failure_policy(args),
     )
     if args.json:
@@ -837,7 +836,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     service = ReproService(
         args.data_dir,
-        validate=not args.no_validate,
         cache_max_entries=args.cache_max_entries,
         max_local_workers=args.max_local_workers,
     )
@@ -1025,10 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
              "reclaimed (default 60)",
     )
     worker.add_argument(
-        "--no-validate", action="store_true",
-        help="skip independent re-validation of every produced coloring",
-    )
-    worker.add_argument(
         "--on-error", choices=["raise", "capture"], default="capture",
         help="failure policy: capture quarantines poison specs as dead "
              "letters; raise dies on the first failure (default: capture)",
@@ -1181,10 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-max-entries", type=int, default=None,
         help="LRU budget for the single-run cache (default: unbounded)",
-    )
-    serve.add_argument(
-        "--no-validate", action="store_true",
-        help="skip independent validation of produced colorings",
     )
     serve.add_argument(
         "--smoke", action="store_true",

@@ -173,7 +173,6 @@ def run_race_sweep(
     algorithms: Sequence[str] | None = None,
     paper_policy: ParameterPolicy | None = None,
     seed: int = 2,
-    validate: bool = True,
     capture_timing: bool = False,
 ) -> SweepResult:
     """Run every algorithm on every graph; report rounds per cell.
@@ -193,9 +192,6 @@ def run_race_sweep(
         policy name (default policy when ``None``).
     seed:
         ID-assignment seed shared by all runs.
-    validate:
-        Re-check every produced coloring (on by default; the whole
-        point of the harness is that results are verified).
     capture_timing:
         Record wall-clock seconds per cell (all algorithms of the
         cell, excluding validation) in a ``wall_clock_s`` column.
@@ -218,12 +214,11 @@ def run_race_sweep(
             start = time.perf_counter()
             result: RunResult = entry.run(graph, seed=seed, policy=policy)
             cell_clock += time.perf_counter() - start
-            if validate:
-                check_proper_edge_coloring(graph, result.coloring)
-                check_palette_bound(
-                    result.coloring,
-                    result.palette_size or summary.greedy_palette_size,
-                )
+            check_proper_edge_coloring(graph, result.coloring)
+            check_palette_bound(
+                result.coloring,
+                result.palette_size or summary.greedy_palette_size,
+            )
             row.values[entry.label] = result.rounds
         if capture_timing:
             row.values["wall_clock_s"] = cell_clock
@@ -235,7 +230,6 @@ def run_spec_sweep(
     specs: Sequence[RunSpec],
     *,
     parallel: int = 1,
-    validate: bool = True,
     x_label: str = "spec",
 ) -> SweepResult:
     """Run a batch of specs through the executor; one row per spec.
@@ -251,9 +245,9 @@ def run_spec_sweep(
     """
     if parallel <= 1:
         with shared_arena():
-            results = run_many(specs, parallel=parallel, validate=validate)
+            results = run_many(specs, parallel=parallel)
     else:
-        results = run_many(specs, parallel=parallel, validate=validate)
+        results = run_many(specs, parallel=parallel)
     rows: list[ExperimentRow] = []
     for spec, result in zip(specs, results):
         row = ExperimentRow(x=spec.label())
@@ -270,7 +264,6 @@ def run_scenario_sweep(
     specs: Sequence[RunSpec],
     *,
     parallel: int = 1,
-    validate: bool = True,
     cache: bool = True,
     cache_dir=None,
     job_dir=None,
@@ -317,13 +310,11 @@ def run_scenario_sweep(
             job_dir,
             shards=shards,
             local_workers=local_workers,
-            validate=validate,
         )
     else:
         results = run_many(
             specs,
             parallel=parallel,
-            validate=validate,
             cache=cache,
             cache_dir=cache_dir,
         )
@@ -352,7 +343,7 @@ def run_scenario_sweep(
 
 
 def spec_cells(
-    specs: Sequence[RunSpec], *, validate: bool = False
+    specs: Sequence[RunSpec],
 ) -> list[tuple[object, Callable[[], object]]]:
     """Adapt specs into :func:`run_scaling_sweep` cells.
 
@@ -361,18 +352,17 @@ def spec_cells(
 
         sweep = run_scaling_sweep(spec_cells(specs), x_label="spec")
 
-    Validation is off by default so ``wall_clock_s`` measures the
-    algorithm alone — the same timing semantics as
-    :func:`run_race_sweep`'s ``capture_timing`` (which excludes
-    validation).  Use :func:`run_spec_sweep` when the sweep's point is
-    verified results rather than timing.
+    Every executor run validates its result, so each cell's
+    ``wall_clock_s`` times the validation too — unlike
+    :func:`run_race_sweep`'s ``capture_timing``, which clocks the
+    algorithms alone.
     """
     from repro.api.runner import run as run_spec
 
     return [
         (
             spec.label(),
-            lambda spec=spec: run_spec(spec, validate=validate, cache=False),
+            lambda spec=spec: run_spec(spec, cache=False),
         )
         for spec in specs
     ]

@@ -34,7 +34,10 @@ from repro.results import RunResult
 from repro.telemetry.trace import trace
 
 #: On-disk entry format version (bumped on incompatible layout change).
-DISK_FORMAT = 1
+#: Format 2 dropped the per-entry ``validated`` flag: only validated
+#: results are stored, so a format-1 entry (possibly stored unchecked)
+#: is a miss and is re-solved.
+DISK_FORMAT = 2
 
 #: Chaos seam (:mod:`repro.faults`): when set, consulted before every
 #: atomic publish as ``hook(path, text)``.  Returning ``True`` means
@@ -90,7 +93,7 @@ def disk_path(cache_dir: str | Path, fingerprint: str) -> Path:
 
 
 def disk_store(
-    cache_dir: str | Path, fingerprint: str, result: RunResult, validated: bool
+    cache_dir: str | Path, fingerprint: str, result: RunResult
 ) -> None:
     """Write one sealed JSON entry per fingerprint (atomic, last-writer-wins).
 
@@ -102,7 +105,6 @@ def disk_store(
     payload = {
         "format": DISK_FORMAT,
         "fingerprint": fingerprint,
-        "validated": bool(validated),
         "result": body,
         "result_fingerprint": seal,
     }
@@ -110,10 +112,8 @@ def disk_store(
         atomic_write_json(disk_path(cache_dir, fingerprint), payload)
 
 
-def disk_load(
-    cache_dir: str | Path, fingerprint: str
-) -> tuple[RunResult, bool] | None:
-    """Load a sealed entry; returns ``(result, validated)`` or ``None``.
+def disk_load(cache_dir: str | Path, fingerprint: str) -> RunResult | None:
+    """Load a sealed entry; returns its result or ``None``.
 
     Any malformed, mismatched, or unreadable entry is a miss — the
     caller simply re-runs the spec and the entry is rewritten.  The
@@ -138,7 +138,7 @@ def disk_load(
             span.annotate(hit=False)
             return None
         span.annotate(hit=True)
-        return result, bool(payload.get("validated"))
+        return result
 
 
 def touch_entry(cache_dir: str | Path, fingerprint: str) -> None:

@@ -8,17 +8,16 @@ The one front door for executing experiments.  Guarantees:
   fingerprint) whether it runs serially, in a process pool, or in a
   different session.
 * **Validation** — every coloring is re-checked independently
-  (properness + palette bound) before a result is returned; the whole
-  point of the harness is that results are verified.
+  (properness + palette bound; survivor claims for scenario results)
+  before it is returned or cached.  There is no switch: a cache hit
+  was validated when it was stored, so hits are never re-checked.
 * **Caching** — results are memoised under the spec fingerprint;
   repeated specs (within one ``run_many`` call or across calls) solve
   once.  The in-process cache is explicit
   (:func:`clear_result_cache`); results are immutable, so it stores and
-  hands out the one result object without copying, and a hit produced
-  under ``validate=False`` is validated before it may satisfy a
-  ``validate=True`` request.  Passing ``cache_dir=`` adds a second,
-  **on-disk** layer — one JSON file per spec fingerprint — so sweeps
-  resume across sessions: a fresh process
+  hands out the one result object without copying.  Passing
+  ``cache_dir=`` adds a second, **on-disk** layer — one JSON file per
+  spec fingerprint — so sweeps resume across sessions: a fresh process
   pointed at the same directory replays finished specs from disk
   instead of re-solving them.  Disk entries embed the result
   fingerprint and are ignored (treated as misses) if they fail to
@@ -105,12 +104,12 @@ __all__ = [
 #: failure of the spec.  Cache hits never consult the hook.
 _FAULT_HOOK: Callable[[str, int], None] | None = None
 
-#: Result cache: spec fingerprint -> (result, was_validated).  Results
-#: are immutable, so lookups hand out the stored object itself — no
-#: caller can poison later hits.  In-process and unbounded; sweeps
-#: that would outgrow it should clear between phases (or spill to disk
-#: with ``cache_dir=``).
-_RESULT_CACHE: dict[str, tuple[RunResult, bool]] = {}
+#: Result cache: spec fingerprint -> validated result.  Results are
+#: immutable, so lookups hand out the stored object itself — no caller
+#: can poison later hits.  In-process and unbounded; sweeps that would
+#: outgrow it should clear between phases (or spill to disk with
+#: ``cache_dir=``).
+_RESULT_CACHE: dict[str, RunResult] = {}
 
 def clear_result_cache() -> int:
     """Drop all in-process cached results; returns how many were dropped.
@@ -147,64 +146,8 @@ def _validate(result: RunResult, graph) -> None:
         check_palette_bound(result.coloring, result.palette_size)
 
 
-def _cache_lookup(fingerprint: str, spec: RunSpec, validate: bool) -> RunResult | None:
-    """Return a cached result, validating if owed.
-
-    A hit produced by a ``validate=False`` run must not satisfy a
-    ``validate=True`` request unchecked — the validation happens now
-    (once) and the entry is upgraded.
-    """
-    entry = _RESULT_CACHE.get(fingerprint)
-    if entry is None:
-        return None
-    result, validated = entry
-    if validate and not validated:
-        _validate(result, spec.instance.build())
-        _RESULT_CACHE[fingerprint] = (result, True)
-    return result
-
-
-def _cache_store(fingerprint: str, result: RunResult, validated: bool) -> None:
-    _RESULT_CACHE[fingerprint] = (result, validated)
-
-
-# --- on-disk spill -----------------------------------------------------
-#
-# The store/load/prune mechanics live in :mod:`repro.api.diskcache`
-# (shared with the cluster layer); this wrapper adds the executor's
-# validation-upgrade and LRU-touch semantics.
-
-_disk_path = disk_path  # backwards-compatible aliases
-_disk_store = disk_store
-
-
-def _disk_lookup(
-    cache_dir: str | Path, fingerprint: str, spec: RunSpec, validate: bool
-) -> RunResult | None:
-    """Load a spilled result, verifying integrity and validating if owed.
-
-    Any malformed, mismatched, or unreadable entry is a miss — the
-    spec simply re-runs and the entry is rewritten.
-    """
-    entry = disk_load(cache_dir, fingerprint)
-    if entry is None:
-        return None
-    result, validated = entry
-    if validate and not validated:
-        _validate(result, spec.instance.build())
-        disk_store(cache_dir, fingerprint, result, True)
-    else:
-        # Refresh the entry's mtime on every hit: the eviction policy
-        # (:func:`prune_cache`) is LRU-by-mtime, so recently *used*
-        # entries survive pruning, not just recently written ones.
-        touch_entry(cache_dir, fingerprint)
-    return result
-
-
 def _lookup_layers(
     fingerprint: str,
-    spec: RunSpec,
-    validate: bool,
     cache: bool,
     cache_dir: str | Path | None,
 ) -> tuple[RunResult | None, str | None]:
@@ -212,23 +155,31 @@ def _lookup_layers(
 
     A memory hit still owes the disk layer its entry (otherwise a
     later session could not resume from it); a disk hit backfills the
-    in-process cache.  Returns ``(result, layer)`` with ``layer`` one
-    of ``"memory"`` / ``"disk"`` on a hit (the run ledger records the
-    disposition), ``(None, None)`` on a miss.
+    in-process cache.  A malformed, mismatched or unreadable disk
+    entry is a miss (see :func:`~repro.api.diskcache.disk_load`): the
+    spec re-runs and the entry is rewritten.  Returns
+    ``(result, layer)`` with ``layer`` one of ``"memory"`` /
+    ``"disk"`` on a hit (the run ledger records the disposition),
+    ``(None, None)`` on a miss.
     """
     if cache:
-        hit = _cache_lookup(fingerprint, spec, validate)
+        hit = _RESULT_CACHE.get(fingerprint)
         if hit is not None:
-            if cache_dir is not None and not _disk_path(
+            if cache_dir is not None and not disk_path(
                 cache_dir, fingerprint
             ).exists():
-                _disk_store(cache_dir, fingerprint, hit, validate)
+                disk_store(cache_dir, fingerprint, hit)
             return hit, "memory"
     if cache_dir is not None:
-        hit = _disk_lookup(cache_dir, fingerprint, spec, validate)
+        hit = disk_load(cache_dir, fingerprint)
         if hit is not None:
+            # Refresh the entry's mtime on every hit: the eviction
+            # policy (:func:`prune_cache`) is LRU-by-mtime, so recently
+            # *used* entries survive pruning, not just recently written
+            # ones.
+            touch_entry(cache_dir, fingerprint)
             if cache:
-                _cache_store(fingerprint, hit, validate)
+                _RESULT_CACHE[fingerprint] = hit
             return hit, "disk"
     return None, None
 
@@ -237,7 +188,6 @@ def _replay(
     fingerprint: str,
     spec: RunSpec,
     *,
-    validate: bool,
     cache: bool,
     cache_dir: str | Path | None,
     ledger_dir: str | None,
@@ -248,7 +198,7 @@ def _replay(
     ``spec_resolved`` event are written here — and ``(None, None)`` on
     a miss, which records nothing.
     """
-    hit, layer = _lookup_layers(fingerprint, spec, validate, cache, cache_dir)
+    hit, layer = _lookup_layers(fingerprint, cache, cache_dir)
     if hit is None:
         return None, None
     disposition = f"cache_{layer}"
@@ -264,7 +214,7 @@ def _replay(
     return hit, disposition
 
 
-def _execute_once(spec: RunSpec, fingerprint: str, validate: bool) -> RunResult:
+def _execute_once(spec: RunSpec, fingerprint: str) -> RunResult:
     """One execution attempt: build, run, stamp, validate."""
     graph = spec.instance.build()
     scenario = spec.scenario
@@ -283,15 +233,13 @@ def _execute_once(spec: RunSpec, fingerprint: str, validate: bool) -> RunResult:
             **dict(spec.params),
         )
     result = dataclasses.replace(result, fingerprint=fingerprint)
-    if validate:
-        _validate(result, graph)
+    _validate(result, graph)
     return result
 
 
 def _execute_with_policy(
     spec: RunSpec,
     fingerprint: str,
-    validate: bool,
     policy: FailurePolicy,
     observed: dict[str, Any] | None = None,
 ) -> RunResult:
@@ -324,7 +272,7 @@ def _execute_with_policy(
                     hook = _FAULT_HOOK
                     if hook is not None:
                         hook(fingerprint, attempt)
-                    result = _execute_once(spec, fingerprint, validate)
+                    result = _execute_once(spec, fingerprint)
             if observed is not None:
                 observed["attempts"] = attempt
             return result
@@ -370,7 +318,6 @@ def _execute_with_policy(
 def run(
     spec: RunSpec,
     *,
-    validate: bool = True,
     cache: bool = True,
     cache_dir: str | Path | None = None,
     cache_max_entries: int | None = None,
@@ -380,6 +327,12 @@ def run(
     _observed: dict[str, Any] | None = None,
 ) -> RunResult:
     """Execute one spec and return its fingerprinted, validated result.
+
+    Every executed result is validated before it is returned or
+    cached: a coloring that fails the check raises
+    :class:`~repro.errors.ColoringValidationError` (a
+    :class:`~repro.results.FailedResult` under capture) and enters no
+    cache layer.  Hits are served as stored, without a second check.
 
     ``cache`` controls the in-process memo; ``cache_dir`` adds the
     cross-session on-disk layer (each is consulted and written
@@ -420,7 +373,6 @@ def run(
     hit, disposition = _replay(
         fingerprint,
         spec,
-        validate=validate,
         cache=cache,
         cache_dir=cache_dir,
         ledger_dir=ledger,
@@ -429,7 +381,7 @@ def run(
         observed.update(disposition=disposition, attempts=0, wall_clock_s=None)
         return hit
     started = time.perf_counter()
-    result = _execute_with_policy(spec, fingerprint, validate, policy, observed)
+    result = _execute_with_policy(spec, fingerprint, policy, observed)
     wall_clock_s = time.perf_counter() - started
     if result.is_failure():
         observed.update(
@@ -473,9 +425,9 @@ def run(
         wall_clock_s=round(wall_clock_s, 6),
     )
     if cache:
-        _cache_store(fingerprint, result, validate)
+        _RESULT_CACHE[fingerprint] = result
     if cache_dir is not None:
-        _disk_store(cache_dir, fingerprint, result, validate)
+        disk_store(cache_dir, fingerprint, result)
         if cache_max_entries is not None:
             prune_cache(cache_dir, cache_max_entries)
     return result
@@ -518,7 +470,6 @@ def run_many_iter(
     specs: Iterable[RunSpec],
     *,
     parallel: int = 1,
-    validate: bool = True,
     cache: bool = True,
     cache_dir: str | Path | None = None,
     cache_max_entries: int | None = None,
@@ -556,7 +507,6 @@ def run_many_iter(
         yield from _run_many_iter_inner(
             specs,
             parallel=parallel,
-            validate=validate,
             cache=cache,
             cache_dir=cache_dir,
             policy=resolve_policy(on_error),
@@ -592,7 +542,6 @@ def _run_many_iter_inner(
     specs: Iterable[RunSpec],
     *,
     parallel: int,
-    validate: bool,
     cache: bool,
     cache_dir: str | Path | None,
     policy: FailurePolicy,
@@ -618,7 +567,6 @@ def _run_many_iter_inner(
         hit, _ = _replay(
             fingerprint,
             spec,
-            validate=validate,
             cache=cache,
             cache_dir=cache_dir,
             ledger_dir=ledger_dir,
@@ -634,7 +582,6 @@ def _run_many_iter_inner(
             try:
                 result = run(
                     spec,
-                    validate=validate,
                     cache=cache,
                     cache_dir=cache_dir,
                     on_error=policy,
@@ -650,7 +597,6 @@ def _run_many_iter_inner(
     else:
         workers = min(parallel, len(todo))
         options = {
-            "validate": validate,
             "on_error": policy.to_dict(),
             "ledger_dir": ledger_dir,
         }
@@ -680,9 +626,9 @@ def _run_many_iter_inner(
                     raise
                 if not result.is_failure():
                     if cache:
-                        _cache_store(fingerprint, result, validate)
+                        _RESULT_CACHE[fingerprint] = result
                     if cache_dir is not None:
-                        _disk_store(cache_dir, fingerprint, result, validate)
+                        disk_store(cache_dir, fingerprint, result)
                 yield from emissions(fingerprint, result)
 
 
@@ -690,7 +636,6 @@ def run_many(
     specs: Iterable[RunSpec],
     *,
     parallel: int = 1,
-    validate: bool = True,
     cache: bool = True,
     cache_dir: str | Path | None = None,
     cache_max_entries: int | None = None,
@@ -703,7 +648,9 @@ def run_many(
     execution regardless of ``parallel``.  Duplicate specs (same
     fingerprint) are executed once and share the result object;
     already-cached specs (in-process, or on-disk
-    when ``cache_dir`` is given) are not re-executed at all.
+    when ``cache_dir`` is given) are not re-executed at all.  Every
+    executed spec is validated as in :func:`run`, inside its worker
+    when ``parallel > 1``.
 
     Parameters
     ----------
@@ -713,8 +660,8 @@ def run_many(
         Worker process count; ``1`` (the default) runs serially in
         this process.  Parallel execution is deterministic: results
         are keyed by spec fingerprint, never by completion order.
-    validate / cache / cache_dir / cache_max_entries:
-        As for :func:`run` (validation happens inside workers).
+    cache / cache_dir / cache_max_entries:
+        As for :func:`run`.
     on_error:
         Failure policy (see :func:`run_many_iter`): ``"raise"``
         (default) aborts the batch with the failing spec's index and
@@ -727,7 +674,6 @@ def run_many(
     for index, result in run_many_iter(
         ordered,
         parallel=parallel,
-        validate=validate,
         cache=cache,
         cache_dir=cache_dir,
         cache_max_entries=cache_max_entries,

@@ -66,7 +66,7 @@ from repro.cluster.worker import (
     load_dead_letters,
     work_loop,
 )
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ParameterError
 from repro.results import RunResult, fingerprint_of
 from repro.telemetry.events import emit_event, events_dir_of, read_events
 
@@ -371,7 +371,6 @@ def spawn_local_worker(
     job_dir: str | Path,
     *,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    validate: bool = True,
     on_error: str | FailurePolicy = "capture",
     extra_env: Mapping[str, str] | None = None,
 ) -> subprocess.Popen:
@@ -382,10 +381,29 @@ def spawn_local_worker(
     the caller exporting anything.  The failure policy is forwarded as
     CLI flags; ``extra_env`` adds environment variables (the chaos
     harness ships its fault plan to workers this way).
+
+    The worker CLI has no flags for ``max_backoff_s`` or
+    ``backoff_seed``.  A policy that backs off (``backoff_s > 0``) with
+    either changed from its :class:`~repro.api.failures.FailurePolicy`
+    default raises :class:`~repro.errors.ParameterError` before any
+    process starts: the worker would sleep a different retry schedule
+    from this process's drain.
     """
     import repro
 
     policy = resolve_policy(on_error)
+    default = FailurePolicy()
+    unforwarded = [
+        name
+        for name in ("max_backoff_s", "backoff_seed")
+        if getattr(policy, name) != getattr(default, name)
+    ]
+    if policy.backoff_s > 0 and unforwarded:
+        raise ParameterError(
+            f"a spawned worker cannot take {' or '.join(unforwarded)} "
+            "(the worker CLI has no such flag), so it would back off on "
+            "a different schedule; keep their defaults or set backoff_s=0"
+        )
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
@@ -411,8 +429,6 @@ def spawn_local_worker(
     ]
     if policy.timeout_s is not None:
         command.extend(["--timeout-s", str(policy.timeout_s)])
-    if not validate:
-        command.append("--no-validate")
     return subprocess.Popen(
         command,
         env=env,
@@ -589,7 +605,6 @@ def run_sharded_iter(
     *,
     shards: int | str = 2,
     local_workers: int = 0,
-    validate: bool = True,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     clock: Callable[[], float] = time.time,
     on_error: str | FailurePolicy = "capture",
@@ -639,7 +654,6 @@ def run_sharded_iter(
         spawn_local_worker(
             job_dir,
             lease_ttl=lease_ttl,
-            validate=validate,
             on_error=on_error,
             extra_env=worker_env,
         )
@@ -710,7 +724,6 @@ def run_sharded_iter(
                 job_dir,
                 lease_ttl=lease_ttl,
                 clock=clock,
-                validate=validate,
                 max_shards=1,
                 verified=verified,
                 on_error=on_error,
@@ -739,7 +752,6 @@ def run_sharded(
     *,
     shards: int | str = 2,
     local_workers: int = 0,
-    validate: bool = True,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     clock: Callable[[], float] = time.time,
     on_error: str | FailurePolicy = "capture",
@@ -783,7 +795,7 @@ def run_sharded(
     worker_env:
         Extra environment variables for spawned workers (the chaos
         harness ships fault plans this way).
-    validate / lease_ttl / clock:
+    lease_ttl / clock:
         As for the worker loop.
     """
     results: dict[int, RunResult] = {}
@@ -792,7 +804,6 @@ def run_sharded(
         job_dir,
         shards=shards,
         local_workers=local_workers,
-        validate=validate,
         lease_ttl=lease_ttl,
         clock=clock,
         on_error=on_error,

@@ -189,7 +189,6 @@ def run_shard(
     queue: ShardQueue,
     *,
     plan_fingerprint: str,
-    validate: bool = True,
     on_error: str | FailurePolicy = "capture",
 ) -> int | None:
     """Execute one claimed shard; returns specs run, or ``None`` if lost.
@@ -244,7 +243,6 @@ def run_shard(
             for index, result in run_many_iter(
                 batch,
                 parallel=1,
-                validate=validate,
                 cache=False,  # worker processes are short-lived; disk is the memo
                 cache_dir=cache_dir_of(job_dir),
                 on_error=policy,
@@ -294,7 +292,6 @@ def work_loop(
     worker_id: str | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     clock: Callable[[], float] = time.time,
-    validate: bool = True,
     max_shards: int | None = None,
     verified: set[int] | None = None,
     on_error: str | FailurePolicy = "capture",
@@ -379,7 +376,6 @@ def work_loop(
                 shard,
                 queue,
                 plan_fingerprint=plan_fingerprint,
-                validate=validate,
                 on_error=on_error,
             )
             if executed is None:

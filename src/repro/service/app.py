@@ -216,9 +216,6 @@ class ReproService:
         Root of the service's disk state: single-run results cache
         under ``cache/``, one cluster job directory per batch under
         ``jobs/<plan-fingerprint>/``.
-    validate:
-        Independently re-validate every produced coloring (as the
-        executor's ``validate=``).
     cache_max_entries:
         LRU budget for the single-run cache (``None`` = unbounded).
     max_local_workers:
@@ -226,6 +223,10 @@ class ReproService:
     default_shards:
         Shard count for jobs that do not specify one (``"auto"`` sizes
         to CPU count and batch length).
+
+    Every result it serves was validated by the executor when it was
+    solved, in a pool worker or a job's shard; cache and coalesced
+    replies hand out such a result without checking it again.
 
     The solve pool's workers, one per CPU, are forked here, before any
     server thread starts; call :meth:`close` to stop them.
@@ -235,7 +236,6 @@ class ReproService:
         self,
         data_dir: str | Path,
         *,
-        validate: bool = True,
         cache_max_entries: int | None = None,
         max_local_workers: int = 2,
         default_shards: int | str = "auto",
@@ -244,7 +244,6 @@ class ReproService:
         self.cache_dir = self.data_dir / CACHE_SUBDIR
         self.jobs_dir = self.data_dir / JOBS_SUBDIR
         self.ledger_dir = self.data_dir / LEDGER_SUBDIR
-        self.validate = validate
         self.cache_max_entries = cache_max_entries
         self.max_local_workers = max_local_workers
         self.default_shards = default_shards
@@ -257,7 +256,6 @@ class ReproService:
         self.workers = os.cpu_count() or 1
         self.max_inflight = INFLIGHT_PER_WORKER * self.workers
         self._worker_options = {
-            "validate": validate,
             "cache_dir": str(self.cache_dir),
             "cache_max_entries": cache_max_entries,
             "on_error": FailurePolicy(on_error="capture").to_dict(),
@@ -366,7 +364,6 @@ class ReproService:
         result, _ = _replay_cached(
             fingerprint,
             spec,
-            validate=self.validate,
             cache=False,  # the process-global memo would bypass LRU
             cache_dir=self.cache_dir,
             ledger_dir=self.ledger_dir,
@@ -494,7 +491,6 @@ class ReproService:
                 job.job_dir,
                 shards=job.shards,
                 local_workers=job.local_workers,
-                validate=self.validate,
                 on_error="capture",
             ):
                 job.record(index, result.to_dict())

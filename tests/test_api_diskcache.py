@@ -39,7 +39,7 @@ def _hammer_store(cache_dir: str, fingerprint: str, spec_dict: dict, rounds: int
         run(Spec.from_dict(spec_dict), cache=False), fingerprint=fingerprint
     )
     for _ in range(rounds):
-        store(cache_dir, fingerprint, result, True)
+        store(cache_dir, fingerprint, result)
 
 
 class TestConcurrentWriters:
@@ -73,8 +73,7 @@ class TestConcurrentWriters:
         assert leftovers == []  # no orphaned temp files
         final = disk_load(tmp_path, fingerprint)
         assert final is not None
-        result, validated = final
-        assert validated and result.fingerprint == fingerprint
+        assert final.fingerprint == fingerprint
 
     def test_atomic_write_cleans_its_temp_file_on_failure(self, tmp_path):
         class Unserializable:
@@ -232,9 +231,9 @@ class TestResultFingerprintOnce:
             return to_dict(self, **kwargs)
 
         monkeypatch.setattr(RunResult, "to_dict", counted)
-        disk_store(tmp_path, "f" * 64, result, True)
+        disk_store(tmp_path, "f" * 64, result)
         assert len(calls) == 1
-        loaded, _ = disk_load(tmp_path, "f" * 64)
+        loaded = disk_load(tmp_path, "f" * 64)
         assert len(calls) == 2  # the seal check
         assert loaded.__dict__["_result_fingerprint"] == (
             result.result_fingerprint()
@@ -243,7 +242,7 @@ class TestResultFingerprintOnce:
         assert len(calls) == 2
 
     def test_a_tampered_entry_is_still_a_miss(self, result, tmp_path):
-        disk_store(tmp_path, "f" * 64, result, True)
+        disk_store(tmp_path, "f" * 64, result)
         path = disk_path(tmp_path, "f" * 64)
         payload = read_json(path)
         token = next(iter(payload["result"]["coloring"]))

@@ -25,7 +25,6 @@ def test_every_algorithm_validates_on_small_random_instances(family, size, seed)
     for algorithm in algorithm_names():
         result = run(
             RunSpec(instance=instance, algorithm=algorithm),
-            validate=True,
             cache=False,
         )
         assert not result.is_failure(), (algorithm, instance.label())

@@ -16,6 +16,7 @@ from repro.api import (
     run_many_iter,
     specs_for_race,
 )
+from repro.api.diskcache import DISK_FORMAT
 from repro.api.registry import algorithm_names
 from repro.baselines.registry import BaselineResult, run_baseline
 from repro.core.solver import SolveResult, solve_edge_coloring
@@ -86,23 +87,24 @@ class TestRun:
         assert trashed.result_fingerprint() != pristine
         assert run(spec).result_fingerprint() == pristine
 
-    def test_validate_true_upgrades_unvalidated_cache_entries(self, monkeypatch):
-        # A validate=False run populates the cache; the next
-        # validate=True request must actually validate (once) before
-        # the entry may satisfy it.
+    def test_cache_hits_are_not_revalidated(self, tmp_path, monkeypatch):
+        # Only an execution validates: its result was checked before it
+        # was stored, so memory and disk hits serve it as stored.
         import repro.api.runner as runner_module
 
         spec = RunSpec(InstanceSpec(family="cycle", size=9, seed=1))
-        unvalidated = run(spec, validate=False)
+        first = run(spec, cache_dir=tmp_path)
         calls: list[object] = []
         monkeypatch.setattr(
             runner_module, "_validate", lambda result, graph: calls.append(result)
         )
-        validated = run(spec, validate=True)
-        assert validated.result_fingerprint() == unvalidated.result_fingerprint()
+        assert run(spec, cache_dir=tmp_path) is first  # memory hit
+        clear_result_cache()
+        from_disk = run(spec, cache_dir=tmp_path)  # disk hit
+        assert from_disk.result_fingerprint() == first.result_fingerprint()
+        assert calls == []  # not re-checked per hit
+        run(spec, cache=False)  # an execution does reach the seam
         assert len(calls) == 1
-        run(spec, validate=True)
-        assert len(calls) == 1  # upgraded once, not re-checked per hit
 
     def test_cache_opt_out(self):
         spec = RunSpec(InstanceSpec(family="cycle", size=9, seed=1))
@@ -174,7 +176,8 @@ class TestDiskCache:
         assert path.exists()
         payload = json.loads(path.read_text())
         assert payload["fingerprint"] == spec.fingerprint()
-        assert payload["validated"] is True
+        assert payload["format"] == DISK_FORMAT == 2
+        assert "validated" not in payload  # every stored result is validated
         assert payload["result"]["rounds"] == result.rounds
 
     def test_disk_hit_survives_cleared_memory_cache(self, tmp_path, monkeypatch):
@@ -195,10 +198,15 @@ class TestDiskCache:
         assert resumed.rounds == first.rounds
         assert resumed.coloring == first.coloring
 
+    @pytest.mark.parametrize("entry_point", ["run", "run_many", "run_sharded"])
     @pytest.mark.parametrize("corruption", ["neighbor color", "off palette"])
-    def test_corrupted_bko20_result_fails_validation(self, monkeypatch, corruption):
+    def test_corrupted_bko20_result_fails_validation(
+        self, tmp_path, monkeypatch, corruption, entry_point
+    ):
         """The solver leaves uniform lists unchecked; the runner's
-        properness and palette checks still catch a bad result."""
+        properness and palette checks still catch a bad result, on
+        every entry point, and the bad result enters no cache."""
+        from repro.cluster import cache_dir_of, run_sharded
         from repro.core.solver import RecursiveSolver
         from repro.errors import ColoringValidationError
 
@@ -215,8 +223,24 @@ class TestDiskCache:
 
         monkeypatch.setattr(RecursiveSolver, "solve_internal", corrupted)
         spec = RunSpec(InstanceSpec(family="complete_bipartite", size=3, seed=2))
-        with pytest.raises(ColoringValidationError):
-            run(spec, cache=False)
+        cache_dir = tmp_path / "cache"
+        if entry_point == "run":
+            with pytest.raises(ColoringValidationError):
+                run(spec, cache_dir=cache_dir)
+        else:
+            if entry_point == "run_many":
+                results = run_many([spec], cache_dir=cache_dir, on_error="capture")
+            else:
+                job = tmp_path / "job"
+                cache_dir = cache_dir_of(job)
+                results = run_sharded(
+                    [spec], job, shards=1, local_workers=0, on_error="capture"
+                )
+            [failed] = results
+            assert failed.is_failure()
+            assert failed.error_type == ColoringValidationError.__name__
+        assert result_cache_size() == 0
+        assert list(cache_dir.glob("*.json")) == []
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         spec = RunSpec(InstanceSpec(family="cycle", size=9, seed=1))
@@ -229,13 +253,30 @@ class TestDiskCache:
         again = run(spec, cache_dir=tmp_path)
         assert again.rounds == first.rounds  # re-solved, not trusted
 
-    def test_unvalidated_disk_entry_upgrades_on_validate(self, tmp_path):
+    def test_format_1_unvalidated_entry_is_a_miss(self, tmp_path, monkeypatch):
+        # An entry stored unchecked under the old format is never
+        # served: the spec re-solves, validates and rewrites it.
+        import repro.api.runner as runner_module
+
         spec = RunSpec(InstanceSpec(family="cycle", size=9, seed=1))
-        run(spec, validate=False, cache=False, cache_dir=tmp_path)
+        first = run(spec, cache=False, cache_dir=tmp_path)
         path = tmp_path / f"{spec.fingerprint()}.json"
-        assert json.loads(path.read_text())["validated"] is False
-        run(spec, validate=True, cache=False, cache_dir=tmp_path)
-        assert json.loads(path.read_text())["validated"] is True
+        payload = json.loads(path.read_text())
+        payload.update(format=1, validated=False)
+        path.write_text(json.dumps(payload))
+        calls: list[object] = []
+        validate = runner_module._validate
+        monkeypatch.setattr(
+            runner_module,
+            "_validate",
+            lambda result, graph: (calls.append(result), validate(result, graph)),
+        )
+        again = run(spec, cache=False, cache_dir=tmp_path)
+        assert len(calls) == 1  # re-solved and validated
+        assert again.result_fingerprint() == first.result_fingerprint()
+        rewritten = json.loads(path.read_text())
+        assert rewritten["format"] == DISK_FORMAT == 2
+        assert "validated" not in rewritten
 
     def test_memory_hit_still_spills_to_disk(self, tmp_path):
         spec = RunSpec(InstanceSpec(family="cycle", size=9, seed=1))

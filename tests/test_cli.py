@@ -378,3 +378,13 @@ class TestServeCommand:
         assert payload["executions"] == 1
         assert payload["coalesced"] == payload["clients"] - 1
         assert payload["byte_identical"] is True
+
+
+class TestValidationHasNoSwitch:
+    @pytest.mark.parametrize("argv", [["worker", "job"], ["serve"]])
+    def test_no_validate_is_an_argparse_error(self, argv, capsys):
+        # Every result is validated; there is no opt-out flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-validate"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-validate" in capsys.readouterr().err

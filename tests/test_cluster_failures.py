@@ -12,6 +12,8 @@ Pins the robustness contracts of the cluster layer:
   half-trusted and never wedging the job;
 * the coordinator's bounded wait reaps wedged worker subprocesses
   (terminate → kill) and records the events.
+* a spawned worker backs off on the coordinator's schedule, or is not
+  spawned at all.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from repro.cluster import (
     load_plan,
     merge_results,
     run_sharded,
+    spawn_local_worker,
     wait_for_workers,
 )
 from repro.cluster.planner import manifest_path
 from repro.cluster.queue import ShardQueue, claim_path, result_path
-from repro.errors import ClusterError, InjectedFault
+from repro.errors import ClusterError, InjectedFault, ParameterError
 from repro.results import canonical_json
 from repro.telemetry.events import emit_event, events_dir_of
 
@@ -248,3 +251,59 @@ class TestWorkerReaping:
             [proc], tmp_path, lease_ttl=0.5, grace_s=5.0, poll_s=0.05
         )
         assert job_status(tmp_path)["worker_events"] == events
+
+
+class TestSpawnedWorkerPolicy:
+    """A worker gets its failure policy as CLI flags.  There is no flag
+    for ``max_backoff_s`` or ``backoff_seed``, so a backing-off policy
+    that changes either is refused before any process starts."""
+
+    @pytest.fixture()
+    def spawned(self, monkeypatch):
+        from repro.cluster import coordinator
+
+        commands: list[list[str]] = []
+        real_popen = subprocess.Popen
+
+        def fake_popen(command, **kwargs):
+            if command[1:4] != ["-m", "repro", "worker"]:
+                return real_popen(command, **kwargs)
+            commands.append(command)
+            return real_popen([sys.executable, "-c", "pass"])
+
+        monkeypatch.setattr(coordinator.subprocess, "Popen", fake_popen)
+        return commands
+
+    @pytest.mark.parametrize(
+        "changed", [{"max_backoff_s": 5.0}, {"backoff_seed": 7}]
+    )
+    def test_unforwardable_backoff_spawns_no_worker(
+        self, tmp_path, spawned, changed
+    ):
+        policy = FailurePolicy(on_error="capture", backoff_s=0.5, **changed)
+        with pytest.raises(ParameterError, match=next(iter(changed))):
+            spawn_local_worker(tmp_path, on_error=policy)
+        with pytest.raises(ParameterError):
+            run_sharded(
+                small_specs(), tmp_path / "job", local_workers=2,
+                on_error=policy,
+            )
+        assert spawned == []
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            # The chaos smoke's policy: no backoff, so the seed is moot.
+            FailurePolicy(
+                on_error="capture", retries=1, backoff_s=0.0,
+                timeout_s=20.0, backoff_seed=3,
+            ),
+            FailurePolicy(on_error="capture", retries=2, backoff_s=0.5),
+        ],
+    )
+    def test_forwardable_policy_spawns(self, tmp_path, spawned, policy):
+        spawn_local_worker(tmp_path, on_error=policy).wait()
+        [command] = spawned
+        flags = dict(zip(command[5::2], command[6::2]))
+        assert flags["--retries"] == str(policy.retries)
+        assert flags["--backoff-s"] == str(policy.backoff_s)
