@@ -435,7 +435,7 @@ def run(
 
 def _run_in_worker(
     payload: tuple[dict[str, Any], dict[str, Any], bool]
-) -> RunResult | tuple[dict[str, Any], dict[str, Any]]:
+) -> RunResult | tuple[dict[str, Any], dict[str, Any], str]:
     """Pool entry point: rebuild the spec from its dict form and run it.
 
     ``payload`` is ``(spec_dict, options, as_dict)``.  ``options`` are
@@ -449,10 +449,12 @@ def _run_in_worker(
 
     With ``as_dict`` false the result comes back pickled, ledger tree
     and all (``run_many(parallel=N)``).  With ``as_dict`` true it comes
-    back as ``(result.to_dict(), observed)``, where ``observed`` holds
-    the disposition, attempts and wall-clock of the resolution: the
-    caller rebuilds the result with :meth:`RunResult.from_dict` (the
-    form a disk-cache hit serves) and writes the ledger row itself.
+    back as ``(result.to_dict(), observed, result_fingerprint)``, where
+    ``observed`` holds the disposition, attempts and wall-clock of the
+    resolution: the caller rebuilds the result with
+    :meth:`RunResult.from_dict` (the form a disk-cache hit serves),
+    takes its result fingerprint from the third item (``disk_store``
+    already computed it here), and writes the ledger row itself.
     """
     spec_dict, options, as_dict = payload
     options = dict(options)
@@ -462,7 +464,7 @@ def _run_in_worker(
         RunSpec.from_dict(spec_dict), cache=False, _observed=observed, **options
     )
     if as_dict:
-        return result.to_dict(), observed
+        return result.to_dict(), observed, result.result_fingerprint()
     return result
 
 

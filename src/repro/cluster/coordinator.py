@@ -367,6 +367,26 @@ def job_status(
     return status
 
 
+def _forwardable(on_error: str | FailurePolicy) -> FailurePolicy:
+    """The resolved policy, or :class:`~repro.errors.ParameterError` if
+    a spawned worker could not follow it (see
+    :func:`spawn_local_worker`)."""
+    policy = resolve_policy(on_error)
+    default = FailurePolicy()
+    unforwarded = [
+        name
+        for name in ("max_backoff_s", "backoff_seed")
+        if getattr(policy, name) != getattr(default, name)
+    ]
+    if policy.backoff_s > 0 and unforwarded:
+        raise ParameterError(
+            f"a spawned worker cannot take {' or '.join(unforwarded)} "
+            "(the worker CLI has no such flag), so it would back off on "
+            "a different schedule; keep their defaults or set backoff_s=0"
+        )
+    return policy
+
+
 def spawn_local_worker(
     job_dir: str | Path,
     *,
@@ -391,19 +411,7 @@ def spawn_local_worker(
     """
     import repro
 
-    policy = resolve_policy(on_error)
-    default = FailurePolicy()
-    unforwarded = [
-        name
-        for name in ("max_backoff_s", "backoff_seed")
-        if getattr(policy, name) != getattr(default, name)
-    ]
-    if policy.backoff_s > 0 and unforwarded:
-        raise ParameterError(
-            f"a spawned worker cannot take {' or '.join(unforwarded)} "
-            "(the worker CLI has no such flag), so it would back off on "
-            "a different schedule; keep their defaults or set backoff_s=0"
-        )
+    policy = _forwardable(on_error)
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
@@ -491,9 +499,17 @@ class WorkerWatch:
         self.events: list[dict[str, Any]] = []
         self._stream_dir = events_dir_of(job_dir)
         self._clock = clock
-        self._waiting = {index: proc for index, proc in enumerate(procs)}
-        self._last_alive = {index: clock() for index in self._waiting}
+        self._waiting: dict[int, subprocess.Popen] = {}
+        self._last_alive: dict[int, float] = {}
         self._claims_dir = claim_path(job_dir, 0).parent
+        for proc in procs:
+            self.add(proc)
+
+    def add(self, proc: subprocess.Popen) -> None:
+        """Watch one more worker, alive as of now."""
+        index = len(self._last_alive)
+        self._waiting[index] = proc
+        self._last_alive[index] = self._clock()
 
     def _record(self, event: str, **fields: Any) -> None:
         """Keep one worker event and emit it to the job's event stream."""
@@ -635,10 +651,15 @@ def run_sharded_iter(
     Closing the generator early stops the spawned workers (terminate →
     kill, emitted as ``worker_stopped`` events) but keeps the job directory
     resumable: published shards survive, interrupted leases go stale
-    and are reclaimed by the next run.
+    and are reclaimed by the next run.  So does a spawn that fails
+    part-way: the workers already started are stopped.  A policy no
+    spawned worker could follow is refused before the job directory is
+    touched.
 
     Parameters are those of :func:`run_sharded`.
     """
+    if local_workers > 0:
+        _forwardable(on_error)
     plan = ensure_plan(specs, job_dir, shards=shards)
     plan_fingerprint = plan.plan_fingerprint()
     stream_dir = events_dir_of(job_dir)
@@ -650,27 +671,8 @@ def run_sharded_iter(
         specs=len(plan.specs),
         local_workers=max(0, local_workers),
     )
-    procs = [
-        spawn_local_worker(
-            job_dir,
-            lease_ttl=lease_ttl,
-            on_error=on_error,
-            extra_env=worker_env,
-        )
-        for _ in range(max(0, local_workers))
-    ]
-    for proc in procs:
-        emit_event("worker_spawn", stream_dir, pid=proc.pid)
-    watch = (
-        WorkerWatch(
-            procs,
-            job_dir,
-            lease_ttl=lease_ttl,
-            grace_s=worker_grace_s,
-            clock=clock,
-        )
-        if procs
-        else None
+    watch = WorkerWatch(
+        [], job_dir, lease_ttl=lease_ttl, grace_s=worker_grace_s, clock=clock
     )
     indices_of: dict[str, list[int]] = {}
     for index, fingerprint in enumerate(plan.fingerprints):
@@ -679,6 +681,15 @@ def run_sharded_iter(
     verified: set[int] = set()
     complete = False
     try:
+        for _ in range(local_workers):
+            proc = spawn_local_worker(
+                job_dir,
+                lease_ttl=lease_ttl,
+                on_error=on_error,
+                extra_env=worker_env,
+            )
+            watch.add(proc)
+            emit_event("worker_spawn", stream_dir, pid=proc.pid)
         while len(emitted) < plan.shards:
             progressed = False
             for shard in range(plan.shards):
@@ -705,9 +716,8 @@ def run_sharded_iter(
                         yield index, result
             if len(emitted) == plan.shards:
                 break
-            if watch is not None:
-                watch.poll()
-            if watch is not None and watch.waiting:
+            watch.poll()
+            if watch.waiting:
                 # Workers still run: just watch for their next sealed
                 # shard (claiming here would race our own workers for
                 # their work).
@@ -732,18 +742,16 @@ def run_sharded_iter(
                 time.sleep(min(1.0, max(0.05, lease_ttl / 20)))
         complete = True
     finally:
-        if watch is not None:
-            if complete:
-                watch.drain()
-            else:
-                watch.shutdown()
         if complete:
+            watch.drain()
             emit_event(
                 "job_complete",
                 stream_dir,
                 plan_fingerprint=plan_fingerprint,
                 shards=plan.shards,
             )
+        else:
+            watch.shutdown()
 
 
 def run_sharded(

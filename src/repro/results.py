@@ -19,7 +19,9 @@ Results are **immutable**: the dataclasses are frozen, ``coloring``,
 with lists turned into tuples), and an attached
 :class:`~repro.core.ledger.RoundLedger` is frozen.  Caches, duplicate
 specs and coalesced service requests therefore share one result object
-instead of copying it; derive a changed result with
+instead of copying it, and the serializations a result memoizes
+(:meth:`RunResult.result_fingerprint`, :meth:`RunResult.to_json`) are
+shared with it; derive a changed result with
 :func:`dataclasses.replace`.
 """
 
@@ -236,6 +238,20 @@ class RunResult:
         if cached is None:
             cached = self.sealed_dict()[1]
         return cached
+
+    def to_json(self) -> str:
+        """``json.dumps(to_dict(), sort_keys=True, default=repr)``: the
+        text the service embeds in its responses.
+
+        Computed once per object and kept, like
+        :meth:`result_fingerprint`, in the instance ``__dict__``, so
+        pickling and :func:`dataclasses.replace` never carry it.
+        """
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_dict(), sort_keys=True, default=repr)
+            object.__setattr__(self, "_json", text)
+        return text
 
     def sealed_dict(self) -> tuple[dict[str, Any], str]:
         """``(to_dict(), result_fingerprint())`` from one serialization.

@@ -8,21 +8,34 @@ service is built around —
 
 **Single runs coalesce on the spec fingerprint.**  ``run_one`` keys
 every request by ``spec.fingerprint()`` (the same SHA-256 identity the
-executor caches under).  A fingerprint already on disk is a cache hit;
+executor caches under).  A fingerprint already answered is a cache hit;
 a fingerprint currently *executing* is an in-flight hit: the first
 request becomes the **leader** and actually solves, every concurrent
 identical request becomes a **follower** that blocks on the leader's
 :class:`threading.Event` and receives the same (immutable) result
 object.  A million identical POSTs cost one solve.
 
+**Repeats are answered from memory.**  Every successful result the
+server answers with — a disk-cache hit, or a leader's solved miss —
+enters a bounded LRU map keyed by spec fingerprint, holding at most
+:data:`MEMORY_CACHE_BYTES` of result JSON.  A repeat found there reads
+no file: it refreshes its disk entry's mtime (so
+:func:`~repro.api.diskcache.prune_cache` still evicts in use order),
+writes a ``cache_memory`` ledger row and is served as a cache hit.  An
+evicted fingerprint, or the first repeat after a restart, is read from
+the disk cache and enters the map again.  Failures never enter it: the
+disk cache holds none either, and a poison spec re-executes.
+
 **Solves run in a process pool.**  The solver is CPU-bound Python, so
 a solve on a handler thread would hold the GIL while cache hits wait.
 A leader's miss therefore goes to a fixed pool of forked worker
 processes (one per CPU), started when the service is constructed.  A
 worker builds, solves, validates and stores the disk-cache entry, and
-sends back only the result's ``to_dict()`` form; the server rebuilds
-it with :meth:`~repro.results.RunResult.from_dict`, the form a
-disk-cache hit serves.  Coalescing, cache lookups, the run ledger and
+sends back only the result's ``to_dict()`` form and the result
+fingerprint it sealed the entry with; the server rebuilds the result
+with :meth:`~repro.results.RunResult.from_dict`, the form a disk-cache
+hit serves, and adopts that fingerprint, so it serializes the result
+once, for the response.  Coalescing, cache lookups, the run ledger and
 metrics stay in the server process.  At most
 ``INFLIGHT_PER_WORKER * workers`` runs are in flight: a further miss
 is refused with :class:`~repro.errors.ServiceUnavailable` (HTTP 503),
@@ -51,11 +64,13 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.api.diskcache import touch_entry
 from repro.api.failures import FailurePolicy
 from repro.api.runner import _replay as _replay_cached, _run_in_worker
 from repro.api.spec import RunSpec
@@ -79,6 +94,11 @@ LEDGER_SUBDIR = "ledger"
 #: In-flight single runs admitted per pool worker; a miss beyond
 #: ``INFLIGHT_PER_WORKER * workers`` of them is refused with a 503.
 INFLIGHT_PER_WORKER = 2
+
+#: Bytes of result JSON (``len(result.to_json())``) the service holds
+#: in memory for repeat requests; least recently used results beyond
+#: it are dropped and served from the disk cache again.
+MEMORY_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Seconds a refused client is told to wait (the ``Retry-After`` header).
 RETRY_AFTER_S = 1
@@ -228,6 +248,10 @@ class ReproService:
     solved, in a pool worker or a job's shard; cache and coalesced
     replies hand out such a result without checking it again.
 
+    Successful single-run results it has answered with stay in a
+    bounded in-memory LRU (:data:`MEMORY_CACHE_BYTES` of result JSON)
+    in front of the disk cache; repeats are served from it.
+
     The solve pool's workers, one per CPU, are forked here, before any
     server thread starts; call :meth:`close` to stop them.
     """
@@ -253,6 +277,9 @@ class ReproService:
         self._inflight_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
+        self._memory: OrderedDict[str, tuple[RunResult, int]] = OrderedDict()
+        self._memory_bytes = 0
+        self._memory_lock = threading.Lock()
         self.workers = os.cpu_count() or 1
         self.max_inflight = INFLIGHT_PER_WORKER * self.workers
         self._worker_options = {
@@ -279,7 +306,7 @@ class ReproService:
 
         ``source`` says where the bytes came from: ``"executed"`` (this
         request was the leader and solved), ``"cache"`` (replayed from
-        the disk cache), or ``"coalesced"`` (joined a concurrent
+        memory or the disk cache), or ``"coalesced"`` (joined a concurrent
         identical request and received its result).  Captured
         failures come back as :class:`~repro.results.FailedResult`
         objects through the same three paths — a failure is an answer,
@@ -292,6 +319,10 @@ class ReproService:
         leader whatever the load.
         """
         fingerprint = spec.fingerprint()
+        result = self._from_memory(spec, fingerprint)
+        if result is not None:
+            self._observe_run("cache", result)
+            return fingerprint, result, "cache"
         with self._inflight_lock:
             entry = self._inflight.get(fingerprint)
             if entry is not None:
@@ -347,6 +378,7 @@ class ReproService:
                 )
                 if not observed["disposition"].startswith("cache_"):
                     source = "executed"
+                self._remember(fingerprint, result)
             entry.result = result
         except BaseException as exc:
             entry.error = exc
@@ -358,16 +390,57 @@ class ReproService:
         self._observe_run(source, result)
         return fingerprint, result, source
 
+    def _from_memory(self, spec: RunSpec, fingerprint: str) -> RunResult | None:
+        """The remembered result of ``fingerprint`` (disk entry touched,
+        ``cache_memory`` ledger row written), or ``None``."""
+        with self._memory_lock:
+            held = self._memory.get(fingerprint)
+            if held is None:
+                return None
+            self._memory.move_to_end(fingerprint)
+        result = held[0]
+        touch_entry(self.cache_dir, fingerprint)
+        record_run(
+            self.ledger_dir,
+            spec=spec,
+            fingerprint=fingerprint,
+            disposition="cache_memory",
+            result=result,
+            attempts=0,
+        )
+        return result
+
+    def _remember(self, fingerprint: str, result: RunResult) -> None:
+        """Hold a successful result for repeats; drop the least recently
+        used ones beyond :data:`MEMORY_CACHE_BYTES`."""
+        if result.is_failure():
+            return
+        size = len(result.to_json())
+        with self._memory_lock:
+            held = self._memory.pop(fingerprint, None)
+            if held is not None:
+                self._memory_bytes -= held[1]
+            self._memory[fingerprint] = (result, size)
+            self._memory_bytes += size
+            while self._memory_bytes > MEMORY_CACHE_BYTES:
+                _, (_, dropped) = self._memory.popitem(last=False)
+                self._memory_bytes -= dropped
+
     def _from_cache(self, spec: RunSpec, fingerprint: str) -> RunResult | None:
-        """The disk-cache entry of ``fingerprint`` (ledger row written),
-        or ``None`` on a miss."""
+        """The disk-cache entry of ``fingerprint`` (ledger row written,
+        result remembered), or ``None`` on a miss."""
         result, _ = _replay_cached(
             fingerprint,
             spec,
-            cache=False,  # the process-global memo would bypass LRU
+            # Not the executor's process-global memo: it is unbounded
+            # and would bypass the disk LRU; the service remembers
+            # what it serves itself.
+            cache=False,
             cache_dir=self.cache_dir,
             ledger_dir=self.ledger_dir,
         )
+        if result is not None:
+            self._remember(fingerprint, result)
         return result
 
     def _solve(
@@ -378,7 +451,8 @@ class ReproService:
         The one place a spec leaves the server process, and so the seam
         tests and the smoke wrap to count executions.  ``observed``
         holds the disposition, attempts and wall-clock the ledger row
-        records.  A pool found broken before the submit is replaced
+        records; the result carries the result fingerprint the worker
+        computed.  A pool found broken before the submit is replaced
         and the spec submitted to the new one; a worker that dies
         under this solve fails it (and its followers) once with
         :class:`~repro.errors.ServiceUnavailable`, and the next
@@ -399,7 +473,7 @@ class ReproService:
                 pool = self._replace_pool(pool)
                 future = pool.submit(_run_in_worker, payload)
             try:
-                body, observed = future.result()
+                body, observed, seal = future.result()
             except BrokenProcessPool as exc:
                 self._replace_pool(pool)
                 raise ServiceUnavailable(
@@ -408,7 +482,11 @@ class ReproService:
         finally:
             with self._pool_lock:
                 self._solving -= 1
-        return RunResult.from_dict(body), observed
+        result = RunResult.from_dict(body)
+        # The worker computed this fingerprint when it sealed the disk
+        # entry; adopting it spares the server a second serialization.
+        object.__setattr__(result, "_result_fingerprint", seal)
+        return result, observed
 
     def _replace_pool(self, broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
         """Swap a broken pool for a fresh one (once, however many

@@ -39,6 +39,11 @@ Contract details the tests pin:
   of in-flight runs, or a pool worker died under it — is a **503**
   with ``Retry-After``; cache hits and coalesced followers are never
   refused.
+* A ``POST /v1/run`` answer is the sorted JSON envelope
+  ``{"failed", "fingerprint", "result", "source"}`` around the result's
+  memoized :meth:`~repro.results.RunResult.to_json` text; like every
+  non-streamed response, its status line, headers and body are
+  buffered and leave in one socket write.
 * The stream endpoint speaks HTTP/1.0 with ``Connection: close`` and
   no Content-Length: each line is flushed as its slot fills, and EOF
   marks the end of the batch — readable with nothing but ``urllib``.
@@ -90,6 +95,12 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: stalls mid-request (headers or body) has its connection closed
 #: instead of holding a handler thread forever.
 REQUEST_TIMEOUT_S = 30.0
+
+#: Write buffer of every connection, in bytes.  A response's status
+#: line, headers and body collect in it and leave in one socket write
+#: when the handler finishes (a larger body in two); the streaming
+#: endpoints flush their headers and each line themselves.
+WRITE_BUFFER_BYTES = 64 * 1024
 
 
 def _endpoint_label(path: str) -> str:
@@ -162,6 +173,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     quiet = True
     protocol_version = "HTTP/1.0"
     timeout = REQUEST_TIMEOUT_S
+    wbufsize = WRITE_BUFFER_BYTES
 
     # -- plumbing -------------------------------------------------------
 
@@ -175,6 +187,24 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return 0.0
         return (time.perf_counter() - started) * 1000.0
 
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        *,
+        content_type: str,
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        self._status_sent = status
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("X-Repro-Elapsed-Ms", f"{self._elapsed_ms():.3f}")
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
     def _send_json(
         self,
         status: int,
@@ -183,27 +213,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         headers: dict[str, str] | None = None,
     ) -> None:
         body = json.dumps(payload, sort_keys=True, default=repr).encode()
-        self._status_sent = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Repro-Elapsed-Ms", f"{self._elapsed_ms():.3f}")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(
-        self, status: int, text: str, *, content_type: str
-    ) -> None:
-        body = text.encode("utf-8")
-        self._status_sent = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Repro-Elapsed-Ms", f"{self._elapsed_ms():.3f}")
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(
+            status, body, content_type="application/json", headers=headers
+        )
 
     def _read_json(self) -> Any:
         length_text = self.headers.get("Content-Length") or "0"
@@ -309,9 +321,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if fmt == "json":
             self._send_json(200, self.service.metrics.snapshot())
         elif fmt == "prometheus":
-            self._send_text(
+            self._send_body(
                 200,
-                render_prometheus(self.service.metrics.snapshot()),
+                render_prometheus(self.service.metrics.snapshot()).encode(),
                 content_type=PROMETHEUS_CONTENT_TYPE,
             )
         else:
@@ -337,14 +349,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 str(exc),
                 headers={"Retry-After": str(RETRY_AFTER_S)},
             ) from exc
-        self._send_json(
+        # The envelope {"failed", "fingerprint", "result", "source"} in
+        # sorted key order around the result's memoized JSON: the bytes
+        # json.dumps(envelope, sort_keys=True, default=repr) would give.
+        body = (
+            f'{{"failed": {json.dumps(result.is_failure())}, '
+            f'"fingerprint": {json.dumps(fingerprint)}, '
+            f'"result": {result.to_json()}, '
+            f'"source": {json.dumps(source)}}}'
+        )
+        self._send_body(
             200,
-            {
-                "fingerprint": fingerprint,
-                "source": source,
-                "failed": result.is_failure(),
-                "result": result.to_dict(),
-            },
+            body.encode(),
+            content_type="application/json",
             headers={"X-Repro-Fingerprint": fingerprint},
         )
 
@@ -428,6 +445,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("X-Repro-Fingerprint", job.id)
         self.send_header("X-Repro-Elapsed-Ms", f"{self._elapsed_ms():.3f}")
         self.end_headers()
+        self.wfile.flush()
         for index in range(len(job.specs)):
             slot = job.wait_slot(index)
             if slot is None:
@@ -472,6 +490,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("X-Repro-Fingerprint", job.id)
         self.send_header("X-Repro-Elapsed-Ms", f"{self._elapsed_ms():.3f}")
         self.end_headers()
+        self.wfile.flush()
 
         def ship() -> None:
             nonlocal cursor

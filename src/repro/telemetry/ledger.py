@@ -16,7 +16,12 @@ rules of the job event stream (:mod:`repro.telemetry.events`):
   records nothing rather than failing the run;
 * each process appends to its **own** file
   (``<hostname>-<pid>.jsonl``), so concurrent workers never interleave
-  partial lines; readers merge all files of a directory.
+  partial lines; readers merge all files of a directory;
+* a process keeps each file it appends to open (``O_APPEND``, at most
+  :data:`MAX_OPEN_FILES` of them) and writes a line with one
+  ``os.write``.  Like a log, an open file follows a rename or removal:
+  rows appended after one land in the renamed (or unlinked) file, not
+  in a new file at the old path, until the descriptor is closed.
 
 **Record shape.**  Each line is one JSON object.  Run records keep a
 *deterministic core* (spec fingerprint, algorithm, instance/scenario
@@ -34,7 +39,9 @@ import json
 import os
 import platform
 import socket
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
@@ -162,14 +169,75 @@ def resolve_ledger_dir(explicit: str | Path | None) -> str | None:
 
 # --- writing -----------------------------------------------------------
 
+#: Ledger and event files a process keeps open for appending; opening
+#: one more closes the least recently written.
+MAX_OPEN_FILES = 16
+
+#: Open append descriptors of this process, path -> descriptor, in
+#: least-recently-written order.  One lock covers lookup, write and
+#: close, so no thread writes through a descriptor another thread has
+#: closed (and the OS may have reused).
+_OPEN_FILES: OrderedDict[str, int] = OrderedDict()
+_OPEN_FILES_LOCK = threading.Lock()
+
+
+def _close(descriptor: int) -> None:
+    try:
+        os.close(descriptor)
+    except OSError:
+        pass
+
+
+def _forget_open_files() -> None:
+    """In a forked child: drop the parent's descriptors and lock.
+
+    The child appends to its own ``<hostname>-<pid>.jsonl`` files, and
+    the lock may have been held by a parent thread at the fork.
+    """
+    global _OPEN_FILES_LOCK
+    _OPEN_FILES_LOCK = threading.Lock()
+    for descriptor in _OPEN_FILES.values():
+        _close(descriptor)
+    _OPEN_FILES.clear()
+
+
+os.register_at_fork(after_in_child=_forget_open_files)
+
+
+def _append(directory: Path, path: str, data: bytes) -> bool:
+    """Append ``data`` to ``path`` through its kept-open descriptor."""
+    with _OPEN_FILES_LOCK:
+        descriptor = _OPEN_FILES.get(path)
+        try:
+            if descriptor is None:
+                directory.mkdir(parents=True, exist_ok=True)
+                descriptor = os.open(
+                    path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666
+                )
+                _OPEN_FILES[path] = descriptor
+                if len(_OPEN_FILES) > MAX_OPEN_FILES:
+                    _close(_OPEN_FILES.popitem(last=False)[1])
+            else:
+                _OPEN_FILES.move_to_end(path)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(descriptor, view):]
+            return True
+        except OSError:
+            if descriptor is not None:
+                _OPEN_FILES.pop(path, None)
+                _close(descriptor)
+            return False
+
 
 class LedgerWriter:
     """Append JSON lines to a per-process file in a ledger directory.
 
     One writer may be constructed per call site — construction is
-    cheap and opens nothing.  Every :meth:`record` recomputes the
-    target filename from the *current* pid, so a writer that crosses a
-    ``fork`` keeps the one-file-per-process invariant.
+    cheap and opens nothing; the file's descriptor is opened on the
+    first append of the process and kept.  Every :meth:`record`
+    recomputes the target filename from the *current* pid, so a writer
+    that crosses a ``fork`` keeps the one-file-per-process invariant.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -184,16 +252,11 @@ class LedgerWriter:
 
         Best-effort by contract: any :class:`OSError` (read-only
         directory, disk full, a file where the directory should be) is
-        swallowed — observability must never fail a run.
+        swallowed — observability must never fail a run — and the
+        failed file's descriptor is closed.
         """
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            line = json.dumps(row, sort_keys=True, default=repr)
-            with open(self.path(), "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-            return True
-        except OSError:
-            return False
+        line = json.dumps(row, sort_keys=True, default=repr) + "\n"
+        return _append(self.directory, str(self.path()), line.encode("utf-8"))
 
 
 def _message_count(result: "RunResult") -> int | None:

@@ -10,6 +10,7 @@ because another process evicted them first.
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import pickle
@@ -219,6 +220,24 @@ class TestResultFingerprintOnce:
         restored = pickle.loads(pickle.dumps(result))
         assert "_result_fingerprint" not in restored.__dict__
         assert restored.result_fingerprint() == result.result_fingerprint()
+
+    def test_to_json_is_the_memoized_response_text(self, result):
+        assert "_json" not in result.__dict__
+        text = result.to_json()
+        assert text == json.dumps(result.to_dict(), sort_keys=True, default=repr)
+        assert result.__dict__["_json"] == text
+        assert result.to_json() is text
+
+    def test_replace_and_pickling_drop_to_json(self, result):
+        text = result.to_json()
+        changed = dataclasses.replace(result, rounds=result.rounds + 1)
+        assert "_json" not in changed.__dict__
+        assert changed.to_json() != text
+        _, (_, state) = result.__reduce__()
+        assert "_json" not in state
+        restored = pickle.loads(pickle.dumps(result))
+        assert "_json" not in restored.__dict__
+        assert restored.to_json() == text
 
     def test_store_serializes_once_and_load_primes(
         self, result, tmp_path, monkeypatch

@@ -43,7 +43,7 @@ from repro.cluster.planner import manifest_path
 from repro.cluster.queue import ShardQueue, claim_path, result_path
 from repro.errors import ClusterError, InjectedFault, ParameterError
 from repro.results import canonical_json
-from repro.telemetry.events import emit_event, events_dir_of
+from repro.telemetry.events import emit_event, events_dir_of, read_events
 
 
 def small_specs() -> list[RunSpec]:
@@ -289,6 +289,47 @@ class TestSpawnedWorkerPolicy:
                 on_error=policy,
             )
         assert spawned == []
+
+    def test_a_refused_policy_leaves_no_job_directory(self, tmp_path, spawned):
+        policy = FailurePolicy(on_error="capture", backoff_s=1.0, backoff_seed=5)
+        job = tmp_path / "job"
+        with pytest.raises(ParameterError):
+            run_sharded(small_specs(), job, local_workers=1, on_error=policy)
+        assert not job.exists()
+        assert spawned == []
+
+    def test_a_failed_spawn_stops_the_worker_already_started(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cluster import coordinator
+
+        started: list[subprocess.Popen] = []
+        real_popen = subprocess.Popen
+
+        def second_spawn_fails(command, **kwargs):
+            if command[1:4] != ["-m", "repro", "worker"]:
+                return real_popen(command, **kwargs)
+            if started:
+                raise OSError("cannot start another worker")
+            started.append(
+                real_popen([sys.executable, "-c", "import time; time.sleep(60)"])
+            )
+            return started[-1]
+
+        monkeypatch.setattr(coordinator.subprocess, "Popen", second_spawn_fails)
+        job = tmp_path / "job"
+        with pytest.raises(OSError, match="another worker"):
+            run_sharded(small_specs(), job, local_workers=2)
+        [proc] = started
+        assert proc.returncode is not None
+        events, _ = read_events(events_dir_of(job))
+        assert [
+            (event["event"], event.get("pid")) for event in events
+        ] == [
+            ("job_started", None),
+            ("worker_spawn", proc.pid),
+            ("worker_stopped", proc.pid),
+        ]
 
     @pytest.mark.parametrize(
         "policy",

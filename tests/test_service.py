@@ -37,6 +37,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.api import InstanceSpec, RunSpec, ScenarioSpec, run_many
+from repro.api import runner
 from repro.api.runner import clear_result_cache
 from repro.results import FailedResult, RunResult, canonical_json
 from repro.service import ReproService, make_server
@@ -283,6 +284,42 @@ class TestJobs:
         # Duplicate slots got independent but identical payloads.
         assert lines[0]["result"] == lines[3]["result"]
 
+    def test_stream_headers_arrive_while_the_first_spec_is_held(
+        self, live, monkeypatch
+    ):
+        _, base = live
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold(fingerprint, attempt):
+            held.set()
+            release.wait(BARRIER_S)
+
+        monkeypatch.setattr(runner, "_FAULT_HOOK", hold)
+        clear_result_cache()
+        spec = RunSpec(
+            instance=InstanceSpec(family="path", size=6, seed=424242),
+            algorithm="greedy_sequential",
+        )
+        _, body, _ = self.submit(base, [spec], shards=1)
+        assert held.wait(BARRIER_S)
+        parts = urlsplit(base)
+        connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=10
+        )
+        try:
+            connection.request("GET", body["stream_url"])
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.getheader("X-Repro-Fingerprint") == body["job"]
+            assert not release.is_set()  # the spec is still held
+            release.set()
+            lines = [json.loads(line) for line in response if line.strip()]
+        finally:
+            release.set()
+            connection.close()
+        assert [line["index"] for line in lines] == [0]
+
     def test_status_reaches_done_and_resubmit_is_idempotent(self, live):
         _, base = live
         specs = self.batch()
@@ -413,11 +450,12 @@ class TestServiceCore:
             service.close()
         assert source == "cache"
         assert again_fp == fingerprint
+        # Results are immutable and shared by design: the repeat is
+        # served the same bytes.
+        assert again.to_json() == result.to_json()
         assert canonical_json(again.to_dict()) == canonical_json(
             result.to_dict()
         )
-        # Followers receive copies, never the leader's object.
-        assert again is not result
 
     def test_failed_driver_job_restarts_in_place(self, tmp_path):
         specs = [RunSpec.from_dict(spec_payload())]

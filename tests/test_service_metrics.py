@@ -192,7 +192,7 @@ class TestServiceLedger:
         ]
         assert [row["disposition"] for row in rows] == [
             "executed",
-            "cache_disk",
+            "cache_memory",
         ]
         assert len({row["fingerprint"] for row in rows}) == 1
 

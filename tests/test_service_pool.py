@@ -15,11 +15,17 @@ in ``to_dict()`` form.  Pinned here:
 * **Lifecycle** — no worker outlives a ``repro serve`` process,
   whether it is stopped with SIGINT or killed with SIGKILL; a killed
   worker costs at most one 503, after which fresh specs solve.
+* **Memory layer** — a repeat within one server reads no disk entry
+  and is recorded ``cache_memory``; a restarted server reads the disk
+  once per spec; with the byte budget below two results, alternating
+  specs come from disk with unchanged bytes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import http.client
+import json
 import os
 import re
 import signal
@@ -32,8 +38,9 @@ from pathlib import Path
 import pytest
 
 from repro.api import InstanceSpec, RunSpec, ScenarioSpec, run
-from repro.results import canonical_json
-from repro.service import ReproService, make_server
+from repro.api import runner
+from repro.results import RunResult, canonical_json
+from repro.service import ReproService, app, make_server
 from repro.telemetry.ledger import read_ledger_rows
 
 from tests.test_service import request
@@ -77,20 +84,48 @@ def wait_for(condition, what: str) -> None:
         time.sleep(0.005)
 
 
+def post_raw(base: str, spec: RunSpec) -> tuple[int, bytes]:
+    """``POST /v1/run`` returning the status and the raw body bytes."""
+    host, port = base.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=60)
+    try:
+        connection.request(
+            "POST", "/v1/run", body=json.dumps(spec.to_dict()).encode()
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def envelope(spec: RunSpec, result: RunResult, source: str) -> bytes:
+    """The bytes a ``POST /v1/run`` answer has always had."""
+    payload = {
+        "fingerprint": spec.fingerprint(),
+        "source": source,
+        "failed": result.is_failure(),
+        "result": result.to_dict(),
+    }
+    return json.dumps(payload, sort_keys=True, default=repr).encode()
+
+
+LOSSY = RunSpec(
+    instance=InstanceSpec(family="random_regular", size=4, seed=3),
+    algorithm="greedy_sequential",
+    scenario=ScenarioSpec(model="lossy_links", seed=5, params={"drop": 0.2}),
+)
+
+POISON = RunSpec(instance=INSTANCE, algorithm="no_such_algorithm")
+
+
 class TestPooledBytes:
     @pytest.mark.parametrize(
         "spec",
         [
             RunSpec(instance=INSTANCE, algorithm="bko20"),
             RunSpec(instance=INSTANCE, algorithm="kuhn_soda20"),
-            RunSpec(
-                instance=InstanceSpec(family="random_regular", size=4, seed=3),
-                algorithm="greedy_sequential",
-                scenario=ScenarioSpec(
-                    model="lossy_links", seed=5, params={"drop": 0.2}
-                ),
-            ),
-            RunSpec(instance=INSTANCE, algorithm="no_such_algorithm"),
+            LOSSY,
+            POISON,
         ],
         ids=["bko20", "baseline", "lossy_links", "poison"],
     )
@@ -109,6 +144,22 @@ class TestPooledBytes:
             "executed" if direct.is_failure() else "cache"
         )
         assert canonical_json(again["result"]) == expected
+
+    @pytest.mark.parametrize(
+        "spec",
+        [RunSpec(instance=INSTANCE, algorithm="bko20"), LOSSY, POISON],
+        ids=["bko20", "lossy_links", "poison"],
+    )
+    def test_a_solve_adopts_the_workers_result_fingerprint(self, live, spec):
+        service, _ = live
+        result, _ = service._solve(spec, spec.fingerprint())
+        # Set by the worker's value, not computed in the server.
+        adopted = result.__dict__["_result_fingerprint"]
+        body = result.to_dict()
+        assert adopted == RunResult.from_dict(body).result_fingerprint()
+        assert adopted == run(
+            spec, cache=False, on_error="capture"
+        ).result_fingerprint()
 
     def test_poison_record_keeps_its_traceback_digest(self, live):
         _, base = live
@@ -131,10 +182,87 @@ class TestPooledBytes:
         rows = read_ledger_rows(service.ledger_dir)
         assert [row["disposition"] for row in rows] == [
             "executed",
-            "cache_disk",
+            "cache_memory",
         ]
         assert rows[0]["attempts"] == 1
         assert rows[0]["observed"]["wall_clock_s"] > 0
+
+
+class TestMemoryLayer:
+    def test_a_repeat_reads_no_disk_entry(self, live, monkeypatch):
+        service, base = live
+        loads = []
+        disk_load = runner.disk_load
+
+        def counted(*args):
+            loads.append(args)
+            return disk_load(*args)
+
+        monkeypatch.setattr(runner, "disk_load", counted)
+        spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        status, first = post_raw(base, spec)
+        assert status == 200 and len(loads) == 1  # the miss
+        status, again = post_raw(base, spec)
+        assert status == 200 and len(loads) == 1
+        assert json.loads(again)["source"] == "cache"
+        assert json.loads(again)["result"] == json.loads(first)["result"]
+        assert [
+            row["disposition"] for row in read_ledger_rows(service.ledger_dir)
+        ] == ["executed", "cache_memory"]
+
+    def test_a_restart_reads_the_disk_once(self, tmp_path):
+        spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        sources = []
+        for _ in range(2):
+            service = ReproService(tmp_path / "data")
+            try:
+                sources.append(service.run_one(spec)[2])
+                sources.append(service.run_one(spec)[2])
+            finally:
+                service.close()
+        assert sources == ["executed", "cache", "cache", "cache"]
+        rows = read_ledger_rows(tmp_path / "data" / app.LEDGER_SUBDIR)
+        assert [row["disposition"] for row in rows] == [
+            "executed",
+            "cache_memory",
+            "cache_disk",
+            "cache_memory",
+        ]
+        assert len({row["result_fingerprint"] for row in rows}) == 1
+
+    def test_a_hit_refreshes_the_disk_entry(self, live):
+        service, base = live
+        spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        post_raw(base, spec)
+        entry = service.cache_dir / f"{spec.fingerprint()}.json"
+        os.utime(entry, ns=(0, 0))
+        post_raw(base, spec)
+        assert entry.stat().st_mtime_ns > 0
+
+    def test_over_budget_results_come_from_disk_unchanged(
+        self, live, monkeypatch
+    ):
+        service, base = live
+        specs = [
+            RunSpec(instance=INSTANCE, algorithm="bko20"),
+            RunSpec(instance=INSTANCE, algorithm="greedy_sequential"),
+        ]
+        direct = [run(spec, cache=False) for spec in specs]
+        monkeypatch.setattr(
+            app,
+            "MEMORY_CACHE_BYTES",
+            max(len(result.to_json()) for result in direct),
+        )
+        for round_index in range(3):
+            for spec, result in zip(specs, direct):
+                source = "executed" if round_index == 0 else "cache"
+                assert post_raw(base, spec) == (
+                    200,
+                    envelope(spec, result, source),
+                )
+        assert [
+            row["disposition"] for row in read_ledger_rows(service.ledger_dir)
+        ] == ["executed"] * 2 + ["cache_disk"] * 4
 
 
 class TestSaturation:

@@ -9,12 +9,20 @@ The contracts pinned here (see :mod:`repro.telemetry.ledger`):
 3. the ledger is observational: results with the ledger on are
    byte-identical to results with it off;
 4. writes are best-effort: an unwritable ledger directory records
-   nothing and fails nothing.
+   nothing and fails nothing;
+5. a process appends through kept-open descriptors: concurrent
+   threads write whole lines, the descriptor table stays bounded, and
+   a forked child writes its own file.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import multiprocessing
+import os
+import sys
+import threading
 
 import pytest
 
@@ -24,9 +32,12 @@ from repro.api.runner import clear_result_cache
 from repro.cluster import run_sharded
 from repro.errors import InjectedFault
 from repro.results import canonical_json
+from repro.telemetry import ledger as ledger_module
 from repro.telemetry.ledger import (
     LEDGER_FORMAT,
+    MAX_OPEN_FILES,
     RUN_DISPOSITIONS,
+    LedgerWriter,
     active_ledger_dir,
     deterministic_core,
     ledger_context,
@@ -269,3 +280,91 @@ class TestBestEffort:
         line = path.read_text().strip()
         row = json.loads(line)
         assert line == json.dumps(row, sort_keys=True, default=repr)
+
+
+class TestKeptOpenFiles:
+    """Contract 5: one ``os.write`` per row on a kept-open descriptor."""
+
+    def test_concurrent_threads_write_whole_lines(self, tmp_path):
+        writer = LedgerWriter(tmp_path)
+
+        def append(thread: int) -> None:
+            for index in range(200):
+                assert writer.record(
+                    {"thread": thread, "index": index, "pad": "x" * index}
+                )
+
+        threads = [
+            threading.Thread(target=append, args=(thread,)) for thread in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        lines = writer.path().read_text().splitlines()
+        assert len(lines) == 8 * 200
+        rows = [json.loads(line) for line in lines]
+        assert sorted((row["thread"], row["index"]) for row in rows) == [
+            (thread, index) for thread in range(8) for index in range(200)
+        ]
+
+    def test_more_directories_than_the_bound_all_receive_rows(self, tmp_path):
+        directories = [tmp_path / f"d{i}" for i in range(MAX_OPEN_FILES + 3)]
+        for round_index in range(2):
+            for directory in directories:
+                assert LedgerWriter(directory).record({"round": round_index})
+        assert len(ledger_module._OPEN_FILES) <= MAX_OPEN_FILES
+        for directory in directories:
+            assert read_ledger_rows(directory) == [{"round": 0}, {"round": 1}]
+
+    def test_a_forked_child_writes_its_own_file(self, tmp_path):
+        writer = LedgerWriter(tmp_path)
+        assert writer.record({"who": "parent"})
+        child = multiprocessing.get_context("fork").Process(
+            target=writer.record, args=({"who": "child"},)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert writer.record({"who": "parent"})
+        by_file = {
+            path.name: [
+                json.loads(line)["who"] for line in path.read_text().splitlines()
+            ]
+            for path in tmp_path.glob("*.jsonl")
+        }
+        assert by_file == {
+            writer.path().name: ["parent", "parent"],
+            writer.path().name.replace(
+                f"-{os.getpid()}.", f"-{child.pid}."
+            ): ["child"],
+        }
+
+    def test_an_unwritable_directory_returns_false(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the directory should be")
+        writer = LedgerWriter(blocker / "ledger")
+        assert writer.record({"row": 1}) is False
+        assert str(writer.path()) not in ledger_module._OPEN_FILES
+
+    def test_a_write_error_forgets_the_descriptor(self, tmp_path, monkeypatch):
+        writer = LedgerWriter(tmp_path)
+        assert writer.record({"row": 1})
+        path = str(writer.path())
+        assert path in ledger_module._OPEN_FILES
+
+        def disk_full(descriptor, data):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(ledger_module.os, "write", disk_full)
+        assert writer.record({"row": 2}) is False
+        monkeypatch.undo()
+        assert path not in ledger_module._OPEN_FILES
+        assert writer.record({"row": 3})
+        assert read_ledger_rows(tmp_path) == [{"row": 1}, {"row": 3}]
