@@ -5,7 +5,9 @@ Paper claims checked, per split parameter p:
 2. every edge receives a subspace and Equation (2) holds
    (deg' <= 24 H_q log p · (|L'|/|L|) · deg) — zero violations in the
    theory regime of uniform full lists;
-3. the per-level phase structure runs (level histogram reported).
+3. the per-level phase structure runs (level histogram reported); at
+   p = 16 one Figure 6 phase colors the level-4 edges of ``E(1)``
+   through the real child :class:`RecursiveSolver`.
 """
 
 from repro.analysis.tables import format_table
@@ -31,10 +33,12 @@ def _uniform_instance(graph, palette_size, seed=1):
     return edges, lists, palette, adjacency, degrees, initial
 
 
-def _index_solver():
+def _index_solver(calls=None):
     policy = scaled_policy()
 
     def solve(graph, lists, initial, tag):
+        if calls is not None:
+            calls.append(tag)
         child = RecursiveSolver(graph, lists, initial, policy, RoundLedger())
         return child.solve_internal()
 
@@ -47,16 +51,22 @@ def test_lem43_p_sweep(benchmark):
         graph, 80
     )
     rows = []
-    for p in (2, 4, 8):
+    for p in (2, 4, 8, 16, 32):
+        calls = []
         outcome = reduce_color_space(
             edges, lists, palette, p, adjacency, degrees, initial,
-            _index_solver(),
+            _index_solver(calls),
         )
         q = len(outcome.subspaces)
         assert q <= 2 * p
         assert all(len(s) <= -(-len(palette) // p) for s in outcome.subspaces)
         assert not outcome.deferred
         assert outcome.eq2_violations == 0
+        if p == 16:
+            # E(1): one Figure 6 phase at level 4, solved by the child.
+            assert outcome.phases_run == 1
+            assert set(outcome.level_histogram) == {4}
+            assert calls
         histogram = ", ".join(
             f"ℓ{level}:{count}"
             for level, count in sorted(outcome.level_histogram.items())

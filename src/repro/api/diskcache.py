@@ -141,12 +141,17 @@ def disk_load(cache_dir: str | Path, fingerprint: str) -> RunResult | None:
         return result
 
 
-def touch_entry(cache_dir: str | Path, fingerprint: str) -> None:
-    """Refresh an entry's mtime (LRU recency) — best effort."""
+def touch_entry(cache_dir: str | Path, fingerprint: str) -> bool:
+    """Refresh an entry's mtime (LRU recency) — best effort.
+
+    Returns whether the entry was touched; ``False`` means it could not
+    be (most often: it is missing).
+    """
     try:
         os.utime(disk_path(cache_dir, fingerprint))
     except OSError:
-        pass
+        return False
+    return True
 
 
 def prune_cache(cache_dir: str | Path, max_entries: int) -> int:

@@ -13,9 +13,10 @@ The one front door for executing experiments.  Guarantees:
   was validated when it was stored, so hits are never re-checked.
 * **Caching** — results are memoised under the spec fingerprint;
   repeated specs (within one ``run_many`` call or across calls) solve
-  once.  The in-process cache is explicit
-  (:func:`clear_result_cache`); results are immutable, so it stores and
-  hands out the one result object without copying.  Passing
+  once.  The in-process cache is a bounded LRU shared by every thread
+  of the process (:data:`RESULT_CACHE_EDGES`, :func:`clear_result_cache`);
+  results are immutable, so it stores and hands out the one result
+  object without copying.  Passing
   ``cache_dir=`` adds a second, **on-disk** layer — one JSON file per
   spec fingerprint — so sweeps resume across sessions: a fresh process
   pointed at the same directory replays finished specs from disk
@@ -56,15 +57,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import threading
 import time
 import traceback as traceback_module
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.api.diskcache import (
     disk_load,
-    disk_path,
     disk_store,
     prune_cache,
     touch_entry,
@@ -104,12 +106,59 @@ __all__ = [
 #: failure of the spec.  Cache hits never consult the hook.
 _FAULT_HOOK: Callable[[str, int], None] | None = None
 
-#: Result cache: spec fingerprint -> validated result.  Results are
-#: immutable, so lookups hand out the stored object itself — no caller
-#: can poison later hits.  In-process and unbounded; sweeps that would
-#: outgrow it should clear between phases (or spill to disk with
-#: ``cache_dir=``).
-_RESULT_CACHE: dict[str, RunResult] = {}
+#: Budget of the in-process result cache, in coloring entries: a result
+#: costs ``max(1, len(result.coloring))``.  Measured with tracemalloc
+#: on bko20 random_regular results, a held entry takes about 107 B in a
+#: result rebuilt from its dict (the service's form) and 200 B (Δ 64,
+#: 8,192 edges) to 690 B (Δ 8) in a fresh in-process result, whose
+#: round ledger weighs most on small instances.  At this budget that is
+#: about 28 MB of rebuilt and 52 MB of fresh Δ 64 results.
+RESULT_CACHE_EDGES = 1 << 18
+
+#: Result cache: spec fingerprint -> validated result, least recently
+#: used first; the results beyond :data:`RESULT_CACHE_EDGES` are
+#: dropped (and re-read from ``cache_dir=`` if one is given).  Results
+#: are immutable, so lookups hand out the stored object itself — no
+#: caller can poison later hits.  Process-wide: service handler threads
+#: share it, so every access holds :data:`_RESULT_CACHE_LOCK`.
+_RESULT_CACHE: OrderedDict[str, RunResult] = OrderedDict()
+_RESULT_CACHE_LOCK = threading.Lock()
+_result_cache_edges = 0
+
+
+def _edges_of(result: RunResult) -> int:
+    return max(1, len(result.coloring))
+
+
+def _cache_lookup(fingerprint: str) -> RunResult | None:
+    """The cached result of ``fingerprint`` (now most recently used)."""
+    with _RESULT_CACHE_LOCK:
+        result = _RESULT_CACHE.get(fingerprint)
+        if result is not None:
+            _RESULT_CACHE.move_to_end(fingerprint)
+        return result
+
+
+def _cache_store(fingerprint: str, result: RunResult) -> None:
+    """Hold a successful result, dropping least recently used ones
+    beyond :data:`RESULT_CACHE_EDGES`; a failure, or a result larger
+    than the whole budget, is not held."""
+    global _result_cache_edges
+    if result.is_failure():
+        return
+    edges = _edges_of(result)
+    with _RESULT_CACHE_LOCK:
+        held = _RESULT_CACHE.pop(fingerprint, None)
+        if held is not None:
+            _result_cache_edges -= _edges_of(held)
+        if edges > RESULT_CACHE_EDGES:
+            return
+        _RESULT_CACHE[fingerprint] = result
+        _result_cache_edges += edges
+        while _result_cache_edges > RESULT_CACHE_EDGES:
+            _, dropped = _RESULT_CACHE.popitem(last=False)
+            _result_cache_edges -= _edges_of(dropped)
+
 
 def clear_result_cache() -> int:
     """Drop all in-process cached results; returns how many were dropped.
@@ -117,8 +166,11 @@ def clear_result_cache() -> int:
     On-disk stores are not touched — delete the ``cache_dir`` contents
     to forget those.
     """
-    dropped = len(_RESULT_CACHE)
-    _RESULT_CACHE.clear()
+    global _result_cache_edges
+    with _RESULT_CACHE_LOCK:
+        dropped = len(_RESULT_CACHE)
+        _RESULT_CACHE.clear()
+        _result_cache_edges = 0
     return dropped
 
 
@@ -150,36 +202,40 @@ def _lookup_layers(
     fingerprint: str,
     cache: bool,
     cache_dir: str | Path | None,
+    *,
+    read_disk: bool = True,
+    cache_max_entries: int | None = None,
 ) -> tuple[RunResult | None, str | None]:
     """Consult both cache layers and keep them in sync on a hit.
 
-    A memory hit still owes the disk layer its entry (otherwise a
-    later session could not resume from it); a disk hit backfills the
+    Every hit refreshes the disk entry's mtime: the eviction policy
+    (:func:`prune_cache`) is LRU-by-mtime, so recently *used* entries
+    survive pruning, not just recently written ones.  A memory hit
+    whose disk entry is missing stores it again (otherwise a later
+    session could not resume from it) and prunes the store to
+    ``cache_max_entries`` if given; a disk hit backfills the
     in-process cache.  A malformed, mismatched or unreadable disk
     entry is a miss (see :func:`~repro.api.diskcache.disk_load`): the
-    spec re-runs and the entry is rewritten.  Returns
-    ``(result, layer)`` with ``layer`` one of ``"memory"`` /
-    ``"disk"`` on a hit (the run ledger records the disposition),
-    ``(None, None)`` on a miss.
+    spec re-runs and the entry is rewritten.  ``read_disk=False``
+    consults memory only (the disk entry is still refreshed on a
+    hit).  Returns ``(result, layer)`` with ``layer`` one of
+    ``"memory"`` / ``"disk"`` on a hit (the run ledger records the
+    disposition), ``(None, None)`` on a miss.
     """
     if cache:
-        hit = _RESULT_CACHE.get(fingerprint)
+        hit = _cache_lookup(fingerprint)
         if hit is not None:
-            if cache_dir is not None and not disk_path(
-                cache_dir, fingerprint
-            ).exists():
+            if cache_dir is not None and not touch_entry(cache_dir, fingerprint):
                 disk_store(cache_dir, fingerprint, hit)
+                if cache_max_entries is not None:
+                    prune_cache(cache_dir, cache_max_entries)
             return hit, "memory"
-    if cache_dir is not None:
+    if cache_dir is not None and read_disk:
         hit = disk_load(cache_dir, fingerprint)
         if hit is not None:
-            # Refresh the entry's mtime on every hit: the eviction
-            # policy (:func:`prune_cache`) is LRU-by-mtime, so recently
-            # *used* entries survive pruning, not just recently written
-            # ones.
             touch_entry(cache_dir, fingerprint)
             if cache:
-                _RESULT_CACHE[fingerprint] = hit
+                _cache_store(fingerprint, hit)
             return hit, "disk"
     return None, None
 
@@ -191,14 +247,23 @@ def _replay(
     cache: bool,
     cache_dir: str | Path | None,
     ledger_dir: str | None,
+    read_disk: bool = True,
+    cache_max_entries: int | None = None,
 ) -> tuple[RunResult | None, str | None]:
     """Resolve a spec from a cache layer and record the hit.
 
     Returns ``(result, disposition)`` on a hit — the ledger row and the
     ``spec_resolved`` event are written here — and ``(None, None)`` on
-    a miss, which records nothing.
+    a miss, which records nothing.  ``read_disk`` and
+    ``cache_max_entries`` are as for :func:`_lookup_layers`.
     """
-    hit, layer = _lookup_layers(fingerprint, cache, cache_dir)
+    hit, layer = _lookup_layers(
+        fingerprint,
+        cache,
+        cache_dir,
+        read_disk=read_disk,
+        cache_max_entries=cache_max_entries,
+    )
     if hit is None:
         return None, None
     disposition = f"cache_{layer}"
@@ -334,8 +399,9 @@ def run(
     :class:`~repro.results.FailedResult` under capture) and enters no
     cache layer.  Hits are served as stored, without a second check.
 
-    ``cache`` controls the in-process memo; ``cache_dir`` adds the
-    cross-session on-disk layer (each is consulted and written
+    ``cache`` controls the in-process memo, a process-wide LRU bounded
+    by :data:`RESULT_CACHE_EDGES` coloring entries; ``cache_dir`` adds
+    the cross-session on-disk layer (each is consulted and written
     independently, so ``cache=False, cache_dir=...`` still resumes
     from disk without touching process memory).  ``cache_max_entries``
     caps the on-disk store: after a store, the least-recently-used
@@ -376,6 +442,7 @@ def run(
         cache=cache,
         cache_dir=cache_dir,
         ledger_dir=ledger,
+        cache_max_entries=cache_max_entries,
     )
     if hit is not None:
         observed.update(disposition=disposition, attempts=0, wall_clock_s=None)
@@ -425,7 +492,7 @@ def run(
         wall_clock_s=round(wall_clock_s, 6),
     )
     if cache:
-        _RESULT_CACHE[fingerprint] = result
+        _cache_store(fingerprint, result)
     if cache_dir is not None:
         disk_store(cache_dir, fingerprint, result)
         if cache_max_entries is not None:
@@ -628,7 +695,7 @@ def _run_many_iter_inner(
                     raise
                 if not result.is_failure():
                     if cache:
-                        _RESULT_CACHE[fingerprint] = result
+                        _cache_store(fingerprint, result)
                     if cache_dir is not None:
                         disk_store(cache_dir, fingerprint, result)
                 yield from emissions(fingerprint, result)

@@ -15,15 +15,16 @@ identical request becomes a **follower** that blocks on the leader's
 :class:`threading.Event` and receives the same (immutable) result
 object.  A million identical POSTs cost one solve.
 
-**Repeats are answered from memory.**  Every successful result the
-server answers with — a disk-cache hit, or a leader's solved miss —
-enters a bounded LRU map keyed by spec fingerprint, holding at most
-:data:`MEMORY_CACHE_BYTES` of result JSON.  A repeat found there reads
-no file: it refreshes its disk entry's mtime (so
+**Repeats are answered from memory.**  The service keeps no result
+store of its own: it reads and fills the executor's in-process cache
+(:data:`repro.api.runner.RESULT_CACHE_EDGES` coloring entries, least
+recently used dropped first) in front of its disk cache.  A disk-cache
+hit enters that cache, and so does a leader's solved miss.  A repeat
+found there reads no file: it refreshes its disk entry's mtime (so
 :func:`~repro.api.diskcache.prune_cache` still evicts in use order),
 writes a ``cache_memory`` ledger row and is served as a cache hit.  An
 evicted fingerprint, or the first repeat after a restart, is read from
-the disk cache and enters the map again.  Failures never enter it: the
+the disk cache and enters memory again.  Failures never enter it: the
 disk cache holds none either, and a poison spec re-executes.
 
 **Solves run in a process pool.**  The solver is CPU-bound Python, so
@@ -64,15 +65,17 @@ import os
 import signal
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.api.diskcache import touch_entry
 from repro.api.failures import FailurePolicy
-from repro.api.runner import _replay as _replay_cached, _run_in_worker
+from repro.api.runner import (
+    _cache_store,
+    _replay as _replay_cached,
+    _run_in_worker,
+)
 from repro.api.spec import RunSpec
 from repro.cluster.coordinator import job_status, run_sharded_iter
 from repro.cluster.planner import plan_shards
@@ -94,11 +97,6 @@ LEDGER_SUBDIR = "ledger"
 #: In-flight single runs admitted per pool worker; a miss beyond
 #: ``INFLIGHT_PER_WORKER * workers`` of them is refused with a 503.
 INFLIGHT_PER_WORKER = 2
-
-#: Bytes of result JSON (``len(result.to_json())``) the service holds
-#: in memory for repeat requests; least recently used results beyond
-#: it are dropped and served from the disk cache again.
-MEMORY_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Seconds a refused client is told to wait (the ``Retry-After`` header).
 RETRY_AFTER_S = 1
@@ -248,9 +246,9 @@ class ReproService:
     solved, in a pool worker or a job's shard; cache and coalesced
     replies hand out such a result without checking it again.
 
-    Successful single-run results it has answered with stay in a
-    bounded in-memory LRU (:data:`MEMORY_CACHE_BYTES` of result JSON)
-    in front of the disk cache; repeats are served from it.
+    Successful single-run results it has answered with stay in the
+    executor's bounded in-process cache, in front of the disk cache;
+    repeats are served from it.
 
     The solve pool's workers, one per CPU, are forked here, before any
     server thread starts; call :meth:`close` to stop them.
@@ -277,9 +275,6 @@ class ReproService:
         self._inflight_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
-        self._memory: OrderedDict[str, tuple[RunResult, int]] = OrderedDict()
-        self._memory_bytes = 0
-        self._memory_lock = threading.Lock()
         self.workers = os.cpu_count() or 1
         self.max_inflight = INFLIGHT_PER_WORKER * self.workers
         self._worker_options = {
@@ -314,12 +309,12 @@ class ReproService:
 
         A leader holds one of :attr:`max_inflight` slots from the moment
         it registers.  With every slot taken, a new fingerprint is
-        still served from the disk cache, but a miss raises
+        still served from memory or the disk cache, but a miss raises
         :class:`~repro.errors.ServiceUnavailable`; followers join their
         leader whatever the load.
         """
         fingerprint = spec.fingerprint()
-        result = self._from_memory(spec, fingerprint)
+        result = self._from_cache(spec, fingerprint, read_disk=False)
         if result is not None:
             self._observe_run("cache", result)
             return fingerprint, result, "cache"
@@ -363,6 +358,9 @@ class ReproService:
             self._observe_run("cache", result)
             return fingerprint, result, "cache"
         try:
+            # Look again: a leader that finished after the memory lookup
+            # above has filled the caches, and this request must not
+            # solve the spec a second time.
             result = self._from_cache(spec, fingerprint)
             source = "cache"
             if result is None:
@@ -378,7 +376,7 @@ class ReproService:
                 )
                 if not observed["disposition"].startswith("cache_"):
                     source = "executed"
-                self._remember(fingerprint, result)
+                _cache_store(fingerprint, result)
             entry.result = result
         except BaseException as exc:
             entry.error = exc
@@ -390,57 +388,20 @@ class ReproService:
         self._observe_run(source, result)
         return fingerprint, result, source
 
-    def _from_memory(self, spec: RunSpec, fingerprint: str) -> RunResult | None:
-        """The remembered result of ``fingerprint`` (disk entry touched,
-        ``cache_memory`` ledger row written), or ``None``."""
-        with self._memory_lock:
-            held = self._memory.get(fingerprint)
-            if held is None:
-                return None
-            self._memory.move_to_end(fingerprint)
-        result = held[0]
-        touch_entry(self.cache_dir, fingerprint)
-        record_run(
-            self.ledger_dir,
-            spec=spec,
-            fingerprint=fingerprint,
-            disposition="cache_memory",
-            result=result,
-            attempts=0,
-        )
-        return result
-
-    def _remember(self, fingerprint: str, result: RunResult) -> None:
-        """Hold a successful result for repeats; drop the least recently
-        used ones beyond :data:`MEMORY_CACHE_BYTES`."""
-        if result.is_failure():
-            return
-        size = len(result.to_json())
-        with self._memory_lock:
-            held = self._memory.pop(fingerprint, None)
-            if held is not None:
-                self._memory_bytes -= held[1]
-            self._memory[fingerprint] = (result, size)
-            self._memory_bytes += size
-            while self._memory_bytes > MEMORY_CACHE_BYTES:
-                _, (_, dropped) = self._memory.popitem(last=False)
-                self._memory_bytes -= dropped
-
-    def _from_cache(self, spec: RunSpec, fingerprint: str) -> RunResult | None:
-        """The disk-cache entry of ``fingerprint`` (ledger row written,
-        result remembered), or ``None`` on a miss."""
+    def _from_cache(
+        self, spec: RunSpec, fingerprint: str, *, read_disk: bool = True
+    ) -> RunResult | None:
+        """The cached result of ``fingerprint`` (ledger row written), or
+        ``None``; ``read_disk=False`` looks in memory only."""
         result, _ = _replay_cached(
             fingerprint,
             spec,
-            # Not the executor's process-global memo: it is unbounded
-            # and would bypass the disk LRU; the service remembers
-            # what it serves itself.
-            cache=False,
+            cache=True,
             cache_dir=self.cache_dir,
             ledger_dir=self.ledger_dir,
+            read_disk=read_disk,
+            cache_max_entries=self.cache_max_entries,
         )
-        if result is not None:
-            self._remember(fingerprint, result)
         return result
 
     def _solve(

@@ -2,7 +2,10 @@
 the on-disk cache spill, and streaming run_many_iter."""
 
 import dataclasses
+import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.api import (
     run_many_iter,
     specs_for_race,
 )
+from repro.api import runner
 from repro.api.diskcache import DISK_FORMAT
 from repro.api.registry import algorithm_names
 from repro.baselines.registry import BaselineResult, run_baseline
@@ -477,6 +481,28 @@ class TestCacheEviction:
         assert f"{oldest.fingerprint()}.json" in survivors
         assert f"{specs[1].fingerprint()}.json" not in survivors
 
+    def test_memory_hits_refresh_recency(self, tmp_path):
+        import os
+
+        from repro.api import prune_cache
+
+        first, second = self.specs(2)
+        run_many([first, second], cache_dir=tmp_path)
+        for index, spec in enumerate((first, second)):
+            path = tmp_path / f"{spec.fingerprint()}.json"
+            os.utime(path, ns=(10**9 * index, 10**9 * index))
+        # A memory hit on the older entry must refresh it on disk too.
+        assert run(first, cache_dir=tmp_path) is run(first)
+        prune_cache(tmp_path, 1)
+        assert self.entries(tmp_path) == [f"{first.fingerprint()}.json"]
+
+    def test_a_memory_hit_keeps_the_cap(self, tmp_path):
+        first, second = self.specs(2)
+        for spec in (first, second, first):
+            run(spec, cache_dir=tmp_path, cache_max_entries=1)
+        # The memory hit stored its pruned entry again, then pruned.
+        assert self.entries(tmp_path) == [f"{first.fingerprint()}.json"]
+
     def test_pruned_specs_simply_rerun(self, tmp_path):
         from repro.api import prune_cache
 
@@ -497,3 +523,109 @@ class TestCacheEviction:
         next(iterator)
         iterator.close()
         assert len(self.entries(tmp_path)) <= 1
+
+
+def held_edges() -> int:
+    return sum(len(result.coloring) for result in runner._RESULT_CACHE.values())
+
+
+class TestResultCacheBudget:
+    """The in-process cache is an LRU bounded in coloring entries."""
+
+    def specs(self, count):
+        # Distinct fingerprints, six coloring entries each.
+        return [
+            RunSpec(
+                InstanceSpec(family="cycle", size=6, seed=1),
+                algorithm="greedy_sequential",
+                run_seed=index,
+            )
+            for index in range(count)
+        ]
+
+    def test_a_sweep_holds_at_most_the_budget(self, monkeypatch):
+        monkeypatch.setattr(runner, "RESULT_CACHE_EDGES", 3 * 6)
+        specs = self.specs(8)
+        run_many(specs)
+        assert result_cache_size() == 3
+        assert list(runner._RESULT_CACHE) == [
+            spec.fingerprint() for spec in specs[-3:]
+        ]
+        assert held_edges() == runner._result_cache_edges == 18
+
+    def test_a_reused_result_survives_eviction(self, monkeypatch):
+        monkeypatch.setattr(runner, "RESULT_CACHE_EDGES", 3 * 6)
+        specs = self.specs(8)
+        kept = run(specs[0])
+        for spec in specs[1:]:
+            run(spec)
+            assert run(specs[0]) is kept  # a hit, never re-solved
+            assert held_edges() <= runner.RESULT_CACHE_EDGES
+        assert specs[0].fingerprint() in runner._RESULT_CACHE
+        assert specs[1].fingerprint() not in runner._RESULT_CACHE
+
+    def test_an_over_budget_result_is_not_held(self, monkeypatch):
+        monkeypatch.setattr(runner, "RESULT_CACHE_EDGES", 5)
+        spec = self.specs(1)[0]
+        first = run(spec)
+        assert result_cache_size() == 0
+        assert run(spec) is not first
+        assert runner._result_cache_edges == 0
+
+    def test_concurrent_threads_leave_it_consistent(self, monkeypatch):
+        monkeypatch.setattr(runner, "RESULT_CACHE_EDGES", 5 * 6)
+        results = {
+            spec.fingerprint(): run(spec, cache=False) for spec in self.specs(12)
+        }
+        fingerprints = list(results)
+        barrier = threading.Barrier(8)
+        wrong = []
+
+        def hammer(offset):
+            barrier.wait()
+            try:
+                for step in range(3000):
+                    fingerprint = fingerprints[(offset + step) % len(fingerprints)]
+                    runner._cache_store(fingerprint, results[fingerprint])
+                    probe = fingerprints[(offset * 5 + step) % len(fingerprints)]
+                    found = runner._cache_lookup(probe)
+                    if found is not None and found is not results[probe]:
+                        wrong.append(probe)
+            except Exception as exc:
+                wrong.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(offset,)) for offset in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert held_edges() == runner._result_cache_edges <= 30
+        assert all(
+            runner._RESULT_CACHE[fingerprint] is results[fingerprint]
+            for fingerprint in runner._RESULT_CACHE
+        )
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [("random_regular", 6), ("complete_bipartite", 6), ("grid", 4)],
+)
+def test_different_run_seeds_give_different_colorings(family, size):
+    digests = set()
+    for run_seed in (1, 2, 3):
+        spec = RunSpec(
+            InstanceSpec(family=family, size=size, seed=1),
+            algorithm="bko20",
+            run_seed=run_seed,
+        )
+        coloring = sorted(run(spec, cache=False).coloring.items())
+        digests.add(hashlib.sha256(repr(coloring).encode()).hexdigest())
+    assert len(digests) == 3

@@ -54,6 +54,9 @@ BARRIER_S = 30.0
 @pytest.fixture()
 def live(tmp_path):
     """A served ReproService on an ephemeral port: ``(service, base_url)``."""
+    # The result cache is process-wide: start each server empty, as a
+    # fresh server process would.
+    clear_result_cache()
     service = ReproService(tmp_path / "data")
     server = make_server(service)
     host, port = server.server_address[:2]

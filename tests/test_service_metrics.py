@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.api.runner import clear_result_cache
 from repro.service import ReproService, make_server
 from repro.telemetry.ledger import read_ledger_rows
 from repro.telemetry.metrics import (
@@ -39,6 +40,9 @@ from tests.test_service import request, spec_payload
 
 @pytest.fixture()
 def live(tmp_path):
+    # The result cache is process-wide: start each server empty, as a
+    # fresh server process would.
+    clear_result_cache()
     service = ReproService(tmp_path / "data")
     server = make_server(service)
     host, port = server.server_address[:2]

@@ -17,8 +17,8 @@ in ``to_dict()`` form.  Pinned here:
   worker costs at most one 503, after which fresh specs solve.
 * **Memory layer** — a repeat within one server reads no disk entry
   and is recorded ``cache_memory``; a restarted server reads the disk
-  once per spec; with the byte budget below two results, alternating
-  specs come from disk with unchanged bytes.
+  once per spec; with the executor's cache budget below two results,
+  alternating specs come from disk with unchanged bytes.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ def serve(service: ReproService):
 @pytest.fixture()
 def live(tmp_path):
     """A served service: ``(service, base_url)``."""
+    # The result cache is process-wide: start each server empty, as a
+    # fresh server process would.
+    runner.clear_result_cache()
     service = ReproService(tmp_path / "data")
     server, base = serve(service)
     try:
@@ -214,6 +217,7 @@ class TestMemoryLayer:
         spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
         sources = []
         for _ in range(2):
+            runner.clear_result_cache()  # process-wide: a restart empties it
             service = ReproService(tmp_path / "data")
             try:
                 sources.append(service.run_one(spec)[2])
@@ -239,6 +243,20 @@ class TestMemoryLayer:
         post_raw(base, spec)
         assert entry.stat().st_mtime_ns > 0
 
+    def test_a_hit_keeps_the_disk_cap(self, tmp_path):
+        runner.clear_result_cache()
+        specs = [
+            RunSpec(instance=INSTANCE, algorithm="greedy_sequential"),
+            RunSpec(instance=INSTANCE, algorithm="bko20"),
+        ]
+        service = ReproService(tmp_path / "data", cache_max_entries=1)
+        try:
+            for spec in specs + specs:
+                service.run_one(spec)
+        finally:
+            service.close()
+        assert len(list(service.cache_dir.glob("*.json"))) == 1
+
     def test_over_budget_results_come_from_disk_unchanged(
         self, live, monkeypatch
     ):
@@ -249,9 +267,9 @@ class TestMemoryLayer:
         ]
         direct = [run(spec, cache=False) for spec in specs]
         monkeypatch.setattr(
-            app,
-            "MEMORY_CACHE_BYTES",
-            max(len(result.to_json()) for result in direct),
+            runner,
+            "RESULT_CACHE_EDGES",
+            max(len(result.coloring) for result in direct),
         )
         for round_index in range(3):
             for spec, result in zip(specs, direct):
