@@ -145,10 +145,11 @@ def touch_entry(cache_dir: str | Path, fingerprint: str) -> bool:
     """Refresh an entry's mtime (LRU recency) — best effort.
 
     Returns whether the entry was touched; ``False`` means it could not
-    be (most often: it is missing).
+    be (most often: it is missing).  The path is joined as a string:
+    this runs on every cache hit.
     """
     try:
-        os.utime(disk_path(cache_dir, fingerprint))
+        os.utime(os.path.join(cache_dir, f"{fingerprint}.json"))
     except OSError:
         return False
     return True

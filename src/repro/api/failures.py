@@ -34,9 +34,12 @@ guarantee.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import signal
 import threading
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
@@ -46,6 +49,12 @@ from repro.errors import ParameterError, SpecTimeoutError
 #: Sleep seam for backoff delays — module-level so tests (and the
 #: chaos harness) can observe or neutralise real sleeping.
 _sleep = time.sleep
+
+#: The ``repro`` package directory, with a trailing separator: frames
+#: of a failure's traceback inside it are named relative to it.
+_PACKAGE_PREFIX = (
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+)
 
 #: Keys a serialized FailurePolicy may carry.
 _POLICY_KEYS = frozenset(
@@ -204,3 +213,30 @@ def execution_deadline(timeout_s: float | None) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _frame_file(filename: str) -> str:
+    """A traceback frame's file: relative to the ``repro`` package
+    (``api/runner.py``), or its basename outside it."""
+    path = os.path.abspath(filename)
+    if path.startswith(_PACKAGE_PREFIX):
+        return path[len(_PACKAGE_PREFIX):].replace(os.sep, "/")
+    return os.path.basename(path)
+
+
+def traceback_digest(exc: BaseException) -> str:
+    """SHA-256 over what raised ``exc`` and where, wherever the code lives.
+
+    Hashes the exception's type name and message and, for each frame
+    of its traceback (:func:`traceback.extract_tb`), the frame's file
+    (:func:`_frame_file`), its function name and its source line
+    (``FrameSummary.line`` is stripped).  Line numbers and absolute
+    paths are left out, so the same failure gives the same digest in
+    every checkout, and an edit that only moves lines keeps it.
+    """
+    frames = [
+        [_frame_file(frame.filename), frame.name, frame.line]
+        for frame in traceback.extract_tb(exc.__traceback__)
+    ]
+    text = json.dumps([type(exc).__name__, str(exc), frames])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

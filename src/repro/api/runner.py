@@ -56,7 +56,6 @@ The one front door for executing experiments.  Guarantees:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import threading
 import time
 import traceback as traceback_module
@@ -77,6 +76,7 @@ from repro.api.failures import (
     backoff_delay,
     execution_deadline,
     resolve_policy,
+    traceback_digest,
 )
 from repro.api.registry import get_algorithm
 from repro.api.spec import InstanceSpec, RunSpec
@@ -325,7 +325,6 @@ def _execute_with_policy(
     """
     started = time.perf_counter()
     last_exc: Exception | None = None
-    last_traceback = ""
     for attempt in range(1, policy.attempts + 1):
         try:
             with execution_deadline(policy.timeout_s):
@@ -343,9 +342,6 @@ def _execute_with_policy(
             return result
         except Exception as exc:
             last_exc = exc
-            last_traceback = "".join(
-                traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-            )
             if attempt < policy.attempts:
                 delay = backoff_delay(policy, fingerprint, attempt)
                 emit_event(
@@ -371,12 +367,10 @@ def _execute_with_policy(
         fingerprint=fingerprint,
         error_type=type(last_exc).__name__,
         error_message=str(last_exc),
-        traceback_digest=hashlib.sha256(
-            last_traceback.encode("utf-8")
-        ).hexdigest(),
+        traceback_digest=traceback_digest(last_exc),
         attempts=policy.attempts,
         wall_clock_s=time.perf_counter() - started,
-        traceback_text=last_traceback,
+        traceback_text="".join(traceback_module.format_exception(last_exc)),
     )
 
 

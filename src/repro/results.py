@@ -287,9 +287,12 @@ class FailedResult(RunResult):
     error_message:
         ``str()`` of that exception.
     traceback_digest:
-        SHA-256 over the last attempt's formatted traceback (captured
-        at the execution site, so it is identical whether the spec ran
-        serially, in a pool worker, or in a cluster worker).
+        SHA-256 over the last attempt's exception type, message and
+        traceback frames, without line numbers or absolute paths
+        (:func:`repro.api.failures.traceback_digest`; captured at the
+        execution site, so it is identical whether the spec ran
+        serially, in a pool worker, or in a cluster worker, and in
+        whichever directory the code lives).
     attempts:
         How many attempts were made (1 + retries).
     wall_clock_s:

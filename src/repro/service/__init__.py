@@ -8,9 +8,11 @@ batches become **streaming sharded jobs** identified by their plan
 fingerprint, executed through :mod:`repro.cluster` with failures
 captured per spec.
 
-Zero dependencies: the transport is :class:`http.server.
-ThreadingHTTPServer`, the client needs nothing beyond ``urllib`` (see
-``examples/service_client.py``).  Start one with::
+Zero dependencies: the transport is :class:`http.server.HTTPServer`
+with handler threads that park between connections (so a cache hit
+starts no thread) and a header parser of its own, and the client needs
+nothing beyond ``urllib`` (see ``examples/service_client.py``).  Start
+one with::
 
     python -m repro serve --port 8000 --data-dir service-data
 

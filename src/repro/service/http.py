@@ -1,11 +1,15 @@
 """The stdlib HTTP layer: routing, strict deserialization, streaming.
 
 A thin, dependency-free transport over :class:`~repro.service.app.
-ReproService` built on :class:`http.server.ThreadingHTTPServer` — one
-daemon thread per connection, which is exactly what the coalescing
-discipline needs (followers *block* on the leader's event; threads make
-that free) and what streaming needs (a reader parked on a job's
-condition variable costs one thread, not a poll loop).
+ReproService` built on :class:`http.server.HTTPServer`.  Each
+connection is served by one daemon thread, which is what the
+coalescing discipline needs (followers *block* on the leader's event;
+threads make that free) and what streaming needs (a reader parked on a
+job's condition variable costs one thread, not a poll loop).  A thread
+outlives its connection: it parks for the next one, so a cache hit
+starts no thread (:class:`ServiceHTTPServer`).  Request lines and
+headers are parsed by :meth:`ServiceHandler.parse_request` under the
+stdlib's bounds and error statuses, without its email header parser.
 
 Routes (all JSON in, JSON out)::
 
@@ -62,9 +66,12 @@ Contract details the tests pin:
 from __future__ import annotations
 
 import json
+import queue
 import re
+import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any
 from urllib.parse import parse_qs
 
@@ -101,6 +108,14 @@ REQUEST_TIMEOUT_S = 30.0
 #: when the handler finishes (a larger body in two); the streaming
 #: endpoints flush their headers and each line themselves.
 WRITE_BUFFER_BYTES = 64 * 1024
+
+#: Longest request header line, in bytes, and most header lines (the
+#: closing blank line counts) a request may send: the stdlib's own
+#: bounds (``http.client``).  Past either the request gets a 431.
+MAX_HEADER_LINE_BYTES = 65536
+MAX_HEADER_LINES = 100
+
+_HTTP_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 def _endpoint_label(path: str) -> str:
@@ -166,7 +181,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
     ``service`` class attribute bound; ``protocol_version`` stays at
     HTTP/1.0 so streamed responses are delimited by connection close
     (no chunked encoding to hand-roll, every stdlib client can read
-    it).
+    it), and every connection carries one request.  :meth:`parse_request`
+    replaces the stdlib's: ``headers`` is a plain dict from lower-cased
+    header name to value.
     """
 
     service: ReproService
@@ -180,6 +197,114 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.quiet:
             super().log_message(format, *args)
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the header lines after it.
+
+        Sets ``command``, ``path``, ``request_version`` and ``headers``
+        and returns ``True``, or sends the stdlib's error reply and
+        returns ``False``: 400 for a malformed request line, 505 for
+        HTTP/2 or later, 431 for a header line over
+        :data:`MAX_HEADER_LINE_BYTES` or more than
+        :data:`MAX_HEADER_LINES` lines.  Header names are matched
+        case-insensitively and the first of repeated headers wins, as
+        ``email.message.Message.get`` does; like that parser, a line
+        that is neither a header nor a continuation ends the headers
+        (the lines up to the blank one are read and ignored).  Under
+        HTTP/1.0 ``Connection`` and ``Expect`` change nothing, so
+        neither is looked at.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _HTTP_VERSION.fullmatch(version)
+            if match is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
+                )
+                return False
+            if int(match[1]) >= 2:
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})"
+            )
+            return False
+        self.command = command
+        # As the stdlib does: '//x' would read as a scheme-less URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers
+        return True
+
+    def _read_headers(self) -> dict[str, str] | None:
+        """Read the header lines up to the blank one: lower-cased name
+        to first value, or ``None`` once a 431 is sent."""
+        fields: list[list[str]] = []  # [lower-cased name, value]
+        field: list[str] | None = None  # the one a continuation extends
+        in_headers = True  # until a line that is no header
+        readline = self.rfile.readline
+        for count in range(1, MAX_HEADER_LINES + 2):
+            line = readline(MAX_HEADER_LINE_BYTES + 1)
+            if len(line) > MAX_HEADER_LINE_BYTES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {MAX_HEADER_LINE_BYTES} bytes when "
+                    "reading header line",
+                )
+                return None
+            if count > MAX_HEADER_LINES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {MAX_HEADER_LINES} headers",
+                )
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if not in_headers:
+                continue
+            text = str(line, "iso-8859-1")
+            if text[0] in " \t":
+                if field is not None:
+                    field[1] += text
+                continue
+            field = None
+            if text.startswith("From "):
+                continue  # an mbox envelope line: skipped, not a header
+            name, colon, value = text.partition(":")
+            if not colon or " " in name or not (
+                name.isascii() and name.isprintable()
+            ):
+                in_headers = False
+            elif name:
+                field = [name.lower(), value.lstrip(" \t")]
+                fields.append(field)
+        headers: dict[str, str] = {}
+        for name, value in fields:
+            headers.setdefault(name, value.rstrip("\r\n"))
+        return headers
 
     def _elapsed_ms(self) -> float:
         started = getattr(self, "_dispatch_started", None)
@@ -218,7 +343,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         )
 
     def _read_json(self) -> Any:
-        length_text = self.headers.get("Content-Length") or "0"
+        length_text = self.headers.get("content-length") or "0"
         try:
             length = int(length_text)
         except ValueError:
@@ -515,24 +640,103 @@ class ServiceHandler(BaseHTTPRequestHandler):
             time.sleep(EVENTS_POLL_S)
 
 
+class ServiceHTTPServer(HTTPServer):
+    """An HTTP server whose handler threads outlive their connection.
+
+    The accept loop hands each connection to a parked handler thread,
+    the most recently parked first, and starts a new daemon thread
+    only when none is parked.  A busy thread (a streamed reader, a
+    coalesced follower) is never waited for, so concurrency is bounded
+    no tighter than one thread per connection.  A thread that finishes
+    its connection parks for the next one unless ``max_parked`` threads
+    are parked already; then it exits.  :meth:`server_close` wakes the
+    parked threads and waits for them to end; busy threads end when
+    their connection does.
+    """
+
+    def __init__(
+        self,
+        server_address: tuple[str, int],
+        handler: type[BaseHTTPRequestHandler],
+        *,
+        max_parked: int,
+    ) -> None:
+        super().__init__(server_address, handler)
+        self.max_parked = max_parked
+        self._lock = threading.Lock()
+        self._closed = False
+        #: (thread, inbox) of every parked thread; an inbox receives
+        #: the thread's next connection, or ``None`` to end it.
+        self._parked: list[tuple[threading.Thread, queue.SimpleQueue]] = []
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            if self._parked:
+                self._parked.pop()[1].put((request, client_address))
+                return
+        threading.Thread(
+            target=self._serve,
+            args=(request, client_address),
+            name="repro-http",
+            daemon=True,
+        ).start()
+
+    def _serve(self, request, client_address) -> None:
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        me = threading.current_thread()
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            except BaseException:
+                self.shutdown_request(request)
+                raise
+            # Park before the socket is shut down: once the client has
+            # its reply it may connect again at once, and that
+            # connection should find this thread parked, not start one.
+            with self._lock:
+                park = not self._closed and len(self._parked) < self.max_parked
+                if park:
+                    self._parked.append((me, inbox))
+            self.shutdown_request(request)
+            if not park:
+                return
+            connection = inbox.get()
+            if connection is None:
+                return
+            request, client_address = connection
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            parked, self._parked = self._parked, []
+        for _, inbox in parked:
+            inbox.put(None)
+        for thread, _ in parked:
+            thread.join()
+
+
 def make_server(
     service: ReproService,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
     quiet: bool = True,
-) -> ThreadingHTTPServer:
-    """Bind a threading HTTP server over ``service`` (port 0 = ephemeral).
+) -> ServiceHTTPServer:
+    """Bind an HTTP server over ``service`` (port 0 = ephemeral).
 
     The handler class is minted per call so multiple services can serve
-    in one process (tests do); ``daemon_threads`` keeps a parked stream
-    reader from ever blocking interpreter exit.
+    in one process (tests do).  At most ``service.max_inflight`` handler
+    threads stay parked between connections; handler threads are
+    daemons, so a parked stream reader never blocks interpreter exit.
     """
     handler = type(
         "BoundServiceHandler",
         (ServiceHandler,),
         {"service": service, "quiet": quiet},
     )
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return ServiceHTTPServer(
+        (host, port), handler, max_parked=service.max_inflight
+    )

@@ -35,6 +35,7 @@ legitimately non-deterministic accounting lives.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -204,13 +205,13 @@ def _forget_open_files() -> None:
 os.register_at_fork(after_in_child=_forget_open_files)
 
 
-def _append(directory: Path, path: str, data: bytes) -> bool:
+def _append(directory: str, path: str, data: bytes) -> bool:
     """Append ``data`` to ``path`` through its kept-open descriptor."""
     with _OPEN_FILES_LOCK:
         descriptor = _OPEN_FILES.get(path)
         try:
             if descriptor is None:
-                directory.mkdir(parents=True, exist_ok=True)
+                os.makedirs(directory, exist_ok=True)
                 descriptor = os.open(
                     path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666
                 )
@@ -230,22 +231,29 @@ def _append(directory: Path, path: str, data: bytes) -> bool:
             return False
 
 
+@functools.lru_cache(maxsize=4 * MAX_OPEN_FILES)
+def _process_file(directory: str, pid: int) -> str:
+    """The file process ``pid`` appends to in ``directory``, as a string."""
+    hostname = snapshot_environment()["hostname"]
+    return os.path.join(directory, f"{hostname}-{pid}.jsonl")
+
+
 class LedgerWriter:
     """Append JSON lines to a per-process file in a ledger directory.
 
     One writer may be constructed per call site — construction is
     cheap and opens nothing; the file's descriptor is opened on the
-    first append of the process and kept.  Every :meth:`record`
-    recomputes the target filename from the *current* pid, so a writer
-    that crosses a ``fork`` keeps the one-file-per-process invariant.
+    first append of the process and kept.  The file's path is kept per
+    ``(directory, pid)`` and every :meth:`record` looks it up under the
+    *current* pid, so a writer that crosses a ``fork`` keeps the
+    one-file-per-process invariant.
     """
 
     def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
+        self.directory = os.fspath(directory)
 
     def path(self) -> Path:
-        hostname = snapshot_environment()["hostname"]
-        return self.directory / f"{hostname}-{os.getpid()}.jsonl"
+        return Path(_process_file(self.directory, os.getpid()))
 
     def record(self, row: dict[str, Any]) -> bool:
         """Append one record; returns whether the write landed.
@@ -256,7 +264,8 @@ class LedgerWriter:
         failed file's descriptor is closed.
         """
         line = json.dumps(row, sort_keys=True, default=repr) + "\n"
-        return _append(self.directory, str(self.path()), line.encode("utf-8"))
+        path = _process_file(self.directory, os.getpid())
+        return _append(self.directory, path, line.encode("utf-8"))
 
 
 def _message_count(result: "RunResult") -> int | None:

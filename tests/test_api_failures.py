@@ -14,6 +14,9 @@ Pins the PR's executor contracts:
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -28,7 +31,7 @@ from repro.api import (
 )
 from repro.api import failures as failures_module
 from repro.api import runner as runner_module
-from repro.api.failures import execution_deadline
+from repro.api.failures import execution_deadline, traceback_digest
 from repro.api.runner import clear_result_cache
 from repro.errors import (
     InjectedFault,
@@ -173,6 +176,50 @@ class TestCapture:
         ]
         assert serial[0].is_failure() and serial[3].is_failure()
         assert not serial[1].is_failure() and not serial[2].is_failure()
+
+
+class TestTracebackDigest:
+    """The digest names what raised and where, not where the code lives."""
+
+    MODULE = (
+        "def fail(message):\n"
+        "    raise ValueError(message)\n"
+    )
+
+    @staticmethod
+    def digest_from(directory, source, message="boom"):
+        path = directory / "poison_module.py"
+        directory.mkdir()
+        path.write_text(source)
+        loaded = importlib.util.spec_from_file_location(
+            f"poison_module_{directory.name}", path
+        )
+        module = importlib.util.module_from_spec(loaded)
+        loaded.loader.exec_module(module)
+        try:
+            module.fail(message)
+        except ValueError as exc:
+            return traceback_digest(exc)
+        raise AssertionError("the module did not raise")
+
+    def test_the_same_failure_in_two_directories_agrees(self, tmp_path):
+        first = self.digest_from(tmp_path / "one", self.MODULE)
+        # Another directory, and the raise one line lower.
+        second = self.digest_from(tmp_path / "two", "\n" + self.MODULE)
+        assert first == second
+
+    def test_a_different_message_differs(self, tmp_path):
+        first = self.digest_from(tmp_path / "one", self.MODULE)
+        other = self.digest_from(tmp_path / "two", self.MODULE, "bang")
+        assert first != other
+
+    def test_a_captured_failure_carries_it(self):
+        spec = small_specs()[0]
+        runner_module._FAULT_HOOK = poison(spec.fingerprint())
+        result = run(spec, cache=False, on_error="capture")
+        assert len(result.traceback_digest) == 64
+        assert "Traceback" in result.traceback_text
+        assert str(Path(runner_module.__file__)) in result.traceback_text
 
 
 class TestRetry:

@@ -1,9 +1,9 @@
 """The service contract, pinned over real HTTP.
 
 Every test drives a live in-process :class:`~repro.service.app.
-ReproService` through an ephemeral-port :class:`http.server.
-ThreadingHTTPServer` with nothing but ``urllib`` — the transport a
-zero-dependency client actually uses.  The headline pins:
+ReproService` through an ephemeral-port :class:`~repro.service.http.
+ServiceHTTPServer` with nothing but ``urllib`` (or a raw socket) — the
+transport a zero-dependency client actually uses.  The headline pins:
 
 * **Idempotent concurrency** — N threads POSTing the identical spec
   cost exactly one execution (counted where the service hands a spec
@@ -14,7 +14,11 @@ zero-dependency client actually uses.  The headline pins:
 * **Strict deserialization** — unknown fields are 400s that *name the
   field*; non-JSON and empty bodies are 400s, never tracebacks.
 * **Request limits** — an oversized ``Content-Length`` is a 413 sent
-  before the body is read, and a stalled request loses its connection.
+  before the body is read, a stalled request loses its connection, and
+  oversized or malformed request heads get the stdlib's 431, 414, 400
+  and 505 replies.
+* **Handler threads** — threads park between connections, at most
+  ``max_inflight`` of them, and ``server_close`` ends them.
 * **Poison round-trip** — an unrunnable spec is an answer (200,
   ``failed: true``, a serialized :class:`~repro.results.FailedResult`
   that deserializes back), not a 500.
@@ -25,9 +29,12 @@ zero-dependency client actually uses.  The headline pins:
 
 from __future__ import annotations
 
+import contextlib
+import html
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -51,13 +58,14 @@ from repro.telemetry.ledger import read_ledger_rows
 BARRIER_S = 30.0
 
 
-@pytest.fixture()
-def live(tmp_path):
-    """A served ReproService on an ephemeral port: ``(service, base_url)``."""
+@contextlib.contextmanager
+def serving(data_dir):
+    """A served ReproService on an ephemeral port:
+    ``(service, server, base_url)``."""
     # The result cache is process-wide: start each server empty, as a
     # fresh server process would.
     clear_result_cache()
-    service = ReproService(tmp_path / "data")
+    service = ReproService(data_dir)
     server = make_server(service)
     host, port = server.server_address[:2]
     thread = threading.Thread(
@@ -67,11 +75,25 @@ def live(tmp_path):
     )
     thread.start()
     try:
-        yield service, f"http://{host}:{port}"
+        yield service, server, f"http://{host}:{port}"
     finally:
         server.shutdown()
         server.server_close()
         service.close()
+
+
+@pytest.fixture()
+def served(tmp_path):
+    """``(service, server, base_url)`` of a served ReproService."""
+    with serving(tmp_path / "data") as triple:
+        yield triple
+
+
+@pytest.fixture()
+def live(tmp_path):
+    """A served ReproService on an ephemeral port: ``(service, base_url)``."""
+    with serving(tmp_path / "data") as (service, _, base):
+        yield service, base
 
 
 def request(method, url, payload=None, *, raw=None):
@@ -88,6 +110,34 @@ def request(method, url, payload=None, *, raw=None):
     except urllib.error.HTTPError as err:
         body = err.read()
         return err.code, json.loads(body) if body else {}, dict(err.headers)
+
+
+def exchange(base, data):
+    """Send raw bytes on one connection; return every byte of the reply."""
+    address = urlsplit(base)
+    received = b""
+    with socket.create_connection(
+        (address.hostname, address.port), timeout=30
+    ) as sock:
+        try:
+            sock.sendall(data)
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # the server closed on the unread rest of the request
+    return received
+
+
+def error_page(code, message):
+    """The stdlib's HTML error body for ``code`` with ``message``."""
+    return (
+        ServiceHandler.error_message_format
+        % {
+            "code": code,
+            "message": html.escape(message, quote=False),
+            "explain": ServiceHandler.responses[code][1],
+        }
+    ).encode()
 
 
 def spec_payload(**overrides):
@@ -413,6 +463,239 @@ class TestRequestLimits:
         assert received.startswith(reply)
         if not reply:
             assert received == b""
+
+
+    @pytest.mark.parametrize(
+        "data, status",
+        [
+            (
+                b"GET /v1/healthz HTTP/1.0\r\n"
+                + b"".join(b"X-Header-%d: a\r\n" % i for i in range(101))
+                + b"\r\n",
+                b"431",
+            ),
+            (
+                b"GET /v1/healthz HTTP/1.0\r\nX-Long: "
+                + b"a" * 70_000
+                + b"\r\n\r\n",
+                b"431",
+            ),
+            (b"GET /" + b"a" * 65_536 + b" HTTP/1.0\r\n\r\n", b"414"),
+        ],
+        ids=["101-header-lines", "70000-byte-header-line", "long-request-line"],
+    )
+    def test_oversized_request_heads_are_refused(self, live, data, status):
+        _, base = live
+        reply = exchange(base, data)
+        assert reply.startswith(b"HTTP/1.0 " + status + b" ")
+
+    def test_the_last_header_line_under_the_bound_is_read(self, live):
+        # 99 header lines and the blank one: the most the stdlib takes.
+        _, base = live
+        reply = exchange(
+            base,
+            b"GET /v1/healthz HTTP/1.0\r\n"
+            + b"".join(b"X-Header-%d: a\r\n" % i for i in range(99))
+            + b"\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.0 200 OK\r\n")
+
+    @pytest.mark.parametrize(
+        "data, code, message",
+        [
+            (b"GARBAGE\r\n\r\n", 400, "Bad request syntax ('GARBAGE')"),
+            (
+                b"GET /v1/healthz HTTP/2.0\r\n\r\n",
+                505,
+                "Invalid HTTP version (2.0)",
+            ),
+            (
+                b"GET /v1/healthz HTTP/1.x\r\n\r\n",
+                400,
+                "Bad request version ('HTTP/1.x')",
+            ),
+            (b"POST /v1/run\r\n\r\n", 400, "Bad HTTP/0.9 request type ('POST')"),
+        ],
+        ids=["garbage", "http-2", "bad-version", "http-0.9-post"],
+    )
+    def test_malformed_request_lines_get_the_stdlib_reply(
+        self, live, data, code, message
+    ):
+        # The request line sets no version here, so the stdlib sends
+        # the bare HTML page, without a status line or headers.
+        _, base = live
+        assert exchange(base, data) == error_page(code, message)
+
+    @pytest.mark.parametrize(
+        "headers, status",
+        [
+            (b"content-length: {n}\r\n", 200),
+            (b"Content-Length: {n}\r\nContent-Length: 3\r\n", 200),
+            (b"Content-Length: 3\r\nCONTENT-LENGTH: {n}\r\n", 400),
+            (b"X-Note: a\r\n folded\r\nContent-Length:  {n}\r\n", 200),
+            (b"not a header\r\nContent-Length: {n}\r\n", 400),
+        ],
+        ids=["lower-case", "first-wins", "first-wins-short", "folded", "ended"],
+    )
+    def test_request_headers_are_read_as_the_stdlib_reads_them(
+        self, live, headers, status
+    ):
+        # Names match in any case, the first of repeated headers wins,
+        # and a line that is no header ends the headers.
+        _, base = live
+        body = json.dumps(spec_payload()).encode()
+        head = headers.replace(b"{n}", str(len(body)).encode())
+        reply = exchange(base, b"POST /v1/run HTTP/1.0\r\n" + head + b"\r\n" + body)
+        assert reply.startswith(b"HTTP/1.0 %d " % status)
+        if status == 200:
+            assert b'"source": ' in reply
+
+
+class TestHandlerThreads:
+    """Handler threads park between connections, boundedly."""
+
+    @staticmethod
+    def wait_for(condition, timeout=10.0):
+        deadline = time.time() + timeout
+        while not condition() and time.time() < deadline:
+            time.sleep(0.01)
+        return condition()
+
+    @staticmethod
+    def open_held(base, count):
+        """``count`` connections whose request heads are not finished."""
+        address = urlsplit(base)
+        sockets = []
+        for _ in range(count):
+            sock = socket.create_connection(
+                (address.hostname, address.port), timeout=30
+            )
+            sock.sendall(b"GET /v1/healthz HTTP/1.0\r\n")
+            sockets.append(sock)
+        return sockets
+
+    @staticmethod
+    def finish_held(sockets):
+        replies = []
+        for sock in sockets:
+            with sock:
+                sock.sendall(b"\r\n")
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+                replies.append(reply)
+        return replies
+
+    # A thread parks before it shuts its connection down, so a client
+    # that reads each reply to the end of the connection, as these do,
+    # always finds it parked.
+    HEALTHZ = b"GET /v1/healthz HTTP/1.0\r\n\r\n"
+
+    def test_sequential_requests_reuse_one_thread(self, served):
+        _, server, base = served
+        before = threading.active_count()
+        for _ in range(50):
+            reply = exchange(base, self.HEALTHZ)
+            assert reply.startswith(b"HTTP/1.0 200 OK\r\n")
+        assert threading.active_count() <= before + 1
+        assert len(server._parked) == 1
+
+    def test_bursts_leave_at_most_max_inflight_parked(self, served):
+        service, server, base = served
+        before = threading.active_count()
+        burst = 3 * service.max_inflight
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Later bursts start on the threads the earlier ones parked.
+            for _ in range(3):
+                sockets = self.open_held(base, burst)
+                # Each connection holds a thread until its head ends.
+                assert self.wait_for(
+                    lambda: threading.active_count() >= before + burst
+                )
+                replies = self.finish_held(sockets)
+                assert all(
+                    r.startswith(b"HTTP/1.0 200 OK\r\n") for r in replies
+                )
+                assert self.wait_for(
+                    lambda: threading.active_count()
+                    <= before + service.max_inflight
+                ), threading.active_count() - before
+                assert len(server._parked) == service.max_inflight
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_parked_stream_reader_does_not_delay_a_hit(
+        self, live, monkeypatch
+    ):
+        _, base = live
+        hit = spec_payload()
+        assert request("POST", base + "/v1/run", hit)[0] == 200
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold(fingerprint, attempt):
+            held.set()
+            release.wait(BARRIER_S)
+
+        monkeypatch.setattr(runner, "_FAULT_HOOK", hold)
+        spec = RunSpec(
+            instance=InstanceSpec(family="path", size=7, seed=515151),
+            algorithm="greedy_sequential",
+        )
+        _, job, _ = request(
+            "POST", base + "/v1/jobs", {"specs": [spec.to_dict()], "shards": 1}
+        )
+        assert held.wait(BARRIER_S)
+        parts = urlsplit(base)
+        stream = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+        try:
+            stream.request("GET", job["stream_url"])
+            assert stream.getresponse().status == 200  # the reader waits
+            started = time.perf_counter()
+            status, body, _ = request("POST", base + "/v1/run", hit)
+            elapsed = time.perf_counter() - started
+            assert not release.is_set()  # the job's spec is still held
+        finally:
+            release.set()
+            stream.close()
+        assert status == 200 and body["source"] == "cache"
+        assert elapsed < 10.0
+
+    def test_server_close_ends_every_parked_thread(self, tmp_path):
+        clear_result_cache()
+        service = ReproService(tmp_path / "data")
+        try:
+            before = threading.active_count()
+            server = make_server(service)
+            host, port = server.server_address[:2]
+            base = f"http://{host}:{port}"
+            loop = threading.Thread(
+                target=server.serve_forever,
+                kwargs={"poll_interval": 0.05},
+                daemon=True,
+            )
+            loop.start()
+            # Two concurrent connections, then sequential ones: two
+            # threads, both parked at the end.
+            sockets = self.open_held(base, 2)
+            assert self.wait_for(
+                lambda: threading.active_count() >= before + 3
+            )
+            self.finish_held(sockets)
+            for _ in range(5):
+                assert exchange(base, self.HEALTHZ).startswith(b"HTTP/1.0 200")
+            assert len(server._parked) == 2
+            server.shutdown()
+            loop.join(BARRIER_S)
+            closer = threading.Thread(target=server.server_close)
+            closer.start()
+            closer.join(BARRIER_S)
+            assert not loop.is_alive() and not closer.is_alive()
+            assert threading.active_count() == before
+        finally:
+            service.close()
 
 
 class TestIntrospection:
