@@ -18,7 +18,7 @@ Commands
 ``scenario``
     Run a scenario-capable algorithm under an adversarial execution
     model (asynchrony, crash faults, message loss) and print the
-    degradation observables; ``--smoke`` runs the CI structural check.
+    degradation observables.
 ``info``
     Print instance measurements (n, m, Δ, Δ̄, palette sizes).
 ``list``
@@ -38,21 +38,13 @@ Commands
     live dashboard every N seconds), ``merge`` a completed job
     into the ordered result list, ``retry-failed`` re-queue the job's
     quarantined specs (``--drain`` re-runs them in-process, optionally
-    under a fresh failure policy); ``--smoke`` runs the CI end-to-end
-    check (plan → 2 worker subprocesses → merge → byte-identical to
-    serial ``run_many``).
+    under a fresh failure policy).
 ``worker``
     Drain claimable shards of a job directory through the batch
     executor — run any number of these, on any machine that shares
     the directory.  ``--on-error capture`` (the default) quarantines
     poison specs as dead letters instead of dying; ``--retries`` /
     ``--backoff-s`` / ``--timeout-s`` set the failure policy.
-``chaos``
-    The deterministic fault-injection harness (:mod:`repro.faults`);
-    ``--smoke`` drives a seeded schedule of poison/flaky/hang specs,
-    torn writes, killed workers, and a stale lease through
-    ``run_sharded`` end-to-end and asserts the failure-domain
-    contracts (CI step).
 ``serve``
     The HTTP experiment service (:mod:`repro.service`): idempotent
     ``POST /v1/run`` (identical concurrent requests coalesce onto one
@@ -60,16 +52,14 @@ Commands
     ``GET /v1/jobs/<id>/stream``), a resumable live job event stream
     (``GET /v1/jobs/<id>/events?after=<cursor>``), registry / health /
     metrics endpoints (``GET /v1/metrics?format=prometheus`` for the
-    text exposition); ``--smoke`` starts a server on an ephemeral port
-    and asserts the live contracts over real HTTP (CI step).
+    text exposition).
 ``report``
     The fleet rollup (:mod:`repro.telemetry`): aggregate a job's (or
     any) run-ledger directory into per-algorithm/per-scenario latency
     percentiles, cache-hit and retry rates, per-worker throughput,
     ledger-driven retry advice, and the dead-letter summary;
     ``--flame`` adds the span flame rollup (self/total time by call
-    path, critical path); ``--smoke`` runs a real sharded job in a
-    temporary directory and structurally checks the rollup (CI step).
+    path, critical path).
 ``top``
     Refreshing terminal dashboard over a running sharded job — local
     job directory or service job URL: per-shard state, per-worker
@@ -77,8 +67,8 @@ Commands
     events, and an ETA from observed throughput.
 
 ``solve``, ``race``, ``scenario``, ``info``, ``list``, ``cache-prune``,
-``shard``, ``worker``, ``chaos``, ``report``, and ``serve --smoke``
-accept ``--json`` for machine-readable output.
+``shard``, ``worker`` and ``report`` accept ``--json`` for
+machine-readable output.
 
 Examples::
 
@@ -87,7 +77,6 @@ Examples::
     python -m repro race --family random_regular --size 6 --json
     python -m repro scenario --family grid --size 4 --model lossy_links \\
         --set drop=0.2 --scenario-seed 7
-    python -m repro scenario --smoke
     python -m repro info --input graph.txt
     python -m repro list --scenarios
     python -m repro bench-core --output BENCH_scheduler.json
@@ -99,16 +88,12 @@ Examples::
     python -m repro shard merge --job-dir jobs/sweep --output results.json
     python -m repro shard retry-failed --job-dir jobs/sweep --drain \\
         --retries 2 --timeout-s 30
-    python -m repro shard --smoke
     python -m repro shard status --job-dir jobs/sweep --watch 2
     python -m repro top jobs/sweep
     python -m repro top http://127.0.0.1:8000/v1/jobs/<id>
     python -m repro report jobs/sweep
     python -m repro report jobs/sweep --flame
-    python -m repro report --smoke
-    python -m repro chaos --smoke --chaos-seed 7
     python -m repro serve --port 8000 --data-dir service-data
-    python -m repro serve --smoke
 """
 
 from __future__ import annotations
@@ -240,20 +225,6 @@ def _parse_model_params(pairs: list[str]) -> dict[str, object]:
 
 
 def _command_scenario(args: argparse.Namespace) -> int:
-    if args.smoke:
-        from repro.scenarios import smoke_check
-
-        summary = smoke_check()
-        if args.json:
-            _print_json(summary)
-        else:
-            models = ", ".join(sorted(summary["deterministic_models"]))
-            print(
-                "scenario smoke ok: synchronous identity pinned "
-                f"(fingerprint {summary['identity_fingerprint']}); "
-                f"deterministic under fixed seeds: {models}"
-            )
-        return 0
     spec = RunSpec(
         instance=_instance_spec(args),
         algorithm=args.algorithm,
@@ -308,23 +279,6 @@ def _command_scenario(args: argparse.Namespace) -> int:
 def _command_shard(args: argparse.Namespace) -> int:
     from repro.cluster import coordinator, planner
 
-    if args.smoke:
-        summary = coordinator.smoke_check()
-        if args.json:
-            _print_json(summary)
-        else:
-            print(
-                f"shard smoke ok: {summary['specs']} mixed specs over "
-                f"{summary['shards']} shards via 2 worker subprocesses, "
-                "merged byte-identical to serial run_many "
-                f"(plan {summary['plan_fingerprint']})"
-            )
-        return 0
-    if args.action is None:
-        raise SystemExit(
-            "shard needs an action (plan|status|merge|retry-failed) "
-            "or --smoke"
-        )
     if args.job_dir is None:
         raise SystemExit("shard actions need --job-dir DIR")
     if args.shards == "auto":
@@ -552,51 +506,9 @@ def _command_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_chaos(args: argparse.Namespace) -> int:
-    if not args.smoke:
-        raise SystemExit(
-            "chaos currently has one mode: --smoke (the seeded "
-            "end-to-end fault schedule); compose custom schedules "
-            "programmatically via repro.faults"
-        )
-    from repro.faults import chaos_smoke
-
-    summary = chaos_smoke(args.chaos_seed)
-    if args.json:
-        _print_json(summary)
-    else:
-        print(
-            f"chaos smoke ok (seed {summary['seed']}): "
-            f"{summary['specs']} specs under fault plan "
-            f"{summary['plan_fingerprint']}; slots "
-            f"{summary['failed_slots']} quarantined "
-            f"({', '.join(summary['failed_fingerprints'])}), survivors "
-            "byte-identical to the fault-free serial baseline, failure "
-            "records reproduced by a serial replay "
-            f"[{summary['worker_kills_observed']} worker kill(s) observed]"
-        )
-    return 0
-
-
 def _command_report(args: argparse.Namespace) -> int:
-    from repro.telemetry import format_report, report_smoke, rollup
+    from repro.telemetry import format_report, rollup
 
-    if args.smoke:
-        summary = report_smoke()
-        if args.json:
-            _print_json(summary)
-        else:
-            print(
-                f"report smoke ok: {summary['specs']} specs "
-                f"({summary['specs_distinct']} distinct) through a real "
-                f"sharded job -> {summary['run_records']} ledger run "
-                f"records across {summary['workers']} worker(s), "
-                f"cache-hit rate {summary['cache_hit_rate']:.2f}, "
-                f"report rendered ({summary['report_chars']} chars)"
-            )
-        return 0
-    if not args.dir:
-        raise SystemExit("report needs a <job_dir|ledger_dir> (or --smoke)")
     summary = rollup(args.dir)
     flame = None
     if args.flame:
@@ -769,11 +681,7 @@ def _command_list(args: argparse.Namespace) -> int:
 
 
 def _command_bench_core(args: argparse.Namespace) -> int:
-    from repro.analysis.bench_core import (
-        smoke_check,
-        write_bench_core,
-        write_profile,
-    )
+    from repro.analysis.bench_core import write_bench_core, write_profile
 
     if args.profile:
         # Profile-only mode: cProfile the scheduler's hot loop and write
@@ -781,17 +689,6 @@ def _command_bench_core(args: argparse.Namespace) -> int:
         # rewritten (pair with a plain bench-core run for that).
         sidecar = write_profile(args.output, quick=args.quick)
         print(f"profile sidecar written to {sidecar}")
-        return 0
-    if args.smoke:
-        # CI mode: tiny live run + structural validation of the fresh
-        # record and the committed one; never rewrites the record.
-        record = smoke_check(args.output)
-        headline = record["largest_race_instance"]
-        print(
-            f"bench-core smoke ok: fresh record well-formed "
-            f"(identical results: {headline['identical_results']}); "
-            f"committed record {args.output} validated"
-        )
         return 0
     record = write_bench_core(
         args.output, repeats=args.repeats, quick=args.quick
@@ -810,28 +707,6 @@ def _command_bench_core(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if args.smoke:
-        from repro.service import smoke_check
-
-        summary = smoke_check()
-        if args.json:
-            _print_json(summary)
-        else:
-            print(
-                f"serve smoke ok at {summary['address']}: "
-                f"{summary['clients']} concurrent identical POSTs -> "
-                f"{summary['executions']} execution "
-                f"({summary['coalesced']} coalesced); 503 beyond "
-                f"{summary['max_inflight']} in-flight runs on "
-                f"{summary['workers']} pool workers; sharded job "
-                f"{summary['job']}… streamed {summary['streamed']} results "
-                "byte-identical to serial run_many; "
-                f"{summary['events']} job events resumed exactly-once; "
-                f"prometheus exposition parsed "
-                f"({summary['prometheus_samples']} samples); "
-                f"{summary['hygiene']}"
-            )
-        return 0
     from repro.service import ReproService, make_server
 
     service = ReproService(
@@ -907,11 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="model parameter, repeatable (e.g. --set drop=0.2 --set f=3)",
     )
-    scenario.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: identity bit-for-bit + per-model determinism "
-             "checks on a tiny instance, nothing written",
-    )
     _add_json_argument(scenario)
     scenario.set_defaults(handler=_command_scenario)
 
@@ -935,9 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan / inspect / merge / retry a sharded multi-worker job",
     )
     shard.add_argument(
-        "action", nargs="?",
+        "action",
         choices=["plan", "status", "merge", "retry-failed"],
-        help="coordinator verb (omit with --smoke)",
+        help="coordinator verb",
     )
     shard.add_argument(
         "--job-dir",
@@ -996,12 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry-failed --drain: per-attempt wall-clock budget "
              "(default: none)",
     )
-    shard.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: plan a tiny mixed batch, drain it with 2 worker "
-             "subprocesses, merge, and assert byte-identity with serial "
-             "run_many (temporary directory, nothing kept)",
-    )
     _add_json_argument(shard)
     shard.set_defaults(handler=_command_shard)
 
@@ -1043,37 +907,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_argument(worker)
     worker.set_defaults(handler=_command_worker)
 
-    chaos = commands.add_parser(
-        "chaos",
-        help="deterministic fault-injection harness (repro.faults)",
-    )
-    chaos.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: drive a seeded mixed-fault schedule through "
-             "run_sharded end-to-end and assert the failure-domain "
-             "contracts (temporary directory, nothing kept)",
-    )
-    chaos.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the fault schedule (default 0)",
-    )
-    _add_json_argument(chaos)
-    chaos.set_defaults(handler=_command_chaos)
-
     report = commands.add_parser(
         "report",
         help="roll a run-ledger directory up into fleet metrics",
     )
     report.add_argument(
-        "dir", nargs="?",
+        "dir",
         help="a job directory (its ledger/ is found automatically) or a "
              "ledger directory itself",
-    )
-    report.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: run a small batch through a real sharded job in a "
-             "temporary directory and structurally check the rollup "
-             "(nothing kept)",
     )
     report.add_argument(
         "--flame", action="store_true",
@@ -1137,12 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--quick", action="store_true",
-        help="smaller instances / fewer repeats (for smoke tests)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: tiny run + structural validation of the record "
-             "file, no timing assertions, nothing written",
+        help="smaller instances / fewer repeats (for quick checks)",
     )
     bench.add_argument(
         "--profile", action="store_true",
@@ -1176,13 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-max-entries", type=int, default=None,
         help="LRU budget for the single-run cache (default: unbounded)",
     )
-    serve.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: start an in-process server on an ephemeral port "
-             "and assert the live contracts (idempotent concurrency, "
-             "streaming byte-identity, strict 400s) over real HTTP",
-    )
-    _add_json_argument(serve)
     serve.set_defaults(handler=_command_serve)
     return parser
 

@@ -58,8 +58,8 @@ def largest_race_network(side: int | None = None) -> Network:
 
     ``bench_race_vs_delta`` tops out at ``K_{16,16}``; its simulated
     algorithms run on the line graph of that graph (256 agents of
-    degree 30).  ``side`` overrides the bipartition size (smoke tests
-    shrink it).
+    degree 30).  ``side`` overrides the bipartition size (the quick
+    profile shrinks it).
     """
     if side is None:
         side = LARGEST_RACE_SIDE
@@ -231,10 +231,9 @@ def collect_bench_core(
     *,
     repeats: int = 3,
     quick: bool = False,
-    headline_side: int | None = None,
 ) -> dict:
     """Run the full bench-core suite; return the JSON-safe record."""
-    network = largest_race_network(headline_side)
+    network = largest_race_network()
     headline = compare_reference_vs_fast(
         network,
         horizon=4 if quick else HEADLINE_HORIZON,
@@ -275,7 +274,7 @@ def collect_bench_core(
 
 #: Keys every bench record must carry, and the throughput keys every
 #: sweep row must carry.  ``validate_bench_record`` checks these — the
-#: structure consumers (CI smoke step, regression benchmarks, plots)
+#: structure consumers (tests, regression benchmarks, plots)
 #: rely on, never timing values.
 _REQUIRED_RECORD_KEYS = (
     "benchmark",
@@ -340,24 +339,6 @@ def validate_bench_record(record: dict) -> None:
                     raise ValueError(
                         f"{sweep_key} row is missing numeric {key!r}: {row!r}"
                     )
-
-
-def smoke_check(path: str | Path) -> dict:
-    """CI smoke entry: tiny live run + structural check of ``path``.
-
-    Runs the suite in quick mode on a shrunken headline instance (no
-    timing assertions — only that the record machinery still produces
-    well-formed, identical-results records), validates the fresh
-    record, and validates the committed record at ``path`` if one
-    exists.  The committed record is never overwritten.  Returns the
-    fresh record.
-    """
-    record = collect_bench_core(repeats=1, quick=True, headline_side=4)
-    validate_bench_record(record)
-    committed = Path(path)
-    if committed.exists():
-        validate_bench_record(json.loads(committed.read_text()))
-    return record
 
 
 def write_bench_core(

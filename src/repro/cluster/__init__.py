@@ -39,8 +39,7 @@ die and be re-run: per-spec results spill into the job's shared
 ``cache/`` as they finish (a reclaimed shard replays them instead of
 re-solving), and duplicate execution during a lease race publishes
 byte-identical files.  The CLI front ends are ``python -m repro worker``
-and ``python -m repro shard plan|status|merge`` (plus ``--smoke``, the
-CI check).
+and ``python -m repro shard plan|status|merge|retry-failed``.
 
 **Failure domains.**  Workers execute specs under a
 :class:`~repro.api.FailurePolicy` (default capture): a poison spec
@@ -50,9 +49,8 @@ coordinator bounds its wait on spawned workers
 (:func:`wait_for_workers`), escalating terminate → kill on any worker
 whose lease heartbeats stop, and emits the events to the job's event
 stream.
-The deterministic chaos harness (:mod:`repro.faults`,
-``python -m repro chaos --smoke``) drives injected faults through this
-whole stack end-to-end.
+The deterministic chaos harness (:mod:`repro.faults`) drives injected
+faults through this whole stack end-to-end.
 """
 
 from repro.cluster.coordinator import (
@@ -63,7 +61,6 @@ from repro.cluster.coordinator import (
     retry_failed,
     run_sharded,
     run_sharded_iter,
-    smoke_check,
     spawn_local_worker,
     wait_for_workers,
 )
@@ -110,7 +107,6 @@ __all__ = [
     "retry_failed",
     "run_sharded",
     "run_sharded_iter",
-    "smoke_check",
     "spawn_local_worker",
     "wait_for_workers",
     "work_loop",

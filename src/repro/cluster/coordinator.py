@@ -869,88 +869,3 @@ def retry_failed(
         "remaining_failures": sorted(set(letters) - selected),
     }
 
-
-def smoke_check() -> dict[str, Any]:
-    """CI smoke: plan, drain with 2 worker subprocesses, merge, compare.
-
-    The whole cluster contract on a tiny mixed batch (plain specs plus
-    ``crash_stop`` and ``lossy_links`` scenarios): the merged result
-    list must be **byte-identical** to serial
-    :func:`repro.api.run_many` — same canonical JSON for every result,
-    in order.  Runs in a temporary directory, writes nothing else, and
-    raises :class:`~repro.errors.ClusterError` on any mismatch.
-    Exposed as ``python -m repro shard --smoke`` (a CI step).
-    """
-    import tempfile
-
-    from repro.api.runner import run_many
-    from repro.api.spec import InstanceSpec
-    from repro.results import canonical_json
-    from repro.scenarios.spec import ScenarioSpec
-
-    instance = InstanceSpec(family="complete_bipartite", size=3, seed=2)
-    specs = [
-        RunSpec(instance=instance, algorithm="greedy_sequential"),
-        RunSpec(instance=instance, algorithm="bko20"),
-        RunSpec(
-            instance=instance,
-            algorithm="greedy_sequential",
-            scenario=ScenarioSpec(model="crash_stop", seed=5, params={"f": 2}),
-        ),
-        RunSpec(
-            instance=instance,
-            algorithm="greedy_sequential",
-            scenario=ScenarioSpec(
-                model="lossy_links", seed=5, params={"drop": 0.2}
-            ),
-        ),
-        # A duplicate: merge must fan one shard result over both.
-        RunSpec(instance=instance, algorithm="greedy_sequential"),
-    ]
-    serial = run_many(specs, cache=False)
-    with tempfile.TemporaryDirectory(prefix="repro-shard-smoke-") as job_dir:
-        # Drive the worker subprocesses explicitly (not through
-        # run_sharded, whose self-healing in-process drain would mask a
-        # broken ``python -m repro worker`` entry point): both must
-        # exit cleanly and between them finish the *whole* job.
-        ensure_plan(specs, job_dir, shards=2)
-        procs = [spawn_local_worker(job_dir) for _ in range(2)]
-        events = wait_for_workers(procs, job_dir)
-        if events:
-            raise ClusterError(
-                f"smoke worker subprocesses misbehaved: {events}"
-            )
-        failed = [proc.returncode for proc in procs if proc.returncode != 0]
-        if failed:
-            raise ClusterError(
-                f"smoke worker subprocesses exited with {failed}; "
-                "'python -m repro worker' is broken"
-            )
-        status = job_status(job_dir)
-        if not status["complete"]:
-            raise ClusterError(
-                "smoke worker subprocesses exited cleanly but left the "
-                f"job incomplete: {status}"
-            )
-        merged = merge_results(specs, job_dir)
-    if len(merged) != len(serial):
-        raise ClusterError(
-            f"smoke merge returned {len(merged)} results for "
-            f"{len(serial)} specs"
-        )
-    for index, (ours, theirs) in enumerate(zip(merged, serial)):
-        if canonical_json(ours.to_dict()) != canonical_json(theirs.to_dict()):
-            raise ClusterError(
-                f"smoke result {index} ({specs[index].label()}) is not "
-                "byte-identical to serial run_many — the cluster merge "
-                "contract is broken"
-            )
-    return {
-        "specs": len(specs),
-        "shards": status["shards"],
-        "plan_fingerprint": status["plan_fingerprint"][:12],
-        "byte_identical": True,
-        "result_fingerprints": [
-            result.result_fingerprint()[:12] for result in merged
-        ],
-    }

@@ -142,18 +142,6 @@ class FaultError(ReproError, ValueError):
     """
 
 
-class ServiceError(ReproError, RuntimeError):
-    """The experiment service breached one of its contracts.
-
-    Raised by the service smoke (``python -m repro serve --smoke``)
-    when a live check fails — e.g. concurrent identical ``POST
-    /v1/run`` requests did not coalesce onto exactly one solve, or a
-    streamed job result is not byte-identical to serial ``run_many``.
-    Client-visible request errors are *not* exceptions: the HTTP layer
-    reports them as 4xx JSON bodies.
-    """
-
-
 class ServiceUnavailable(ReproError, RuntimeError):
     """The service cannot take this run now; the client should retry.
 

@@ -19,15 +19,12 @@ path in the library can be driven on purpose, reproducibly::
 
 Determinism is the point: fault plans are fingerprinted and round-trip
 through JSON (workers receive theirs via the ``REPRO_FAULTS``
-environment variable), targeted faults key on spec fingerprints and
-runner-supplied attempt numbers, and the end-to-end smoke
-(:func:`chaos_smoke`, ``python -m repro chaos --smoke``) checks that a
-sharded run under faults terminates, quarantines exactly the doomed
-specs, merges survivors byte-identical to a fault-free serial run, and
-reproduces its failure records in a serial replay.
+environment variable), and targeted faults key on spec fingerprints
+and runner-supplied attempt numbers.  ``tests/test_faults.py`` drives
+a seeded schedule of every fault kind through a sharded run end to
+end.
 """
 
-from repro.faults.chaos import chaos_smoke, smoke_plan
 from repro.faults.injector import (
     ENV_VAR,
     KILL_EXIT_CODE,
@@ -53,9 +50,7 @@ __all__ = [
     "FaultSpec",
     "active_faults",
     "apply_stale_leases",
-    "chaos_smoke",
     "env_with_faults",
     "install_from_env",
     "make_fault",
-    "smoke_plan",
 ]

@@ -50,7 +50,6 @@ from repro.scenarios.executor import (
     execute_scenario,
     is_scenario_result,
     run_under_model,
-    smoke_check,
     validate_scenario_result,
 )
 from repro.scenarios.models import (
@@ -91,6 +90,5 @@ __all__ = [
     "run_under_model",
     "scenario_capable",
     "scenario_registry",
-    "smoke_check",
     "validate_scenario_result",
 ]

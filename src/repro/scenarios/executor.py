@@ -237,64 +237,3 @@ def validate_scenario_result(result: RunResult, graph: nx.Graph) -> None:
             f"recomputed value {proper}"
         )
 
-
-def smoke_check() -> dict[str, Any]:
-    """CI smoke: tiny structural + determinism check of the subsystem.
-
-    Pins the two contracts cheaply (no timing, no files): the identity
-    scenario shares fingerprint *and* result payload with a plain run,
-    and every adversarial model reproduces its result byte-for-byte
-    under a fixed seed.  Returns a JSON-safe summary; raises on any
-    violation.
-    """
-    # Imported here: repro.api.spec imports this package's spec module,
-    # so the api layer must not be a module-level dependency.
-    from repro.api.runner import run
-    from repro.api.spec import InstanceSpec, RunSpec
-    from repro.scenarios.registry import scenario_registry
-    from repro.scenarios.spec import ScenarioSpec
-
-    instance = InstanceSpec(family="complete_bipartite", size=3, seed=2)
-    plain = RunSpec(instance=instance, algorithm="greedy_sequential")
-    identity = RunSpec(
-        instance=instance,
-        algorithm="greedy_sequential",
-        scenario=ScenarioSpec(model="synchronous"),
-    )
-    if identity.fingerprint() != plain.fingerprint():
-        raise ScenarioError(
-            "identity scenario changed the spec fingerprint — the "
-            "bit-for-bit contract is broken"
-        )
-    plain_result = run(plain, cache=False)
-    identity_result = run(identity, cache=False)
-    if (
-        identity_result.result_fingerprint()
-        != plain_result.result_fingerprint()
-    ):
-        raise ScenarioError(
-            "identity scenario produced a different result payload than "
-            "the plain run"
-        )
-
-    deterministic: dict[str, str] = {}
-    for name, model in scenario_registry().items():
-        if model.identity:
-            continue
-        spec = RunSpec(
-            instance=instance,
-            algorithm="greedy_sequential",
-            scenario=ScenarioSpec(model=name, seed=7),
-        )
-        first = run(spec, cache=False)
-        second = run(spec, cache=False)
-        if first.result_fingerprint() != second.result_fingerprint():
-            raise ScenarioError(
-                f"model {name!r} is not deterministic under a fixed seed"
-            )
-        deterministic[name] = first.result_fingerprint()[:12]
-    return {
-        "identity_fingerprint": plain.fingerprint()[:12],
-        "identity_bit_for_bit": True,
-        "deterministic_models": deterministic,
-    }

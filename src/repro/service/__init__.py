@@ -30,9 +30,7 @@ or in-process::
 Endpoints: ``POST /v1/run``, ``POST /v1/jobs``, ``GET /v1/jobs/<id>``,
 ``GET /v1/jobs/<id>/stream`` (NDJSON, batch order, exactly once),
 ``GET /v1/registry``, ``GET /v1/healthz`` — full contract in
-:mod:`repro.service.http`.  ``python -m repro serve --smoke`` checks
-the live contracts end-to-end (a CI step); see
-:mod:`repro.service.smoke`.
+:mod:`repro.service.http`.
 """
 
 from repro.service.app import (
@@ -43,7 +41,6 @@ from repro.service.app import (
     registry_payload,
 )
 from repro.service.http import ServiceHandler, make_server
-from repro.service.smoke import smoke_check
 
 __all__ = [
     "CACHE_SUBDIR",
@@ -53,5 +50,4 @@ __all__ = [
     "ServiceHandler",
     "make_server",
     "registry_payload",
-    "smoke_check",
 ]

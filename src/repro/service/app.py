@@ -410,7 +410,7 @@ class ReproService:
         """Hand one spec to the solve pool; returns ``(result, observed)``.
 
         The one place a spec leaves the server process, and so the seam
-        tests and the smoke wrap to count executions.  ``observed``
+        tests wrap to count executions.  ``observed``
         holds the disposition, attempts and wall-clock the ledger row
         records; the result carries the result fingerprint the worker
         computed.  A pool found broken before the submit is replaced
@@ -466,7 +466,7 @@ class ReproService:
     def inflight_waiters(self, fingerprint: str) -> int:
         """Followers currently blocked on this fingerprint's leader.
 
-        Observability for tests and the smoke: a wrapper around
+        Observability for tests: a wrapper around
         :meth:`_solve` can hold the leader open until the expected
         crowd has gathered, making the exactly-one-execution assertion
         deterministic.

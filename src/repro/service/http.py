@@ -206,12 +206,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
         returns ``False``: 400 for a malformed request line, 505 for
         HTTP/2 or later, 431 for a header line over
         :data:`MAX_HEADER_LINE_BYTES` or more than
-        :data:`MAX_HEADER_LINES` lines.  Header names are matched
-        case-insensitively and the first of repeated headers wins, as
-        ``email.message.Message.get`` does; like that parser, a line
-        that is neither a header nor a continuation ends the headers
-        (the lines up to the blank one are read and ignored).  Under
-        HTTP/1.0 ``Connection`` and ``Expect`` change nothing, so
+        :data:`MAX_HEADER_LINES` lines.  A refused request line is
+        answered under ``protocol_version``, with a status line and
+        headers (the stdlib sends the bare page).  Header names are
+        matched case-insensitively and the first of repeated headers
+        wins, as ``email.message.Message.get`` does; like that parser,
+        a line that is neither a header nor a continuation ends the
+        headers (the lines up to the blank one are read and ignored).
+        Under HTTP/1.0 ``Connection`` and ``Expect`` change nothing, so
         neither is looked at.
         """
         self.command = None
@@ -226,28 +228,24 @@ class ServiceHandler(BaseHTTPRequestHandler):
             version = words[-1]
             match = _HTTP_VERSION.fullmatch(version)
             if match is None:
-                self.send_error(
+                return self._refuse_request_line(
                     HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
                 )
-                return False
             if int(match[1]) >= 2:
-                self.send_error(
+                return self._refuse_request_line(
                     HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
                     f"Invalid HTTP version ({version[5:]})",
                 )
-                return False
             self.request_version = version
         if not 2 <= len(words) <= 3:
-            self.send_error(
+            return self._refuse_request_line(
                 HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
             )
-            return False
         command, path = words[:2]
         if len(words) == 2 and command != "GET":
-            self.send_error(
+            return self._refuse_request_line(
                 HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})"
             )
-            return False
         self.command = command
         # As the stdlib does: '//x' would read as a scheme-less URL.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
@@ -256,6 +254,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return False
         self.headers = headers
         return True
+
+    def _refuse_request_line(self, code: HTTPStatus, message: str) -> bool:
+        """Send the error reply for a request line; returns ``False``."""
+        self.request_version = self.protocol_version
+        self.send_error(code, message)
+        return False
 
     def _read_headers(self) -> dict[str, str] | None:
         """Read the header lines up to the blank one: lower-cased name

@@ -65,7 +65,7 @@ from repro.telemetry.prometheus import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
-from repro.telemetry.report import format_report, report_smoke, rollup
+from repro.telemetry.report import format_report, rollup
 from repro.telemetry.top import render_job_view, run_top, shard_progress_table
 from repro.telemetry.trace import trace, trace_context, tracing_enabled
 
@@ -91,7 +91,6 @@ __all__ = [
     "record_run",
     "render_job_view",
     "render_prometheus",
-    "report_smoke",
     "rollup",
     "run_top",
     "shard_progress_table",

@@ -26,19 +26,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ReproError
 from repro.telemetry.ledger import read_ledger_rows
 
-__all__ = ["find_ledger_dir", "format_report", "report_smoke", "rollup"]
+__all__ = ["find_ledger_dir", "format_report", "rollup"]
 
 #: Ledger subdirectory convention shared with the cluster worker and
 #: the service (duplicated as a constant to keep this module importable
 #: without the cluster layer).
 LEDGER_SUBDIR = "ledger"
-
-
-class TelemetryError(ReproError, RuntimeError):
-    """The telemetry smoke found a structural breach in a rollup."""
 
 
 def find_ledger_dir(path: str | Path) -> Path:
@@ -415,92 +410,3 @@ def format_report(summary: dict[str, Any]) -> str:
         )
     return "\n\n".join(blocks)
 
-
-def report_smoke() -> dict[str, Any]:
-    """Run a small sharded job with ledgers on; assert the rollup shape.
-
-    The CI gate for the whole telemetry pipeline: plan → drain (the
-    worker defaults the ledger on) → rollup, then structural checks —
-    every distinct spec accounted for, latency and throughput tables
-    populated, rates well-formed.  Raises :class:`TelemetryError` on
-    any breach; returns a JSON-safe summary on success.
-    """
-    import tempfile
-
-    from repro.api.spec import InstanceSpec, RunSpec
-    from repro.cluster.coordinator import run_sharded
-
-    specs = [
-        RunSpec(
-            instance=InstanceSpec(family="path", size=6, seed=seed),
-            algorithm=algorithm,
-        )
-        for seed, algorithm in enumerate(
-            ("greedy_sequential", "greedy_sequential", "linial_greedy", "bko20")
-        )
-    ]
-    specs.append(specs[0])  # a duplicate: executes once, one ledger row
-
-    def check(condition: bool, what: str) -> None:
-        if not condition:
-            raise TelemetryError(f"report smoke: {what}")
-
-    with tempfile.TemporaryDirectory(prefix="repro-report-smoke-") as tmp:
-        job_dir = Path(tmp) / "job"
-        results = run_sharded(specs, job_dir, shards=2, local_workers=0)
-        check(len(results) == len(specs), "sharded run lost results")
-        summary = rollup(job_dir)
-        check(
-            summary["ledger_dir"] == str(job_dir / LEDGER_SUBDIR),
-            "job ledger directory not resolved",
-        )
-        distinct = len({spec.fingerprint() for spec in specs})
-        check(
-            summary["specs_distinct"] == distinct,
-            f"expected {distinct} distinct specs, "
-            f"saw {summary['specs_distinct']}",
-        )
-        check(summary["run_records"] >= distinct, "missing run records")
-        check(
-            set(summary["by_algorithm"])
-            == {"greedy_sequential", "linial_greedy", "bko20"},
-            "per-algorithm grouping wrong",
-        )
-        for key, group in summary["by_algorithm"].items():
-            check(
-                group["executed"] >= 1 and group["latency_s"] is not None,
-                f"group {key} has no executed latency sample",
-            )
-            latency = group["latency_s"]
-            check(
-                0 <= latency["p50"] <= latency["p90"] <= latency["max"],
-                f"group {key} percentiles out of order",
-            )
-        check(summary["cache"]["executions"] == distinct, "execution count")
-        check(
-            summary["retries"]["specs_retried"] == 0
-            and summary["retries"]["retry_rate"] == 0.0,
-            "phantom retries in a fault-free job",
-        )
-        check(summary["failures"]["failed_records"] == 0, "phantom failures")
-        check(len(summary["workers"]) >= 1, "no worker throughput rows")
-        for stats in summary["workers"].values():
-            check(
-                stats["specs_per_s"] is None or stats["specs_per_s"] > 0,
-                "non-positive worker throughput",
-            )
-        check(len(summary["environments"]) >= 1, "no environment snapshot")
-        text = format_report(summary)
-        check(
-            "per-algorithm / per-scenario" in text
-            and "throughput per worker" in text,
-            "rendered report missing tables",
-        )
-        return {
-            "specs": len(specs),
-            "specs_distinct": distinct,
-            "run_records": summary["run_records"],
-            "workers": len(summary["workers"]),
-            "cache_hit_rate": summary["cache"]["hit_rate"],
-            "report_chars": len(text),
-        }

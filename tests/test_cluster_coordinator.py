@@ -23,6 +23,8 @@ from repro.cluster import (
     job_status,
     merge_results,
     run_sharded,
+    spawn_local_worker,
+    wait_for_workers,
     work_loop,
 )
 from repro.cluster.queue import ShardQueue, result_path
@@ -89,22 +91,20 @@ class TestAcceptance:
         # Drive the 2 worker subprocesses explicitly and require that
         # *they* complete the whole job (run_sharded's self-healing
         # in-process drain would mask a broken worker entry point).
-        from repro.cluster import spawn_local_worker
-
         specs, serial = serial_baseline
         job = tmp_path / "job"
         ensure_plan(specs, job, shards=4)
         procs = [spawn_local_worker(job, lease_ttl=60.0) for _ in range(2)]
-        for proc in procs:
-            proc.wait()
+        assert wait_for_workers(procs, job, lease_ttl=60.0) == []
         assert [proc.returncode for proc in procs] == [0, 0]
         status = job_status(job)
         assert status["complete"]
         assert status["shards"] == 4
-        merged = run_sharded(
-            specs, job, shards=4, local_workers=0, lease_ttl=60.0
-        )
+        merged = merge_results(specs, job)
         assert payloads(merged) == payloads(serial)
+        # The trailing duplicates share their first occurrence's result.
+        assert merged[-2] is merged[1]
+        assert merged[-1] is merged[2]
 
     def test_killed_worker_job_resumes_from_surviving_state(
         self, tmp_path, serial_baseline

@@ -1,4 +1,4 @@
-"""The chaos harness: fault specs, the injector, and the end-to-end smoke.
+"""The chaos harness: fault specs, the injector, and a seeded schedule.
 
 Pins the :mod:`repro.faults` contracts:
 
@@ -8,37 +8,48 @@ Pins the :mod:`repro.faults` contracts:
   residue, even across failures), and refuses to stack;
 * torn-write injection produces exactly the artefact every reader
   treats as absent, and recovery re-publishes;
-* the seeded chaos smoke — poison + flaky + hang specs, torn shard
+* a seeded chaos schedule — poison + flaky + hang specs, torn shard
   results, killed workers, a stale lease, all at once through
   ``run_sharded`` — terminates with exact quarantine, byte-identical
-  survivors, and serially-reproducible failure records (the PR's
-  acceptance scenario).
+  survivors, serially-reproducible failure records and an honest run
+  ledger.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.api import FailurePolicy, InstanceSpec, RunSpec, run
+from repro.api import (
+    FailurePolicy,
+    InstanceSpec,
+    RunSpec,
+    ScenarioSpec,
+    run,
+    run_many,
+)
 from repro.api import diskcache as diskcache_module
 from repro.api import runner as runner_module
 from repro.api.diskcache import atomic_write_json, read_json
 from repro.api.runner import clear_result_cache
+from repro.cluster import ensure_plan, job_status, run_sharded
 from repro.cluster.queue import ShardQueue, claim_path
 from repro.errors import FaultError, InjectedFault
 from repro.faults import (
     ENV_VAR,
+    KILL_EXIT_CODE,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     active_faults,
     apply_stale_leases,
-    chaos_smoke,
     env_with_faults,
     install_from_env,
     make_fault,
-    smoke_plan,
 )
+from repro.results import canonical_json
+from repro.telemetry.ledger import read_ledger_rows
 
 
 @pytest.fixture(autouse=True)
@@ -203,26 +214,201 @@ class TestInjector:
         assert queue.claim(1)
 
 
+#: Per-attempt deadline of the chaos schedule's failure policy; the
+#: hang fault sleeps well past it, so both attempts time out.
+CHAOS_TIMEOUT_S = 0.5
+CHAOS_HANG_SLEEP_S = 4.0
+
+
+def chaos_batch() -> list[RunSpec]:
+    """The adversarial batch: plain, scenario, and duplicate specs."""
+    instance = InstanceSpec(family="complete_bipartite", size=3, seed=2)
+    return [
+        RunSpec(instance=instance, algorithm="greedy_sequential"),
+        RunSpec(instance=instance, algorithm="bko20"),
+        RunSpec(
+            instance=instance,
+            algorithm="greedy_sequential",
+            scenario=ScenarioSpec(model="crash_stop", seed=5, params={"f": 2}),
+        ),
+        RunSpec(
+            instance=instance,
+            algorithm="greedy_sequential",
+            scenario=ScenarioSpec(
+                model="lossy_links", seed=5, params={"drop": 0.2}
+            ),
+        ),
+        # A duplicate: a failed fingerprint must fan its FailedResult
+        # over every occurrence exactly as successes fan out.
+        RunSpec(instance=instance, algorithm="greedy_sequential"),
+    ]
+
+
+def chaos_plan(seed: int, fingerprints: list[str]) -> FaultPlan:
+    """The seeded fault schedule over a batch's distinct fingerprints.
+
+    Rotating the sorted distinct fingerprints by ``seed`` picks which
+    spec is poisoned, which hangs and which is flaky, so different
+    seeds exercise different specs and a seed always rebuilds its plan.
+    """
+    distinct = sorted(set(fingerprints))
+    assert len(distinct) >= 3
+    poison = distinct[seed % len(distinct)]
+    hang = distinct[(seed + 1) % len(distinct)]
+    flaky = distinct[(seed + 2) % len(distinct)]
+    return FaultPlan(
+        seed=seed,
+        faults=(
+            make_fault("poison", target=poison),
+            make_fault("hang", target=hang, sleep_s=CHAOS_HANG_SLEEP_S),
+            make_fault("flaky", target=flaky, fail_attempts=1),
+            make_fault("torn_write", match="results/", count=1),
+            make_fault("worker_kill", after_specs=1),
+            make_fault("stale_lease", shard=0, age_s=1e6),
+        ),
+    )
+
+
 class TestChaosSmoke:
-    def test_smoke_plan_is_seed_deterministic(self):
-        fingerprints = [f"{i:x}" * 16 for i in range(4)]
-        assert smoke_plan(2, fingerprints) == smoke_plan(2, fingerprints)
-        assert (
-            smoke_plan(0, fingerprints).fingerprint()
-            != smoke_plan(1, fingerprints).fingerprint()
+    """One seeded schedule of every fault kind through ``run_sharded``.
+
+    A poison spec, a hang spec past the per-attempt deadline, a flaky
+    spec that recovers on retry, a torn shard result file, worker
+    subprocesses that kill themselves mid-job and a pre-planted stale
+    lease, all in one sharded run with two real worker subprocesses.
+    """
+
+    @pytest.fixture(scope="class")
+    def chaos(self, tmp_path_factory):
+        clear_result_cache()
+        specs = chaos_batch()
+        fingerprints = [spec.fingerprint() for spec in specs]
+        plan = chaos_plan(0, fingerprints)
+        policy = FailurePolicy(
+            on_error="capture",
+            retries=1,
+            backoff_s=0.0,
+            timeout_s=CHAOS_TIMEOUT_S,
+            backoff_seed=0,
+        )
+        # Fault-free serial baseline: what every surviving slot equals.
+        baseline = run_many(specs, cache=False)
+        job_dir = tmp_path_factory.mktemp("chaos") / "job"
+        # Plant the stale lease before any worker starts; the plan is
+        # active in the worker subprocesses (via the environment) and
+        # in this process, whose drain executes specs too.
+        ensure_plan(specs, job_dir, shards=2)
+        apply_stale_leases(plan, job_dir)
+        with active_faults(plan):
+            merged = run_sharded(
+                specs,
+                job_dir,
+                shards=2,
+                local_workers=2,
+                lease_ttl=2.0,
+                on_error=policy,
+                worker_env=env_with_faults(plan),
+            )
+        status = job_status(job_dir)
+        ledger_rows = [
+            row
+            for row in read_ledger_rows(job_dir / "ledger")
+            if row.get("kind") == "run"
+        ]
+        # A serial pass under the same plan and policy.
+        with active_faults(plan):
+            replay = run_many(specs, cache=False, on_error=policy)
+
+        def target(kind):
+            return plan.of_kind(kind)[0].params["target"]
+
+        return SimpleNamespace(
+            specs=specs,
+            fingerprints=fingerprints,
+            policy=policy,
+            poison=target("poison"),
+            doomed={target("poison"), target("hang")},
+            flaky=target("flaky"),
+            baseline=baseline,
+            merged=merged,
+            status=status,
+            ledger_rows=ledger_rows,
+            replay=replay,
         )
 
-    def test_end_to_end(self):
-        # The PR's acceptance scenario: a sharded run under a seeded
-        # mixed-fault schedule (poison + hang + flaky specs, torn shard
-        # results, self-killing workers, a pre-planted stale lease)
-        # terminates, quarantines exactly the doomed specs, merges
-        # survivors byte-identical to a fault-free serial baseline, and
-        # reproduces its failure records in a serial replay.  All of
-        # those contracts are asserted inside chaos_smoke (ClusterError
-        # on any breach).
-        summary = chaos_smoke(seed=0)
-        assert summary["survivors_byte_identical"]
-        assert summary["failures_reproducible"]
-        assert len(summary["failed_slots"]) >= 2
-        assert summary["worker_kills_observed"] >= 1
+    def test_chaos_plan_is_seed_deterministic(self):
+        fingerprints = [f"{i:x}" * 16 for i in range(4)]
+        assert chaos_plan(2, fingerprints) == chaos_plan(2, fingerprints)
+        assert (
+            chaos_plan(0, fingerprints).fingerprint()
+            != chaos_plan(1, fingerprints).fingerprint()
+        )
+
+    def test_the_run_terminates_with_every_slot(self, chaos):
+        assert len(chaos.merged) == len(chaos.specs)
+
+    def test_exactly_the_doomed_specs_are_quarantined(self, chaos):
+        doomed_slots = {
+            index
+            for index, fingerprint in enumerate(chaos.fingerprints)
+            if fingerprint in chaos.doomed
+        }
+        failed_slots = {
+            index
+            for index, result in enumerate(chaos.merged)
+            if result.is_failure()
+        }
+        assert failed_slots == doomed_slots
+        assert set(chaos.status["failed"]) == chaos.doomed
+        for index in sorted(doomed_slots):
+            failed = chaos.merged[index]
+            assert failed.error_type == (
+                "InjectedFault"
+                if chaos.fingerprints[index] == chaos.poison
+                else "SpecTimeoutError"
+            )
+            assert failed.attempts == chaos.policy.attempts
+
+    def test_survivors_match_the_fault_free_baseline(self, chaos):
+        # The flaky spec's recovery leaves no mark on its result.
+        for index, (ours, theirs) in enumerate(
+            zip(chaos.merged, chaos.baseline)
+        ):
+            if chaos.fingerprints[index] not in chaos.doomed:
+                assert canonical_json(ours.to_dict()) == canonical_json(
+                    theirs.to_dict()
+                ), chaos.specs[index].label()
+
+    def test_a_serial_replay_reproduces_every_slot(self, chaos):
+        # Failure records obey serial == sharded, like successes.
+        assert [canonical_json(r.to_dict()) for r in chaos.merged] == [
+            canonical_json(r.to_dict()) for r in chaos.replay
+        ]
+
+    def test_the_ledger_accounts_for_every_spec(self, chaos):
+        rows = chaos.ledger_rows
+        assert set(chaos.fingerprints) <= {row["fingerprint"] for row in rows}
+        for target in sorted(chaos.doomed):
+            attempts = [
+                row["attempts"]
+                for row in rows
+                if row["fingerprint"] == target
+                and row["disposition"] == "failed"
+            ]
+            assert attempts
+            assert set(attempts) == {chaos.policy.attempts}
+        # The flaky spec fails its first attempt in every process.
+        flaky_attempts = [
+            row["attempts"]
+            for row in rows
+            if row["fingerprint"] == chaos.flaky
+            and row["disposition"] == "executed"
+        ]
+        assert flaky_attempts
+        assert set(flaky_attempts) == {2}
+
+    def test_a_worker_kill_is_observed(self, chaos):
+        returncodes = [
+            event.get("returncode") for event in chaos.status["worker_events"]
+        ]
+        assert KILL_EXIT_CODE in returncodes

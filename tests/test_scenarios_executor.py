@@ -28,6 +28,7 @@ from repro.scenarios import (
     conflict_count,
     is_scenario_result,
     scenario_capable,
+    scenario_registry,
     validate_scenario_result,
 )
 
@@ -82,6 +83,12 @@ class TestSynchronousBitForBit:
 
 class TestAdversarialDeterminism:
     def test_repeat_runs_are_byte_identical(self):
+        # The batch covers every adversarial model of the registry.
+        assert {spec.scenario.model for spec in adversarial_specs()} == {
+            name
+            for name, model in scenario_registry().items()
+            if not model.identity
+        }
         for spec in adversarial_specs():
             first = run(spec, cache=False)
             second = run(spec, cache=False)

@@ -16,7 +16,7 @@ transport a zero-dependency client actually uses.  The headline pins:
 * **Request limits** — an oversized ``Content-Length`` is a 413 sent
   before the body is read, a stalled request loses its connection, and
   oversized or malformed request heads get the stdlib's 431, 414, 400
-  and 505 replies.
+  and 505 replies, each with a status line.
 * **Handler threads** — threads park between connections, at most
   ``max_inflight`` of them, and ``server_close`` ends them.
 * **Poison round-trip** — an unrunnable spec is an answer (200,
@@ -212,6 +212,8 @@ class TestIdempotentRuns:
         ]
         assert dispositions.count("executed") == 1
         assert dispositions.count("coalesced") == clients - 1
+        runs = service.metrics.snapshot()["runs"]
+        assert (runs["executed"], runs["coalesced"]) == (1, clients - 1)
 
     def test_repeat_post_replays_from_disk_cache(self, live):
         _, base = live
@@ -518,13 +520,17 @@ class TestRequestLimits:
         ],
         ids=["garbage", "http-2", "bad-version", "http-0.9-post"],
     )
-    def test_malformed_request_lines_get_the_stdlib_reply(
+    def test_malformed_request_lines_get_a_status_line(
         self, live, data, code, message
     ):
-        # The request line sets no version here, so the stdlib sends
-        # the bare HTML page, without a status line or headers.
+        # The stdlib sends these the bare HTML page; the service puts an
+        # HTTP/1.0 status line and headers before the same page.
         _, base = live
-        assert exchange(base, data) == error_page(code, message)
+        head, _, body = exchange(base, data).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 %d %s\r\n" % (code, message.encode()))
+        assert b"\r\nContent-Type: text/html;charset=utf-8" in head
+        assert b"\r\nContent-Length: %d" % len(body) in head
+        assert body == error_page(code, message)
 
     @pytest.mark.parametrize(
         "headers, status",

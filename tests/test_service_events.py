@@ -13,12 +13,14 @@ events endpoint:
 * a malformed cursor is a 400 naming the problem, never a silent
   replay from the start;
 * the streamed job's sealed results stay byte-identical to serial
-  ``run_many`` — events never touch results.
+  ``run_many`` — events never touch results — also when a real
+  ``python -m repro worker`` subprocess drains the job.
 """
 
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
 
 from repro.api import InstanceSpec, RunSpec, ScenarioSpec, run_many
@@ -166,3 +168,66 @@ class TestEventsEndpoint:
             assert canonical_json(line["result"]) == canonical_json(
                 serial[index].to_dict()
             )
+
+    def test_a_worker_subprocess_job_streams_serial_bytes(self, live):
+        # With "local_workers": 1 a ``python -m repro worker``
+        # subprocess drains the job; the coordinator claims no shard
+        # while it runs.
+        _, base = live
+        instance = InstanceSpec(family="complete_bipartite", size=3, seed=2)
+        specs = batch() + [
+            RunSpec(instance=instance, algorithm="bko20"),
+            RunSpec(
+                instance=instance,
+                algorithm="greedy_sequential",
+                scenario=ScenarioSpec(
+                    model="lossy_links", seed=5, params={"drop": 0.2}
+                ),
+            ),
+            batch()[0],  # a duplicate: one solve fans over both slots
+        ]
+        clear_result_cache()
+        serial = run_many(specs, cache=False)
+        clear_result_cache()
+        status, body, _ = submit(base, specs, shards=2, local_workers=1)
+        assert status == 201
+        url = base + body["events_url"]
+        head = stream_events(url + "?follow=0")  # read mid-job
+        with urllib.request.urlopen(
+            base + body["stream_url"], timeout=STREAM_TIMEOUT
+        ) as stream:
+            lines = [json.loads(line) for line in stream if line.strip()]
+        assert [line["index"] for line in lines] == list(range(len(specs)))
+        for index, line in enumerate(lines):
+            assert canonical_json(line["result"]) == canonical_json(
+                serial[index].to_dict()
+            ), f"slot {index} diverges from serial run_many"
+        # The stream ends at the last slot; the service still reaps its
+        # worker before the job is done.
+        deadline = time.time() + STREAM_TIMEOUT
+        while True:
+            _, snap, _ = request("GET", base + body["status_url"])
+            if snap["state"] != "running" or time.time() > deadline:
+                break
+            time.sleep(0.05)
+        assert snap["state"] == "done"
+        assert snap["cluster"]["complete"] is True
+        assert snap["cluster"]["worker_events"] == []  # it exited 0
+        full = stream_events(url + "?follow=0")
+        spawned = [e["pid"] for e in full if e["event"] == "worker_spawn"]
+        assert len(spawned) == 1
+        sealers = {
+            e["worker"].rpartition(":")[2]
+            for e in full
+            if e["event"] == "shard_sealed"
+        }
+        assert sealers == {str(spawned[0])}
+        # Resuming the mid-job read misses and replays nothing, across
+        # the two processes' event files.
+        after = f"&after={head[-1]['cursor']}" if head else ""
+        tail = stream_events(url + "?follow=0" + after)
+        assert sorted(stripped(head + tail)) == sorted(stripped(full))
+        seen: dict[str, int] = {}
+        for event in head + tail:
+            assert event["seq"] > seen.get(event["worker"], 0)
+            seen[event["worker"]] = event["seq"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import time
 
@@ -36,6 +37,15 @@ from repro.telemetry.prometheus import (
 )
 
 from tests.test_service import request, spec_payload
+
+#: One sample line of the Prometheus text format: a metric name, an
+#: optional ``{label="value",...}`` block, one value.
+PROM_SAMPLE = re.compile(
+    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
+    r'(?P<labels>\{(?:[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*",?)*\})?'
+    r' (?P<value>-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\+Inf|NaN))$'
+)
+PROM_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
 @pytest.fixture()
@@ -320,6 +330,57 @@ class TestPrometheusEndpoint:
             'repro_http_requests_total{method="POST",endpoint="/v1/run",'
             'status="200"} 1' in text
         )
+
+    def test_every_line_parses_under_the_text_format_grammar(self, live):
+        import urllib.request
+
+        service, base = live
+        request("POST", base + "/v1/run", spec_payload())
+        request("POST", base + "/v1/run", spec_payload())
+        request("GET", base + "/v1/nowhere")
+        settle(service, 3)
+        with urllib.request.urlopen(
+            base + "/v1/metrics?format=prometheus", timeout=60
+        ) as response:
+            text = response.read().decode("utf-8")
+        assert text.endswith("\n")
+        typed, helped, samples = set(), set(), []
+        for line in text.splitlines():
+            if line.startswith("# HELP "):
+                helped.add(line.split()[2])
+            elif line.startswith("# TYPE "):
+                typed.add(line.split()[2])
+            else:
+                match = PROM_SAMPLE.match(line)
+                assert match is not None, line
+                labels = dict(PROM_LABEL.findall(match["labels"] or ""))
+                samples.append((match["name"], labels, float(match["value"])))
+        assert samples
+        for name, _, _ in samples:
+            family = re.sub(r"_(bucket|sum|count)$", "", name)
+            assert {name, family} & typed and {name, family} & helped, name
+        # Per route: cumulative buckets whose +Inf bucket is _count.
+        histogram = "repro_http_request_duration_milliseconds"
+        buckets, counts = {}, {}
+        for name, labels, value in samples:
+            route = (labels.get("method"), labels.get("endpoint"))
+            if name == histogram + "_bucket":
+                buckets.setdefault(route, []).append((labels["le"], value))
+            elif name == histogram + "_count":
+                counts[route] = value
+        assert set(buckets) == set(counts)
+        assert ("GET", "<other>") in counts
+        for route, series in buckets.items():
+            values = [value for _, value in series]
+            assert values == sorted(values), route
+            assert series[-1] == ("+Inf", counts[route]), route
+        # The two views render one snapshot: the run split agrees.
+        _, snapshot, _ = request("GET", base + "/v1/metrics")
+        assert {
+            labels["source"]: int(value)
+            for name, labels, value in samples
+            if name == "repro_runs_total"
+        } == snapshot["runs"]
 
     def test_unknown_format_is_a_400(self, live):
         _, base = live

@@ -3,7 +3,7 @@
 Pins ``repro.telemetry.report`` over *real* artifacts — a sharded job
 drained in-process (whose workers default the ledger on), retries and
 captured failures injected at the fault-hook seam — plus the CLI
-surface (``python -m repro report``, ``--json``, ``--smoke``) and the
+surface (``python -m repro report``, ``--json``) and the
 ledger columns ``repro shard status`` joins into its table.
 """
 
@@ -22,13 +22,7 @@ from repro.api.runner import clear_result_cache
 from repro.cluster import run_sharded
 from repro.cluster.coordinator import job_status
 from repro.errors import InjectedFault
-from repro.telemetry.report import (
-    TelemetryError,
-    find_ledger_dir,
-    format_report,
-    report_smoke,
-    rollup,
-)
+from repro.telemetry.report import find_ledger_dir, format_report, rollup
 
 
 def batch() -> list[RunSpec]:
@@ -277,17 +271,45 @@ class TestFormatReport:
 
 
 class TestSmoke:
-    def test_report_smoke_passes_and_summarizes(self):
-        summary = report_smoke()
-        assert summary["specs"] == 5
+    def test_a_sharded_job_rolls_up_into_every_table(self, tmp_path):
+        # The whole pipeline on a fault-free sharded job: plan, drain
+        # (the worker defaults the ledger on), roll up, render.
+        specs = [
+            RunSpec(
+                instance=InstanceSpec(family="path", size=6, seed=seed),
+                algorithm=algorithm,
+            )
+            for seed, algorithm in enumerate(
+                ("greedy_sequential", "greedy_sequential", "linial_greedy",
+                 "bko20")
+            )
+        ]
+        specs.append(specs[0])  # a duplicate: executes once, one ledger row
+        job_dir = tmp_path / "job"
+        results = run_sharded(specs, job_dir, shards=2, local_workers=0)
+        assert len(results) == len(specs)
+        summary = rollup(job_dir)
+        assert summary["ledger_dir"] == str(job_dir / "ledger")
         assert summary["specs_distinct"] == 4
-        assert summary["workers"] >= 1
-        assert summary["report_chars"] > 0
-
-    def test_telemetry_error_is_a_repro_error(self):
-        from repro.errors import ReproError
-
-        assert issubclass(TelemetryError, ReproError)
+        assert summary["run_records"] >= 4
+        assert set(summary["by_algorithm"]) == {
+            "greedy_sequential", "linial_greedy", "bko20"
+        }
+        for key, group in summary["by_algorithm"].items():
+            assert group["executed"] >= 1, key
+            latency = group["latency_s"]
+            assert 0 <= latency["p50"] <= latency["p90"] <= latency["max"], key
+        assert summary["cache"]["executions"] == 4
+        assert summary["retries"]["specs_retried"] == 0
+        assert summary["retries"]["retry_rate"] == 0.0
+        assert summary["failures"]["failed_records"] == 0
+        assert summary["workers"]
+        for stats in summary["workers"].values():
+            assert stats["specs_per_s"] is None or stats["specs_per_s"] > 0
+        assert summary["environments"]
+        text = format_report(summary)
+        assert "per-algorithm / per-scenario" in text
+        assert "throughput per worker" in text
 
 
 def _repro_cli(*args: str) -> subprocess.CompletedProcess:
