@@ -114,6 +114,7 @@ from repro.api import (
 from repro.analysis.harness import run_race_sweep
 from repro.analysis.tables import format_series, format_table
 from repro.core.params import named_policies
+from repro.errors import ClusterError
 from repro.graphs.families import family_registry
 from repro.graphs.io import write_coloring
 from repro.graphs.properties import graph_summary
@@ -277,20 +278,29 @@ def _command_scenario(args: argparse.Namespace) -> int:
 
 
 def _command_shard(args: argparse.Namespace) -> int:
-    from repro.cluster import coordinator, planner
-
     if args.job_dir is None:
         raise SystemExit("shard actions need --job-dir DIR")
-    if args.shards == "auto":
-        shards: int | str = "auto"
-    else:
-        try:
-            shards = int(args.shards)
-        except ValueError:
-            raise SystemExit(
-                f"--shards expects an integer or 'auto', got {args.shards!r}"
-            )
+    try:
+        return _shard_action(args)
+    except ClusterError as exc:
+        # A missing or foreign plan is misuse, not a crash.
+        raise SystemExit(f"shard {args.action}: {exc}") from None
+
+
+def _shard_action(args: argparse.Namespace) -> int:
+    from repro.cluster import coordinator, planner
+
     if args.action == "plan":
+        if args.shards == "auto":
+            shards: int | str = "auto"
+        else:
+            try:
+                shards = int(args.shards)
+            except ValueError:
+                raise SystemExit(
+                    f"--shards expects an integer or 'auto', "
+                    f"got {args.shards!r}"
+                )
         if not args.specs:
             raise SystemExit("shard plan needs --specs FILE (JSON spec list)")
         with open(args.specs) as handle:

@@ -6,13 +6,13 @@ fingerprinted JSON — the executor's ``cache_dir=`` spill, and the
 top of it — goes through one set of primitives with one concurrency
 story:
 
-* :func:`atomic_write_json` — write-to-temp + ``os.replace``.  The
-  temporary file gets a **unique** name (``tempfile.mkstemp`` in the
-  destination directory), so any number of processes may store the
-  same path concurrently: each rename is atomic, the last writer wins,
-  and a reader can never observe a half-written file.  (A fixed
-  ``.tmp`` name would let two writers interleave truncate/rename and
-  publish a torn entry.)
+* :func:`atomic_write_text` (and :func:`atomic_write_json` over it) —
+  write-to-temp + ``os.replace``.  The temporary file gets a **unique**
+  name (``tempfile.mkstemp`` in the destination directory), so any
+  number of processes may store the same path concurrently: each
+  rename is atomic, the last writer wins, and a reader can never
+  observe a half-written file.  (A fixed ``.tmp`` name would let two
+  writers interleave truncate/rename and publish a torn entry.)
 * :func:`disk_store` / :func:`disk_load` — the sealed cache-entry
   format: one JSON file per spec fingerprint, embedding the *result
   fingerprint* so corrupt or hand-edited entries are discarded as
@@ -53,14 +53,21 @@ def atomic_write_json(path: str | Path, payload: Any) -> None:
     """Publish ``payload`` at ``path`` atomically (concurrent-writer safe).
 
     The payload is serialized with sorted keys (non-JSON values fall
-    back to ``repr``), written to a uniquely named temporary file in
-    the destination directory, and renamed into place.  Concurrent
-    writers of the same path each publish a complete file; the last
-    rename wins.
+    back to ``repr``) and published with :func:`atomic_write_text`.
+    """
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, default=repr))
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Publish ``text`` at ``path`` atomically (concurrent-writer safe).
+
+    The text is written to a uniquely named temporary file in the
+    destination directory and renamed into place.  Concurrent writers
+    of the same path each publish a complete file; the last rename
+    wins.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, default=repr)
     fault = _PUBLISH_FAULT
     if fault is not None and fault(target, text):
         return
@@ -99,17 +106,20 @@ def disk_store(
 
     The embedded ``result_fingerprint`` seals the payload; loads that
     do not reproduce it are discarded.  The result is serialized once,
-    for both the payload and its seal.
+    for its seal and its memoized :meth:`~repro.results.RunResult.to_json`
+    text, which the entry embeds as it is: the file holds the bytes of
+    ``json.dumps({"format", "fingerprint", "result": to_dict(),
+    "result_fingerprint"}, sort_keys=True, default=repr)``.
     """
-    body, seal = result.sealed_dict()
-    payload = {
-        "format": DISK_FORMAT,
-        "fingerprint": fingerprint,
-        "result": body,
-        "result_fingerprint": seal,
-    }
+    text, seal = result.sealed_json()
+    entry = (
+        f'{{"fingerprint": {json.dumps(fingerprint)}, '
+        f'"format": {DISK_FORMAT}, '
+        f'"result": {text}, '
+        f'"result_fingerprint": {json.dumps(seal)}}}'
+    )
     with trace("cache.publish", fingerprint=fingerprint[:12]):
-        atomic_write_json(disk_path(cache_dir, fingerprint), payload)
+        atomic_write_text(disk_path(cache_dir, fingerprint), entry)
 
 
 def disk_load(cache_dir: str | Path, fingerprint: str) -> RunResult | None:

@@ -496,10 +496,10 @@ def run(
 
 def _run_in_worker(
     payload: tuple[dict[str, Any], dict[str, Any], bool]
-) -> RunResult | tuple[dict[str, Any], dict[str, Any], str]:
+) -> RunResult | tuple[str, dict[str, Any], str]:
     """Pool entry point: rebuild the spec from its dict form and run it.
 
-    ``payload`` is ``(spec_dict, options, as_dict)``.  ``options`` are
+    ``payload`` is ``(spec_dict, options, as_json)``.  ``options`` are
     :func:`run`'s keyword arguments, with the failure policy as its
     dict: capture (and its retries/deadline) happens *inside* the
     worker, so the traceback a failure record digests is the
@@ -508,24 +508,28 @@ def _run_in_worker(
     executor state, not spec state), so a pooled batch writes the same
     rows a serial one does, stamped with the worker's own pid.
 
-    With ``as_dict`` false the result comes back pickled, ledger tree
-    and all (``run_many(parallel=N)``).  With ``as_dict`` true it comes
-    back as ``(result.to_dict(), observed, result_fingerprint)``, where
-    ``observed`` holds the disposition, attempts and wall-clock of the
-    resolution: the caller rebuilds the result with
-    :meth:`RunResult.from_dict` (the form a disk-cache hit serves),
-    takes its result fingerprint from the third item (``disk_store``
-    already computed it here), and writes the ledger row itself.
+    With ``as_json`` false the result comes back pickled, ledger tree
+    and all (``run_many(parallel=N)``).  With ``as_json`` true (the
+    service's solve workers) it comes back as ``(result.to_json(),
+    observed, result_fingerprint)``, where ``observed`` holds the
+    disposition, attempts and wall-clock of the resolution.  The JSON
+    text and the fingerprint are the ones ``disk_store`` already
+    computed here for the disk entry (a failure, which is not stored,
+    computes both from one ``to_dict()``): the caller rebuilds the
+    result from the text with :meth:`RunResult.from_dict` (the form a
+    disk-cache hit serves), adopts both as the result's memos, and
+    writes the ledger row itself.
     """
-    spec_dict, options, as_dict = payload
+    spec_dict, options, as_json = payload
     options = dict(options)
     options["on_error"] = FailurePolicy.from_dict(options["on_error"])
     observed: dict[str, Any] = {}
     result = run(
         RunSpec.from_dict(spec_dict), cache=False, _observed=observed, **options
     )
-    if as_dict:
-        return result.to_dict(), observed, result.result_fingerprint()
+    if as_json:
+        text, seal = result.sealed_json()
+        return text, observed, seal
     return result
 
 

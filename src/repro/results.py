@@ -264,6 +264,19 @@ class RunResult:
         object.__setattr__(self, "_result_fingerprint", fingerprint)
         return payload, fingerprint
 
+    def sealed_json(self) -> tuple[str, str]:
+        """``(to_json(), result_fingerprint())`` from at most one
+        :meth:`to_dict`, filling both memos.
+
+        For writers that store the JSON text next to its seal (the disk
+        cache, a solve worker's reply).
+        """
+        if "_json" not in self.__dict__:
+            payload, _ = self.sealed_dict()
+            text = json.dumps(payload, sort_keys=True, default=repr)
+            object.__setattr__(self, "_json", text)
+        return self.__dict__["_json"], self.result_fingerprint()
+
 
 @dataclass(frozen=True)
 class FailedResult(RunResult):

@@ -20,12 +20,12 @@ or in-process::
 
     from repro.service import ReproService, make_server
 
-    service = ReproService("service-data")  # forks the solve pool
+    service = ReproService("service-data")  # forks the solve workers
     server = make_server(service, port=0)   # ephemeral port
     try:
         server.serve_forever()
     finally:
-        service.close()                     # stops the pool's workers
+        service.close()                     # stops the solve workers
 
 Endpoints: ``POST /v1/run``, ``POST /v1/jobs``, ``GET /v1/jobs/<id>``,
 ``GET /v1/jobs/<id>/stream`` (NDJSON, batch order, exactly once),

@@ -27,20 +27,29 @@ evicted fingerprint, or the first repeat after a restart, is read from
 the disk cache and enters memory again.  Failures never enter it: the
 disk cache holds none either, and a poison spec re-executes.
 
-**Solves run in a process pool.**  The solver is CPU-bound Python, so
+**Solves run on forked workers.**  The solver is CPU-bound Python, so
 a solve on a handler thread would hold the GIL while cache hits wait.
-A leader's miss therefore goes to a fixed pool of forked worker
-processes (one per CPU), started when the service is constructed.  A
-worker builds, solves, validates and stores the disk-cache entry, and
-sends back only the result's ``to_dict()`` form and the result
-fingerprint it sealed the entry with; the server rebuilds the result
-with :meth:`~repro.results.RunResult.from_dict`, the form a disk-cache
-hit serves, and adopts that fingerprint, so it serializes the result
-once, for the response.  Coalescing, cache lookups, the run ledger and
-metrics stay in the server process.  At most
-``INFLIGHT_PER_WORKER * workers`` runs are in flight: a further miss
-is refused with :class:`~repro.errors.ServiceUnavailable` (HTTP 503),
-while hits and followers are always served.
+A leader's miss therefore goes to one of a fixed set of forked worker
+processes (one per CPU), started when the service is constructed, each
+reached over its own duplex pipe.  The leader's thread takes an idle
+worker (the most recently used first), sends the spec, waits in the
+pipe read, which releases the GIL, and gives the worker back; no relay
+thread stands between the two.  A worker builds, solves, validates and
+stores the disk-cache entry, and sends back the result's
+``to_json()`` text (the very text the disk entry embeds) and the
+result fingerprint it sealed the entry with; the server rebuilds the
+result from that text with :meth:`~repro.results.RunResult.from_dict`,
+the form a disk-cache hit serves, and adopts both, so the response
+embeds the worker's text and the result is serialized once on the way
+from solver to client.  A worker found dead when it is taken is
+replaced first; one that dies during a solve fails that run (and its
+followers) once with :class:`~repro.errors.ServiceUnavailable` and is
+replaced.  Coalescing, cache lookups, the run ledger and metrics stay
+in the server process.  At most ``INFLIGHT_PER_WORKER * workers`` runs
+are in flight (leaders beyond the worker count wait for an idle
+worker): a further miss is refused with
+:class:`~repro.errors.ServiceUnavailable` (HTTP 503), while hits and
+followers are always served.
 
 **Jobs are identified by their plan fingerprint.**  ``submit_job``
 plans the batch with :func:`repro.cluster.planner.plan_shards` and
@@ -60,13 +69,16 @@ Everything is stdlib; the service adds no dependencies to the library.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import pickle
+import queue
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import traceback
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -94,25 +106,27 @@ JOBS_SUBDIR = "jobs"
 #: job keeps its own ledger under ``jobs/<id>/ledger/``).
 LEDGER_SUBDIR = "ledger"
 
-#: In-flight single runs admitted per pool worker; a miss beyond
+#: In-flight single runs admitted per solve worker; a miss beyond
 #: ``INFLIGHT_PER_WORKER * workers`` of them is refused with a 503.
 INFLIGHT_PER_WORKER = 2
 
 #: Seconds a refused client is told to wait (the ``Retry-After`` header).
 RETRY_AFTER_S = 1
 
-#: Seconds between a pool worker's checks that the server still lives.
+#: Seconds between a solve worker's checks that the server still lives.
 PARENT_POLL_S = 0.5
+
+_FORK = multiprocessing.get_context("fork")
 
 
 def _worker_init(server_pid: int) -> None:
-    """Pool worker set-up: ignore Ctrl-C, exit with the server.
+    """Solve worker set-up: ignore Ctrl-C, exit with the server.
 
     A terminal's Ctrl-C reaches the whole process group; the server
-    alone handles it and shuts the pool down.  A forked worker holds
-    both ends of the call-queue pipe, so if the server dies without
-    shutting the pool down (``SIGKILL``), nothing would ever wake the
-    worker; a daemon thread polls the parent pid and exits instead.
+    alone handles it and stops the workers.  A forked worker holds
+    copies of the server's pipe ends, so if the server dies without
+    stopping it (``SIGKILL``), nothing would ever wake the worker; a
+    daemon thread polls the parent pid and exits instead.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
@@ -124,20 +138,67 @@ def _worker_init(server_pid: int) -> None:
     threading.Thread(target=watch, name="repro-server-watch", daemon=True).start()
 
 
-def _start_pool(workers: int) -> ProcessPoolExecutor:
-    """A fork-context pool with all ``workers`` processes forked now.
+def _serve_solves(conn: Connection, server_pid: int) -> None:
+    """A solve worker's loop: answer each payload until ``None`` comes.
 
-    A fork-context pool forks every worker on its first submit; an
-    empty task makes that happen here, not on the first miss.
+    Each reply is ``(True, _run_in_worker(payload))``, or ``(False,
+    exc)`` for an exception the run raised, its traceback text added
+    as a note; an exception that cannot be pickled is sent as a
+    :class:`RuntimeError` naming it.
     """
-    pool = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_worker_init,
-        initargs=(os.getpid(),),
-    )
-    pool.submit(int)
-    return pool
+    _worker_init(server_pid)
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        try:
+            reply = (True, _run_in_worker(payload))
+        except Exception as exc:
+            exc.add_note(
+                f"in solve worker {os.getpid()}:\n{traceback.format_exc()}"
+            )
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            error = reply[1]
+            conn.send((False, RuntimeError(f"{type(error).__name__}: {error}")))
+
+
+class _Worker:
+    """One forked solve worker and the server's end of its pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self) -> None:
+        self.conn, child = _FORK.Pipe()
+        self.process = _FORK.Process(
+            target=_serve_solves,
+            args=(child, os.getpid()),
+            name="repro-solve-worker",
+            daemon=True,
+        )
+        self.process.start()
+        # The worker holds the only other end: its death is an EOF here.
+        child.close()
+
+    def stop(self) -> None:
+        """Ask the worker to exit after its current solve; reap it."""
+        try:
+            self.conn.send(None)
+        except OSError:  # already dead
+            pass
+        self.process.join()
+        self.conn.close()
+
+    def kill(self) -> None:
+        """Kill the worker (if it still runs) and reap it."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 class _InFlight:
@@ -243,15 +304,15 @@ class ReproService:
         to CPU count and batch length).
 
     Every result it serves was validated by the executor when it was
-    solved, in a pool worker or a job's shard; cache and coalesced
+    solved, in a solve worker or a job's shard; cache and coalesced
     replies hand out such a result without checking it again.
 
     Successful single-run results it has answered with stay in the
     executor's bounded in-process cache, in front of the disk cache;
     repeats are served from it.
 
-    The solve pool's workers, one per CPU, are forked here, before any
-    server thread starts; call :meth:`close` to stop them.
+    The solve workers, one per CPU, are forked here, before any server
+    thread starts; call :meth:`close` to stop them.
     """
 
     def __init__(
@@ -285,13 +346,18 @@ class ReproService:
         }
         self._solving = 0
         self._pool_lock = threading.Lock()
-        self._pool = _start_pool(self.workers)
+        self._workers = [_Worker() for _ in range(self.workers)]
+        self._idle: queue.LifoQueue[_Worker] = queue.LifoQueue()
+        for worker in self._workers:
+            self._idle.put(worker)
 
     def close(self) -> None:
-        """Shut the solve pool down and wait for its workers to exit."""
+        """Stop every solve worker and wait for it to exit (a worker
+        in a solve finishes it first)."""
         with self._pool_lock:
-            pool = self._pool
-        pool.shutdown(wait=True, cancel_futures=True)
+            workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.stop()
 
     # -- single runs ----------------------------------------------------
 
@@ -407,17 +473,17 @@ class ReproService:
     def _solve(
         self, spec: RunSpec, fingerprint: str
     ) -> tuple[RunResult, dict[str, Any]]:
-        """Hand one spec to the solve pool; returns ``(result, observed)``.
+        """Solve one spec on an idle worker; returns ``(result, observed)``.
 
         The one place a spec leaves the server process, and so the seam
         tests wrap to count executions.  ``observed``
         holds the disposition, attempts and wall-clock the ledger row
-        records; the result carries the result fingerprint the worker
-        computed.  A pool found broken before the submit is replaced
-        and the spec submitted to the new one; a worker that dies
-        under this solve fails it (and its followers) once with
-        :class:`~repro.errors.ServiceUnavailable`, and the next
-        request gets a fresh pool.
+        records; the result carries the JSON text and the result
+        fingerprint the worker computed.  A worker found dead when it
+        is taken is replaced before the spec is sent; a worker that
+        dies under this solve fails it (and its followers) once with
+        :class:`~repro.errors.ServiceUnavailable` and is replaced.  An
+        exception the run raised in the worker is raised here.
         """
         payload = (
             spec.to_dict(),
@@ -425,38 +491,44 @@ class ReproService:
             True,
         )
         with self._pool_lock:
-            pool = self._pool
             self._solving += 1
+        worker = self._idle.get()
         try:
+            if not worker.process.is_alive():
+                worker = self._replace(worker)
             try:
-                future = pool.submit(_run_in_worker, payload)
-            except BrokenProcessPool:
-                pool = self._replace_pool(pool)
-                future = pool.submit(_run_in_worker, payload)
-            try:
-                body, observed, seal = future.result()
-            except BrokenProcessPool as exc:
-                self._replace_pool(pool)
+                worker.conn.send(payload)
+                ok, reply = worker.conn.recv()
+            except (EOFError, OSError) as exc:
+                worker = self._replace(worker)
                 raise ServiceUnavailable(
                     "a solve worker died during this run; retry"
                 ) from exc
         finally:
+            self._idle.put(worker)
             with self._pool_lock:
                 self._solving -= 1
-        result = RunResult.from_dict(body)
-        # The worker computed this fingerprint when it sealed the disk
-        # entry; adopting it spares the server a second serialization.
+        if not ok:
+            raise reply
+        text, observed, seal = reply
+        result = RunResult.from_dict(json.loads(text))
+        # The worker's text and seal are this result's serializations:
+        # the response embeds the text instead of dumping it again.
+        object.__setattr__(result, "_json", text)
         object.__setattr__(result, "_result_fingerprint", seal)
         return result, observed
 
-    def _replace_pool(self, broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
-        """Swap a broken pool for a fresh one (once, however many
-        requests saw it break); returns the current pool."""
+    def _replace(self, dead: _Worker) -> _Worker:
+        """Reap a dead worker and fork its successor; after
+        :meth:`close`, refuse with
+        :class:`~repro.errors.ServiceUnavailable` instead."""
         with self._pool_lock:
-            if self._pool is broken:
-                broken.shutdown(wait=False)
-                self._pool = _start_pool(self.workers)
-            return self._pool
+            if dead not in self._workers:
+                raise ServiceUnavailable("the service is shutting down")
+            dead.kill()
+            fresh = _Worker()
+            self._workers[self._workers.index(dead)] = fresh
+        return fresh
 
     def _observe_run(self, source: str, result: RunResult) -> None:
         self.metrics.observe_run(source)
@@ -566,9 +638,10 @@ class ReproService:
         metrics endpoint reads: uptime from the metrics registry's
         start stamp, ``active_requests`` from its in-handler gauge
         (includes this very request), ``inflight_runs`` from the
-        coalescing table, the solve pool's worker count, solves in
-        the pool and admission bound, per-state job counts from the
-        registry of live jobs, and the lifetime request total.
+        coalescing table, the solve worker count, solves handed to
+        the workers (or waiting for one) and admission bound,
+        per-state job counts from the registry of live jobs, and the
+        lifetime request total.
         """
         with self._jobs_lock:
             jobs = list(self._jobs.values())

@@ -39,8 +39,8 @@ Contract details the tests pin:
 * Poison specs are *answers*, not errors: captured failures return 200
   with ``failed: true`` and the serialized
   :class:`~repro.results.FailedResult` in ``result``.
-* A run the service cannot take now — the solve pool holds its bound
-  of in-flight runs, or a pool worker died under it — is a **503**
+* A run the service cannot take now — it holds its bound of in-flight
+  runs, or a solve worker died under it — is a **503**
   with ``Retry-After``; cache hits and coalesced followers are never
   refused.
 * A ``POST /v1/run`` answer is the sorted JSON envelope

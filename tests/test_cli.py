@@ -1,6 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ from repro.graphs.io import read_coloring
 from repro.coloring.verify import check_proper_edge_coloring
 from repro.graphs.generators import complete_bipartite
 from repro.graphs.io import write_edge_list
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSolveCommand:
@@ -307,12 +312,43 @@ class TestShardCommand:
         assert 1 <= payload["shards"] <= payload["distinct_specs"]
 
     def test_plan_rejects_garbage_shards(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main([
                 "shard", "plan", "--job-dir", str(tmp_path / "job"),
                 "--specs", str(self.specs_file(tmp_path)),
                 "--shards", "many",
             ])
+        assert excinfo.value.code == (
+            "--shards expects an integer or 'auto', got 'many'"
+        )
+
+    def test_only_plan_reads_shards(self, tmp_path, capsys):
+        assert main([
+            "shard", "plan", "--job-dir", str(tmp_path / "job"),
+            "--specs", str(self.specs_file(tmp_path)), "--shards", "1",
+        ]) == 0
+        assert main([
+            "shard", "status", "--job-dir", str(tmp_path / "job"),
+            "--shards", "many",
+        ]) == 0
+        assert "0/1 shards done" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("action", ["status", "merge"])
+    def test_an_unplanned_directory_is_a_one_line_error(self, tmp_path, action):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "shard", action,
+             "--job-dir", str(tmp_path)],
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"shard {action}: ")
+        assert "manifest.json is missing" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_status_prints_the_timing_table(self, tmp_path, capsys):
         from repro.cluster import ensure_plan, work_loop

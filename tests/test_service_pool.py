@@ -1,20 +1,24 @@
-"""The service's solve pool: byte identity, saturation, lifecycle.
+"""The service's solve workers: byte identity, saturation, lifecycle.
 
-Single-run misses are solved in forked worker processes and come back
-in ``to_dict()`` form.  Pinned here:
+Single-run misses are solved in forked worker processes, each reached
+over its own pipe, and come back as the result's JSON text.  Pinned
+here:
 
 * **Byte identity** — a pooled response equals in-process
   ``run(spec, cache=False)``, for the paper solver (whose result
   carries a ledger), a baseline, an adversarial scenario and a poison
   spec (its failure record, traceback digest included); the later
-  cache hit serves the same bytes.
+  memory and disk hits serve the same bytes, and the disk entry is the
+  one ``json.dumps`` of the in-process result's envelope.
 * **Saturation** — with the pool holding its bound of in-flight runs,
   a new miss is a 503 with ``Retry-After``; cache hits and coalesced
   followers are still answered, and ``GET /v1/healthz`` reports the
   pool.
 * **Lifecycle** — no worker outlives a ``repro serve`` process,
   whether it is stopped with SIGINT or killed with SIGKILL; a killed
-  worker costs at most one 503, after which fresh specs solve.
+  worker costs at most one 503, after which fresh specs solve, and one
+  killed while idle costs none; no executor relay thread runs in the
+  server.
 * **Memory layer** — a repeat within one server reads no disk entry
   and is recorded ``cache_memory``; a restarted server reads the disk
   once per spec; with the executor's cache budget below two results,
@@ -153,16 +157,61 @@ class TestPooledBytes:
         [RunSpec(instance=INSTANCE, algorithm="bko20"), LOSSY, POISON],
         ids=["bko20", "lossy_links", "poison"],
     )
-    def test_a_solve_adopts_the_workers_result_fingerprint(self, live, spec):
+    def test_a_solve_adopts_the_workers_serializations(self, live, spec):
         service, _ = live
         result, _ = service._solve(spec, spec.fingerprint())
-        # Set by the worker's value, not computed in the server.
+        # Set by the worker's values, not computed in the server.
         adopted = result.__dict__["_result_fingerprint"]
         body = result.to_dict()
+        assert result.__dict__["_json"] == json.dumps(
+            body, sort_keys=True, default=repr
+        )
         assert adopted == RunResult.from_dict(body).result_fingerprint()
         assert adopted == run(
             spec, cache=False, on_error="capture"
         ).result_fingerprint()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec(instance=INSTANCE, algorithm="bko20"),
+            RunSpec(instance=INSTANCE, algorithm="kuhn_soda20"),
+            LOSSY,
+        ],
+        ids=["bko20", "baseline", "lossy_links"],
+    )
+    def test_miss_memory_and_disk_hits_serve_the_same_bytes(self, live, spec):
+        service, base = live
+        direct = run(spec, cache=False)
+        expected = json.dumps(direct.to_dict(), sort_keys=True, default=repr)
+        served = []
+        for clear in (False, False, True):
+            if clear:
+                runner.clear_result_cache()
+            status, body = post_raw(base, spec)
+            assert status == 200
+            _, rest = body.split(b'"result": ', 1)
+            text, source = rest.rsplit(b', "source": ', 1)
+            served.append((text.decode(), json.loads(source[:-1])))
+        assert served == [
+            (expected, "executed"),
+            (expected, "cache"),
+            (expected, "cache"),
+        ]
+        assert [
+            row["disposition"] for row in read_ledger_rows(service.ledger_dir)
+        ] == ["executed", "cache_memory", "cache_disk"]
+        entry = service.cache_dir / f"{spec.fingerprint()}.json"
+        assert entry.read_bytes() == json.dumps(
+            {
+                "format": 2,
+                "fingerprint": spec.fingerprint(),
+                "result": direct.to_dict(),
+                "result_fingerprint": direct.result_fingerprint(),
+            },
+            sort_keys=True,
+            default=repr,
+        ).encode()
 
     def test_poison_record_keeps_its_traceback_digest(self, live):
         _, base = live
@@ -412,6 +461,64 @@ class TestWorkerDeath:
             run(spec, cache=False).to_dict()
         )
         assert not alive(victim)
+
+    def test_a_worker_killed_while_idle_costs_no_503(self, tmp_path):
+        before = set(children_of(os.getpid()))
+        runner.clear_result_cache()
+        service = ReproService(tmp_path / "data")
+        server, base = serve(service)
+        spec = RunSpec(instance=INSTANCE, algorithm="bko20")
+        try:
+            # The idle stack hands out its last worker next.
+            victim = service._idle.queue[-1].process.pid
+            os.kill(victim, signal.SIGKILL)
+            wait_for(lambda: not alive(victim), "the killed worker to die")
+            status, body, _ = request("POST", base + "/v1/run", spec.to_dict())
+            assert status == 200 and body["source"] == "executed"
+            workers = [
+                pid
+                for pid in set(children_of(os.getpid())) - before
+                if alive(pid)
+            ]
+            assert len(workers) == service.workers
+            assert victim not in workers
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    def test_a_miss_runs_no_executor_relay_thread(self, live):
+        service, base = live
+        spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        status, body, _ = request("POST", base + "/v1/run", spec.to_dict())
+        assert status == 200 and body["source"] == "executed"
+        relays = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name == "QueueFeederThread"
+            or type(thread).__module__.startswith("concurrent.futures")
+        ]
+        assert relays == []
+
+    def test_a_worker_exception_is_raised_in_the_server(self, live, tmp_path):
+        service, _ = live
+        spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        options = service._worker_options
+        service._worker_options = {**options, "cache_dir": str(blocker)}
+        with pytest.raises(OSError) as excinfo:
+            service._solve(spec, spec.fingerprint())
+        assert any(
+            note.startswith("in solve worker")
+            for note in excinfo.value.__notes__
+        )
+        service._worker_options = options
+        result, observed = service._solve(spec, spec.fingerprint())
+        assert observed["disposition"] == "executed"
+        assert result.result_fingerprint() == run(
+            spec, cache=False
+        ).result_fingerprint()
 
     def test_close_stops_every_worker(self, tmp_path):
         before = set(children_of(os.getpid()))
