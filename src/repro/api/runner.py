@@ -469,6 +469,10 @@ def run(
         return result
     observed.update(disposition="executed", wall_clock_s=wall_clock_s)
     observed.setdefault("attempts", 1)
+    if cache_dir is not None:
+        # Seal with the JSON text the disk entry stores, so the ledger
+        # row's result fingerprint and that entry share one to_dict().
+        result.sealed_json()
     record_run(
         ledger,
         spec=spec,

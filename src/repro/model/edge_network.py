@@ -12,13 +12,17 @@ Edge IDs are derived from endpoint IDs via a pairing into the range
 ``{1, ..., (2 * max_id)^2}``, preserving the model's polynomial ID
 space (edge IDs are ``n^{O(1)}`` whenever node IDs are).
 
-The returned :class:`~repro.model.network.Network` is a *compiled*
-network like any other: the line graph's (tuple-labelled) nodes are
-sorted once, indexed densely, and get the full columnar delivery
-layout (CSR ``row_start`` plus receiver / receiver-port / destination-
-slot columns — see :meth:`~repro.model.network.Network.delivery_columns`),
-so edge-agent simulations run on the same columnar scheduler path as
-node simulations, flat buffers and all.
+The returned :class:`~repro.model.network.Network` is compiled straight
+from the graph's :class:`~repro.graphs.index.EdgeIndex`: the index
+already holds ``L(G)`` as CSR rows ordered by ``repr`` of the
+neighboring edge, plus every edge's ``repr`` rank, which are exactly
+the canonical node order and port order a :class:`Network` derives.
+:func:`line_graph_network` maps those rows to ranks and hands them to
+the network's one compile step, so edge-agent simulations get the full
+columnar delivery layout (see
+:meth:`~repro.model.network.Network.delivery_columns`) without the line
+graph ever being built in networkx; ``Network.graph`` builds it on
+first read, for the reference loop and other node-level callers.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Hashable, Mapping
 import networkx as nx
 
 from repro.graphs.edges import Edge
+from repro.graphs.index import EdgeIndex
 from repro.graphs.line_graph import line_graph
 from repro.graphs.properties import sorted_nodes
 from repro.model.network import Network
@@ -49,7 +54,10 @@ def edge_identifier(
 
 
 def line_graph_network(
-    graph: nx.Graph, node_ids: Mapping[Hashable, int] | None = None
+    graph: nx.Graph,
+    node_ids: Mapping[Hashable, int] | None = None,
+    *,
+    index: EdgeIndex | None = None,
 ) -> Network:
     """Return a :class:`Network` whose nodes are the edges of ``graph``.
 
@@ -60,12 +68,31 @@ def line_graph_network(
     node_ids:
         Node IDs of ``G``; defaults to the sorted assignment.  Edge IDs
         are derived from them (see :func:`edge_identifier`).
+    index:
+        ``EdgeIndex(graph)``, if the caller already built it; avoids a
+        second build.
     """
     if node_ids is None:
         ordered = sorted_nodes(graph)
-        node_ids = {node: index + 1 for index, node in enumerate(ordered)}
+        node_ids = {node: rank + 1 for rank, node in enumerate(ordered)}
+    if index is None:
+        index = EdgeIndex(graph)
     max_id = max(node_ids.values(), default=0)
-    lg = line_graph(graph)
-    # The line graph's nodes are the canonical edges, in edge order.
-    ids = {edge: edge_identifier(edge, node_ids, max_id) for edge in lg}
-    return Network(lg, ids=ids)
+    edges = index.items
+    ids = {edge: edge_identifier(edge, node_ids, max_id) for edge in edges}
+    # Network index k is the edge of repr rank k, and each index row,
+    # ordered by the neighbors' repr ranks, maps to ascending ranks.
+    repr_rank = index.repr_rank.tolist()
+    index_rows = index.rows()
+    rows = [
+        [repr_rank[other] for other in index_rows[edge_id]]
+        for edge_id in index.repr_order
+    ]
+    network = Network.__new__(Network)
+    network._compile(
+        [edges[edge_id] for edge_id in index.repr_order],
+        rows,
+        ids,
+        lambda: line_graph(graph),
+    )
+    return network

@@ -63,10 +63,12 @@ from typing import Any, Callable, Mapping
 import networkx as nx
 
 from repro.errors import AlgorithmInvariantError, ScenarioError
-from repro.graphs.edges import Edge, edge_set
+from repro.graphs.edges import Edge
+from repro.graphs.index import EdgeIndex
 from repro.graphs.properties import assign_unique_ids, max_degree
 from repro.model.algorithm import NodeAlgorithm, NodeContext
-from repro.model.edge_network import edge_identifier, line_graph_network
+from repro.model.edge_network import line_graph_network
+from repro.model.network import Network
 from repro.model.scheduler import Scheduler
 from repro.primitives.node_algorithms import LinialColorReductionAlgorithm
 from repro.scenarios.models import ScenarioHook
@@ -192,15 +194,24 @@ def _greedy_palette(graph: nx.Graph) -> frozenset[int]:
     return frozenset(range(1, max(2, 2 * delta)))
 
 
+def _agents(graph: nx.Graph, seed: int) -> tuple[list[Edge], Network]:
+    """The run's edge-agents, in edge order, and their line-graph
+    network (edge IDs derived from ``seed``-scattered node IDs), both
+    from one :class:`~repro.graphs.index.EdgeIndex`."""
+    index = EdgeIndex(graph)
+    node_ids = assign_unique_ids(graph, seed=seed)
+    return index.items, line_graph_network(graph, node_ids=node_ids, index=index)
+
+
 def _collect(
-    graph: nx.Graph, outputs: Mapping[Any, int | None]
+    edges: list[Edge], outputs: Mapping[Any, int | None]
 ) -> tuple[dict[Edge, int], list[Edge], int]:
     """Split scheduler outputs into (coloring, crashed edges, uncolored)."""
     coloring = {
         edge: color for edge, color in outputs.items() if color is not None
     }
     uncolored = sum(1 for color in outputs.values() if color is None)
-    crashed = [edge for edge in edge_set(graph) if edge not in outputs]
+    crashed = [edge for edge in edges if edge not in outputs]
     return coloring, crashed, uncolored
 
 
@@ -214,21 +225,18 @@ def _run_greedy_sweep(
     """Distributed sequential greedy (ID-rank sweep) under ``hook``."""
     if graph.number_of_edges() == 0:
         return ProgramOutcome(coloring={}, rounds=0, messages=0)
-    node_ids = assign_unique_ids(graph, seed=seed)
-    network = line_graph_network(graph, node_ids=node_ids)
-    edges = edge_set(graph)
+    edges, network = _agents(graph, seed)
     # Rank the agents by their derived IDs: the run seed scatters the
     # node IDs, so it also permutes the sweep order — deterministic,
     # and locally known to every agent's launcher-side twin.
-    max_id = max(node_ids.values())
-    order = sorted(edges, key=lambda edge: edge_identifier(edge, node_ids, max_id))
+    order = sorted(edges, key=network.id_of)
     classes = {edge: rank for rank, edge in enumerate(order)}
     palette = _greedy_palette(graph)
     lists = {edge: palette for edge in edges}
     execution = Scheduler(
         network, max_rounds=max_rounds, delivery_hook=hook
     ).run(ResilientGreedySweepAlgorithm(classes, lists, len(edges)))
-    coloring, crashed, uncolored = _collect(graph, execution.outputs)
+    coloring, crashed, uncolored = _collect(edges, execution.outputs)
     return ProgramOutcome(
         coloring=coloring,
         rounds=execution.rounds,
@@ -248,9 +256,7 @@ def _run_linial_pipeline(
     """The two-stage Linial+sweep pipeline under one adversary timeline."""
     if graph.number_of_edges() == 0:
         return ProgramOutcome(coloring={}, rounds=0, messages=0)
-    node_ids = assign_unique_ids(graph, seed=seed)
-    network = line_graph_network(graph, node_ids=node_ids)
-    edges = edge_set(graph)
+    edges, network = _agents(graph, seed)
 
     # Stage 1: Linial color reduction to an O(Δ̄²) class assignment.
     stage1 = Scheduler(
@@ -270,7 +276,7 @@ def _run_linial_pipeline(
         network, max_rounds=max_rounds, delivery_hook=hook
     ).run(ResilientGreedySweepAlgorithm(classes, lists, class_count))
 
-    coloring, crashed, uncolored = _collect(graph, stage2.outputs)
+    coloring, crashed, uncolored = _collect(edges, stage2.outputs)
     return ProgramOutcome(
         coloring=coloring,
         rounds=stage1.rounds + stage2.rounds,
@@ -387,14 +393,13 @@ def _run_randomized_luby(
     """Distributed randomized trials on the line graph, under ``hook``."""
     if graph.number_of_edges() == 0:
         return ProgramOutcome(coloring={}, rounds=0, messages=0)
-    node_ids = assign_unique_ids(graph, seed=seed)
-    network = line_graph_network(graph, node_ids=node_ids)
+    edges, network = _agents(graph, seed)
     palette = _greedy_palette(graph)
-    lists = {edge: palette for edge in edge_set(graph)}
+    lists = {edge: palette for edge in edges}
     execution = Scheduler(
         network, max_rounds=max_rounds, delivery_hook=hook
     ).run(RandomizedTrialAlgorithm(lists, seed, patience=patience))
-    coloring, crashed, uncolored = _collect(graph, execution.outputs)
+    coloring, crashed, uncolored = _collect(edges, execution.outputs)
     return ProgramOutcome(
         coloring=coloring,
         rounds=execution.rounds,

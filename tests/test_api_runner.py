@@ -12,6 +12,7 @@ import pytest
 from repro.api import (
     InstanceSpec,
     RunSpec,
+    ScenarioSpec,
     clear_result_cache,
     result_cache_size,
     run,
@@ -24,7 +25,7 @@ from repro.api.diskcache import DISK_FORMAT
 from repro.api.registry import algorithm_names
 from repro.baselines.registry import BaselineResult, run_baseline
 from repro.core.solver import SolveResult, solve_edge_coloring
-from repro.results import RunResult
+from repro.results import RunResult, fingerprint_of
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +184,48 @@ class TestDiskCache:
         assert payload["format"] == DISK_FORMAT == 2
         assert "validated" not in payload  # every stored result is validated
         assert payload["result"]["rounds"] == result.rounds
+
+    @pytest.mark.parametrize("algorithm,scenario", [
+        ("bko20", None),
+        ("randomized_luby", ScenarioSpec(model="lossy_links", seed=4)),
+    ])
+    def test_executed_result_serialized_once(
+        self, tmp_path, monkeypatch, algorithm, scenario
+    ):
+        """With a ledger and a disk cache, the ledger row's result
+        fingerprint and the disk entry share one ``to_dict()``."""
+        from repro.telemetry.ledger import read_ledger_rows
+
+        spec = RunSpec(
+            InstanceSpec(family="random_regular", size=4, seed=3),
+            algorithm=algorithm,
+            scenario=scenario,
+        )
+        calls = []
+        to_dict = RunResult.to_dict
+
+        def counted(self, **kwargs):
+            calls.append(self.name)
+            return to_dict(self, **kwargs)
+
+        monkeypatch.setattr(RunResult, "to_dict", counted)
+        result = run(
+            spec, cache=False, cache_dir=tmp_path / "cache",
+            ledger_dir=tmp_path / "ledger",
+        )
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        payload = to_dict(result)
+        seal = fingerprint_of(payload)
+        entry = (tmp_path / "cache" / f"{spec.fingerprint()}.json").read_text()
+        assert entry == json.dumps(
+            {"fingerprint": spec.fingerprint(), "format": DISK_FORMAT,
+             "result": payload, "result_fingerprint": seal},
+            sort_keys=True, default=repr,
+        )
+        rows = [r for r in read_ledger_rows(tmp_path / "ledger") if r.get("kind") == "run"]
+        assert [row["result_fingerprint"] for row in rows] == [seal]
 
     def test_disk_hit_survives_cleared_memory_cache(self, tmp_path, monkeypatch):
         spec = RunSpec(InstanceSpec(family="complete_bipartite", size=3, seed=2))

@@ -6,12 +6,15 @@ message accounting are pinned here against the reference loop."""
 from bisect import bisect_right
 
 import networkx as nx
+import pytest
 
+from repro.errors import InvalidInstanceError
 from repro.graphs.edges import edge_set
-from repro.graphs.line_graph import edge_degree
+from repro.graphs.line_graph import edge_degree, line_graph
 from repro.graphs.properties import assign_unique_ids
 from repro.model.algorithm import NodeAlgorithm
 from repro.model.edge_network import edge_identifier, line_graph_network
+from repro.model.network import Network
 from repro.model.reference import reference_run
 from repro.model.scheduler import Scheduler
 
@@ -161,3 +164,92 @@ class TestLineGraphNetwork:
         net = line_graph_network(g)
         values = list(net.ids().values())
         assert len(set(values)) == len(values)
+
+
+def _mixed_labels() -> nx.Graph:
+    graph = nx.Graph()
+    graph.add_edges_from([(1, "a"), ("a", 2), (2, "b"), (1, 2), ("b", 10), (10, 1)])
+    return graph
+
+
+#: Graphs the index-compiled network is checked on: regular, bipartite,
+#: path, star, grid (tuple labels), string and mixed labels, one edge.
+INDEX_GRAPHS = {
+    "random_regular": lambda: nx.random_regular_graph(4, 10, seed=5),
+    "random_regular_d7": lambda: nx.random_regular_graph(7, 12, seed=2),
+    "complete_bipartite": lambda: nx.complete_bipartite_graph(3, 4),
+    "path": lambda: nx.path_graph(7),
+    "star": lambda: nx.star_graph(6),
+    "grid": lambda: nx.grid_2d_graph(3, 4),
+    "string_labels": lambda: nx.relabel_nodes(
+        nx.petersen_graph(), lambda node: f"v{node}"
+    ),
+    "mixed_labels": _mixed_labels,
+    "one_edge": lambda: nx.Graph([(0, 1)]),
+}
+
+
+class TestIndexCompiledNetwork:
+    """``line_graph_network`` compiles from the graph's EdgeIndex; the
+    network must equal ``Network`` built on the networkx line graph."""
+
+    @staticmethod
+    def _pair(name, seed=7):
+        graph = INDEX_GRAPHS[name]()
+        node_ids = assign_unique_ids(graph, seed=seed)
+        max_id = max(node_ids.values())
+        lg = line_graph(graph)
+        ids = {edge: edge_identifier(edge, node_ids, max_id) for edge in lg}
+        return graph, line_graph_network(graph, node_ids=node_ids), Network(lg, ids=ids)
+
+    @pytest.mark.parametrize("name", sorted(INDEX_GRAPHS))
+    def test_compiled_tables_equal(self, name):
+        _, compiled, reference = self._pair(name)
+        assert compiled.n == reference.n
+        assert compiled.max_degree == reference.max_degree
+        assert compiled.nodes() == reference.nodes()
+        assert compiled.degree_table() == reference.degree_table()
+        assert compiled.ids_by_index() == reference.ids_by_index()
+        assert compiled.ids() == reference.ids()
+        assert compiled.row_start_table() == reference.row_start_table()
+        assert compiled.delivery_columns() == reference.delivery_columns()
+        assert compiled.neighbor_index_rows() == reference.neighbor_index_rows()
+        assert compiled.delivery_table() == reference.delivery_table()
+
+    @pytest.mark.parametrize("name", sorted(INDEX_GRAPHS))
+    def test_node_level_accessors_agree(self, name):
+        _, compiled, reference = self._pair(name)
+        assert compiled.max_id() == reference.max_id()
+        for node in reference.nodes():
+            assert compiled.index_of(node) == reference.index_of(node)
+            assert compiled.degree(node) == reference.degree(node)
+            assert compiled.id_of(node) == reference.id_of(node)
+            neighbors = reference.neighbors_in_port_order(node)
+            assert compiled.neighbors_in_port_order(node) == neighbors
+            for port, neighbor in enumerate(neighbors):
+                assert compiled.neighbor_at_port(node, port) == neighbor
+                assert compiled.port_towards(node, neighbor) == port
+
+    @pytest.mark.parametrize("name", sorted(INDEX_GRAPHS))
+    def test_graph_is_built_on_first_read(self, name):
+        graph, compiled, _ = self._pair(name)
+        assert compiled._graph is None
+        expected = line_graph(graph)
+        assert list(compiled.graph.nodes()) == list(expected.nodes())
+        assert nx.to_dict_of_lists(compiled.graph) == nx.to_dict_of_lists(expected)
+        assert compiled.graph is compiled.graph
+
+    @pytest.mark.parametrize("name", sorted(INDEX_GRAPHS))
+    def test_reference_loop_matches_scheduler(self, name):
+        _, compiled, _ = self._pair(name, seed=11)
+        ref = reference_run(compiled, InboxOrderRecorder(3))
+        fast = Scheduler(compiled).run(InboxOrderRecorder(3))
+        assert ref.outputs == fast.outputs
+        assert ref.rounds == fast.rounds
+        assert ref.messages_sent == fast.messages_sent
+
+    def test_id_checks_kept(self):
+        with pytest.raises(InvalidInstanceError, match="unique"):
+            line_graph_network(nx.path_graph(4), node_ids={0: 1, 1: 2, 2: 1, 3: 2})
+        with pytest.raises(InvalidInstanceError, match="positive"):
+            line_graph_network(nx.path_graph(2), node_ids={0: 0, 1: 0})
