@@ -13,15 +13,15 @@ The implementation of the paper rests on one workhorse invariant:
 Every stage of the paper's algorithm (the per-class coloring of
 Lemma 4.2, the per-subspace recursion of Lemma 4.3, the greedy base
 case) colors *some* edges and recurses on the residual, so this class
-centralises the bookkeeping: it tracks used colors per edge
-neighborhood (as a bitmask per edge id), exposes residual lists and
-residual degrees, and refuses improper assignments outright.
+centralises the bookkeeping: it tracks the colors used at every node
+(as a bitmask per node), exposes residual lists and residual degrees,
+and refuses improper assignments outright.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -51,27 +51,38 @@ class PartialEdgeColoring:
     ----------
     list_masks:
         Per edge id, the mask of its list.
+    used:
+        Per node of the index (a position in ``index.nodes``), the
+        mask of the colors of its colored edges.
+    tails / heads:
+        Per edge id, the node positions of its two endpoints.
     blocked:
-        Per edge id, the mask of the colors its colored neighbors use
-        (meaningful for uncolored edges only).
+        Per edge id, ``used[tails[i]] | used[heads[i]]``, computed on
+        read.  For an uncolored edge this is the mask of the colors
+        its colored neighbors use.  For a colored edge it also holds
+        the edge's own color: both node masks include it.
     colored:
         Per edge id, whether it is colored.
 
-    The three lists are read-only for callers; :meth:`assign` keeps
-    them.
+    These are read-only for callers; :meth:`assign` keeps them.
 
     Notes
     -----
-    The state lives on the edge ids of the :class:`EdgeIndex`, as
-    Python-int bitmasks over the palette: bit ``r`` stands for the
+    The state lives on the node and edge ids of the :class:`EdgeIndex`,
+    as Python-int bitmasks over the palette: bit ``r`` stands for the
     ``r``-th smallest palette color, so the lowest set bit of a mask is
     its smallest color whatever order the palette lists its colors in.
     A list's mask is built once per distinct list (uniform lists cost
-    one).  :meth:`assign` checks a write by bit tests and ORs the
-    color's bit into the edge's line-graph row; a residual list is
-    ``list & ~blocked``, which :meth:`residual_list` decodes into
-    ascending colors.  The solver works on the masks by id
-    (:meth:`mask_of`, :meth:`lowest_color`, :meth:`assign_id`).
+    one).  Two edges are neighbors iff they share an endpoint, so an
+    uncolored edge's blocked colors are the union of its two
+    endpoints' used colors: :meth:`assign` checks a write by bit tests
+    and ORs the color's bit into two node masks, and never reads the
+    line graph.  A residual list is ``list & ~blocked``, which
+    :meth:`residual_list` decodes into ascending colors.  The solver
+    works on the masks by id (:meth:`mask_of`, :meth:`lowest_color`,
+    :meth:`assign_id`).  Only :meth:`neighbors` and
+    :meth:`residual_degree` read line-graph rows, built on their first
+    call.
 
     The class *enforces* properness and list membership on every
     assignment; algorithms cannot corrupt it.  Final results are
@@ -92,7 +103,6 @@ class PartialEdgeColoring:
         self._index = EdgeIndex(graph) if index is None else index
         self._edges = self._index.edges
         self._position = self._index.position
-        self._rows = self._index.rows()
         #: Palette colors by bit: bit ``r`` of a mask is ``_by_bit[r]``.
         self._by_bit = sorted(lists.palette)
         self._bit = {color: 1 << rank for rank, color in enumerate(self._by_bit)}
@@ -107,8 +117,11 @@ class PartialEdgeColoring:
         masks = {colors: self.mask_of(colors) for colors in set(edge_lists)}
         self.list_masks = list(map(masks.__getitem__, edge_lists))
         self._colors: dict[Edge, int] = {}
-        self.blocked = [0] * len(self._rows)
-        self.colored = [False] * len(self._rows)
+        self.used = [0] * len(self._index.nodes)
+        self.tails = self._index.tails.tolist()
+        self.heads = self._index.heads.tolist()
+        self.blocked = _BlockedMasks(self.used, self.tails, self.heads)
+        self.colored = [False] * len(self._edges)
 
     # ------------------------------------------------------------------
     # Read API
@@ -163,7 +176,7 @@ class PartialEdgeColoring:
 
     def is_complete(self) -> bool:
         """Return ``True`` when every edge has a color."""
-        return len(self._colors) == len(self._rows)
+        return len(self._colors) == len(self._edges)
 
     def residual_list(self, edge: Edge) -> list[int]:
         """Return ``L_e`` minus the colors used by colored neighbors,
@@ -179,12 +192,13 @@ class PartialEdgeColoring:
     def residual_degree(self, edge: Edge) -> int:
         """Return the number of *uncolored* neighbors of ``edge``."""
         colored = self.colored
-        return sum(1 for n in self._rows[self._position[edge]] if not colored[n])
+        row = self._index.rows()[self._position[edge]]
+        return sum(1 for n in row if not colored[n])
 
     def neighbors(self, edge: Edge) -> list[Edge]:
         """Return the line-graph neighbors of ``edge``."""
         edges = self._edges
-        return [edges[n] for n in self._rows[self._position[edge]]]
+        return [edges[n] for n in self._index.rows()[self._position[edge]]]
 
     def as_dict(self) -> dict[Edge, int]:
         """Return a snapshot of the colors assigned so far."""
@@ -222,15 +236,15 @@ class PartialEdgeColoring:
             raise ColoringValidationError(
                 f"color {color} is not in the list of edge {edge!r}"
             )
-        blocked = self.blocked
-        if bit & blocked[i]:
+        used, tail, head = self.used, self.tails[i], self.heads[i]
+        if bit & (used[tail] | used[head]):
             raise ColoringValidationError(
                 f"color {color} is already used by a neighbor of {edge!r}"
             )
         self._colors[edge] = color
         self.colored[i] = True
-        for n in self._rows[i]:
-            blocked[n] |= bit
+        used[tail] |= bit
+        used[head] |= bit
 
     def assign_batch(self, assignments: Iterable[tuple[Edge, int]]) -> None:
         """Assign several colors; the batch must be conflict-free.
@@ -276,6 +290,25 @@ class PartialEdgeColoring:
         """Adopt a plain ``edge -> color`` mapping (deterministic order)."""
         for edge in sorted(colors, key=repr):
             self.assign(edge, colors[edge])
+
+
+class _BlockedMasks(Sequence[int]):
+    """:attr:`PartialEdgeColoring.blocked`: per edge id, the colors
+    used at its endpoints, computed from the node masks on read."""
+
+    __slots__ = ("_used", "_tails", "_heads")
+
+    def __init__(self, used: list[int], tails: list[int], heads: list[int]) -> None:
+        self._used = used
+        self._tails = tails
+        self._heads = heads
+
+    def __len__(self) -> int:
+        return len(self._tails)
+
+    def __getitem__(self, i: int) -> int:  # type: ignore[override]
+        used = self._used
+        return used[self._tails[i]] | used[self._heads[i]]
 
 
 def empty_coloring(graph: nx.Graph, lists: ListAssignment) -> PartialEdgeColoring:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     """One node of the accounting tree."""
 
@@ -102,6 +102,11 @@ class RoundLedger:
             LedgerEntry(label=label, mode="leaf", rounds=rounds)
         )
 
+    def attach(self, entry: LedgerEntry) -> None:
+        """Append a subtree built by the caller at the cursor, in one
+        step; the cursor stays where it is."""
+        self._stack[-1].children.append(entry)
+
     def sequential(self, label: str) -> "_Block":
         """Open a child whose sub-charges add up."""
         return _Block(self._stack, label, "seq")
@@ -171,7 +176,7 @@ class FrozenRoundLedger(RoundLedger):
     def _refuse(self, *args: object, **kwargs: object) -> None:
         raise TypeError("a frozen RoundLedger cannot be changed")
 
-    charge = sequential = parallel = bump = record_max = _refuse  # type: ignore[assignment]
+    charge = attach = sequential = parallel = bump = record_max = _refuse  # type: ignore[assignment]
 
     def freeze(self) -> None:
         """Already frozen: nothing to do."""

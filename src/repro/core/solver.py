@@ -24,9 +24,9 @@ Execution pipeline (Section 4.3):
    Linial down to ``O(Δ̄²)`` classes, optionally Kuhn-Wattenhofer down
    to ``Δ̄+1`` classes, then a greedy class sweep.  Most Lemma 4.2
    classes have no conflict among their active edges; such a class
-   skips Linial and is swept inline
-   (:meth:`RecursiveSolver._color_independent_class`), with the same
-   ledger charges and counters as the base case would write.
+   skips Linial and is swept inline by
+   :meth:`RecursiveSolver._solve_slack1`, with the same ledger entries
+   and counters as the base case would write.
 
 Robustness: the asymptotic guarantees (list sizes vs degrees) are
 checked at runtime; any edge that falls outside them is *deferred* and
@@ -50,7 +50,7 @@ from repro.coloring.edge_coloring import PartialEdgeColoring
 from repro.coloring.lists import ListAssignment, uniform_lists
 from repro.coloring.palette import Palette
 from repro.coloring.verify import check_list_edge_coloring
-from repro.core.ledger import RoundLedger
+from repro.core.ledger import LedgerEntry, RoundLedger
 from repro.core.params import ParameterPolicy, scaled_policy
 from repro.core.slack_reduction import SlackLoopStats, select_active_edges
 from repro.core.space_reduction import reduce_color_space
@@ -78,7 +78,24 @@ class SolveResult(RunResult):
 
 
 #: Masks of colors per edge id: an instance's (possibly narrowed) lists.
-WorkMasks = Mapping[int, int]
+WorkMasks = Mapping[int, int] | Sequence[int]
+
+
+def _swept_class_entry(class_value: int) -> LedgerEntry:
+    """The ledger subtree of a Lemma 4.2 class colored inline.
+
+    It is what :meth:`RecursiveSolver._solve_relaxed` writes for an
+    instance without an edge: Δ̄ 0 is below every policy's
+    ``base_degree_threshold``, so the base case runs, where Linial
+    needs no round and one class, and the sweep takes one round.
+    """
+    return LedgerEntry(f"class {class_value}", "seq", 0, [
+        LedgerEntry("activity check", "leaf", 1),
+        LedgerEntry("base case [relaxed bottom]", "seq", 0, [
+            LedgerEntry("class-count reduction", "leaf", 0),
+            LedgerEntry("greedy class sweep", "leaf", 1),
+        ]),
+    ])
 
 
 class RecursiveSolver:
@@ -91,9 +108,14 @@ class RecursiveSolver:
     Internally an instance is a list of edge ids of :attr:`index`, and
     a list is a color mask of :attr:`master` (see
     :class:`~repro.coloring.edge_coloring.PartialEdgeColoring`): an
-    edge's effective list is ``work & ~blocked``, and it takes the
-    lowest color of that mask.  Masks become frozensets only where an
-    instance enters Lemma 4.3's :func:`reduce_color_space`.
+    edge's effective list is ``work & ~blocked``, where ``blocked`` is
+    the union of the used-color masks of its two endpoints, and it
+    takes the lowest color of that mask.  Lemma 4.2 works on edge ids
+    end to end: it reads the defective coloring's labels aligned with
+    its instance's ids (never the edge-keyed ``colors``), groups the
+    ids by label, and colors conflict-free classes inline.  Masks
+    become frozensets only where an instance enters Lemma 4.3's
+    :func:`reduce_color_space`.
     """
 
     def __init__(
@@ -188,11 +210,12 @@ class RecursiveSolver:
 
         with self.ledger.sequential(f"base case [{reason}]"):
             self.ledger.charge("class-count reduction", rounds)
-            blocked = self.master.blocked
-            assign, lowest = self.master.assign_id, self.master.lowest_color
+            master = self.master
+            used, tails, heads = master.used, master.tails, master.heads
+            assign, lowest = master.assign_id, master.lowest_color
             for position in sorted(range(len(current)), key=classes.__getitem__):
                 i = current[position]
-                effective = work[i] & ~blocked[i]
+                effective = work[i] & ~(used[tails[i]] | used[heads[i]])
                 if effective:
                     assign(i, lowest(effective))
                 else:
@@ -210,7 +233,23 @@ class RecursiveSolver:
         palette: Palette,
         depth: int,
     ) -> None:
-        """Solve a slack-1 instance (Lemma 4.2's driving loop)."""
+        """Solve a slack-1 instance (Lemma 4.2's driving loop).
+
+        Each iteration takes the defective coloring's labels, aligned
+        with ``current``, and visits the classes in ascending label
+        order.  A class's effective masks are taken once, when its turn
+        comes, and its activity check reads their sizes.  A class whose
+        relaxed instance has no edge (no active edge with a same-class
+        neighbour, or an induced instance with no slot) is colored
+        inline, as :meth:`_solve_relaxed` would in its base case: every
+        active edge takes the smallest color of its effective mask,
+        which is non-empty because the edge is active and which no
+        other assignment of the class can narrow, and the class's fixed
+        ledger subtree (:func:`_swept_class_entry`) is attached in one
+        step.  The counters of those classes are added
+        once per iteration, flushed before any relaxed solve so that
+        counters keep their order of first use.
+        """
         current = self._uncolored(ids)
         if not current:
             return
@@ -219,7 +258,9 @@ class RecursiveSolver:
         dbar = max(degrees, default=0)
         iteration_cap = 2 * math.ceil(math.log2(dbar + 2)) + 4
         edges = self.index.edges
-        blocked, colored = self.master.blocked, self.master.colored
+        master, ledger = self.master, self.ledger
+        used, tails, heads = master.used, master.tails, master.heads
+        assign, lowest = master.assign_id, master.lowest_color
 
         for _iteration in range(iteration_cap):
             if (
@@ -233,8 +274,8 @@ class RecursiveSolver:
             beta = self.policy.beta(dbar, len(palette))
             self.slack_stats.dbar_trajectory.append(dbar)
             self.slack_stats.betas.append(beta)
-            self.ledger.bump("lem42/iterations")
-            self.ledger.record_max("max_depth_seen", depth)
+            ledger.bump("lem42/iterations")
+            ledger.record_max("max_depth_seen", depth)
 
             defective = defective_edge_coloring(
                 self.graph,
@@ -243,77 +284,82 @@ class RecursiveSolver:
                 index=self.index,
                 edges=[edges[i] for i in current],
             )
-            self.ledger.charge(
+            ledger.charge(
                 f"Lemma 4.2 defective coloring (β={beta})", defective.rounds
             )
 
-            # Classes as positions in ``current``, which are also the
-            # ids of the induced graph.
-            labels = [defective.colors[edges[i]] for i in current]
-            by_class: dict[int, list[int]] = {}
-            for position, label in enumerate(labels):
-                by_class.setdefault(label, []).append(position)
+            # Classes as runs of positions in ``current`` (also the ids
+            # of the induced graph), sorted by label.
+            labels = defective.labels
+            order = np.argsort(labels, kind="stable")
+            ranked = labels[order]
+            cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+            class_values = ranked[[0, *cuts]].tolist()
+            bounds = [0, *cuts, len(current)]
+            positions = order.tolist()
             # The class conflict graph, built once per iteration: each
             # class's relaxed instance is an induced subgraph of it.
-            class_graph = induced[0].within_classes(np.array(labels))
+            class_graph = induced[0].within_classes(labels)
             class_degrees = class_graph.degrees.tolist()
 
-            inactive_total = 0
+            # Per position, the effective mask and its size, written
+            # when the position's class is visited.  Every position is
+            # still uncolored then: a class colors only its own edges.
+            effective = [0] * len(current)
+            sizes = [0] * len(current)
+            inactive_total = active_classes = swept = 0
             # Empty classes and all-inactive ones still cost one
             # lockstep round each; batched into one leaf to keep the
             # ledger readable.  Only the non-empty classes are visited.
-            idle_classes = defective.color_count - len(by_class)
-            with self.ledger.sequential(
-                f"Lemma 4.2 classes (β={beta}, Δ̄={dbar})"
-            ):
-                for class_value in sorted(by_class):
-                    members = [
-                        position
-                        for position in by_class[class_value]
-                        if not colored[current[position]]
-                    ]
-                    effective = {
-                        p: work[current[p]] & ~blocked[current[p]] for p in members
-                    }
+            idle_classes = defective.color_count - len(class_values)
+            with ledger.sequential(f"Lemma 4.2 classes (β={beta}, Δ̄={dbar})"):
+                for class_value, begin, end in zip(class_values, bounds, bounds[1:]):
+                    members = positions[begin:end]
+                    for p in members:
+                        i = current[p]
+                        mask = work[i] & ~(used[tails[i]] | used[heads[i]])
+                        effective[p] = mask
+                        sizes[p] = mask.bit_count()
                     selection = select_active_edges(
-                        members, lambda p: effective[p].bit_count(), degrees
+                        members, sizes.__getitem__, degrees
                     )
                     inactive_total += len(selection.inactive)
-                    if not selection.active:
+                    active = selection.active
+                    if not active:
                         idle_classes += 1
                         continue
-                    self.slack_stats.relaxed_invocations += 1
-                    active = selection.active
+                    active_classes += 1
                     # Most classes have no conflict inside: such an
-                    # independent set needs no induce, and like any
-                    # instance without an edge it is colored inline.
-                    instance = (
-                        class_graph.induced(active)
-                        if any(class_degrees[p] for p in active)
-                        else None
-                    )
-                    if instance is None or not instance.neighbors.size:
-                        self._color_independent_class(
-                            class_value,
-                            [current[p] for p in active],
-                            [effective[p] for p in active],
-                        )
-                        continue
-                    with self.ledger.sequential(f"class {class_value}"):
-                        self.ledger.charge("activity check", 1)
-                        self._solve_relaxed(
-                            [current[p] for p in active],
-                            work,
-                            palette,
-                            beta,
-                            depth + 1,
-                            (instance, instance.degrees.tolist()),
-                        )
+                    # independent set needs no induce.
+                    if any(map(class_degrees.__getitem__, active)):
+                        instance = class_graph.induced(active)
+                        if instance.neighbors.size:
+                            if swept:
+                                ledger.bump("base_case/relaxed bottom", swept)
+                                swept = 0
+                            with ledger.sequential(f"class {class_value}"):
+                                ledger.charge("activity check", 1)
+                                self._solve_relaxed(
+                                    [current[p] for p in active],
+                                    work,
+                                    palette,
+                                    beta,
+                                    depth + 1,
+                                    (instance, instance.degrees.tolist()),
+                                )
+                            continue
+                    for p in active:
+                        assign(current[p], lowest(effective[p]))
+                    ledger.attach(_swept_class_entry(class_value))
+                    swept += 1
+                if swept:
+                    ledger.bump("base_case/relaxed bottom", swept)
                 if idle_classes:
-                    self.ledger.charge(
+                    ledger.charge(
                         f"{idle_classes} idle classes (lockstep rounds)",
                         idle_classes,
                     )
+            self.slack_stats.relaxed_invocations += active_classes
             self.slack_stats.inactive_edges.append(inactive_total)
 
             remaining = self._uncolored(current)
@@ -325,41 +371,12 @@ class RecursiveSolver:
             if new_dbar >= dbar and len(remaining) >= len(current):
                 # No progress: the theory regime did not engage; finish
                 # deterministically rather than looping.
-                self.ledger.bump("lem42/no_progress_fallbacks")
+                ledger.bump("lem42/no_progress_fallbacks")
                 self._base_case(remaining, work, "slack1 no-progress", induced)
                 return
             current, degrees, dbar = remaining, new_degrees, new_dbar
 
         self._base_case(self._uncolored(current), work, "slack1 iteration cap")
-
-    def _color_independent_class(
-        self,
-        class_value: int,
-        active: Sequence[int],
-        effective: Sequence[int],
-    ) -> None:
-        """Color a Lemma 4.2 class whose relaxed instance has no edge.
-
-        :meth:`_solve_relaxed` would send it straight to the base case
-        (its Δ̄ of 0 is below every policy's ``base_degree_threshold``),
-        where Linial needs no round and one class, and the sweep gives
-        every edge the smallest color of its effective list.  No two
-        active edges are adjacent, so one assignment never narrows
-        another's list: ``effective`` (the masks taken before the
-        activity check, aligned with the ids ``active``) is still
-        exact, and it is non-empty because the edge is active.  This
-        writes the same ledger entries and counters as that path.
-        """
-        ledger = self.ledger
-        with ledger.sequential(f"class {class_value}"):
-            ledger.charge("activity check", 1)
-            ledger.bump("base_case/relaxed bottom")
-            with ledger.sequential("base case [relaxed bottom]"):
-                ledger.charge("class-count reduction", 0)
-                assign, lowest = self.master.assign_id, self.master.lowest_color
-                for i, mask in zip(active, effective):
-                    assign(i, lowest(mask))
-                ledger.charge("greedy class sweep", 1)
 
     # ------------------------------------------------------------------
     # Lemma 4.3 / 4.5: relaxed instances via color space reduction
@@ -476,7 +493,7 @@ class RecursiveSolver:
         """Solve this solver's whole instance; returns edge -> color."""
         start_depth = self.depth if depth is None else depth
         all_ids = range(len(self.index))
-        work = dict(enumerate(self.master.list_masks))
+        work = self.master.list_masks
         self._solve_slack1(all_ids, work, self.lists.palette, start_depth)
 
         # Final cleanup: anything deferred is colored from full residual

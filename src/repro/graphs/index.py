@@ -157,6 +157,9 @@ class EdgeIndex(Csr):
         The edges at node ``nodes[x]`` are
         ``incidence[incidence_start[x]:incidence_start[x + 1]]``, in
         edge order.
+    tails / heads:
+        Per edge id, the positions in ``nodes`` of its two endpoints,
+        ``tails[i] < heads[i]``.
     repr_order:
         All edge ids sorted by ``repr(edge)``.
     repr_rank:
@@ -165,7 +168,8 @@ class EdgeIndex(Csr):
     """
 
     __slots__ = (
-        "position", "nodes", "incidence_start", "incidence", "repr_order", "repr_rank"
+        "position", "nodes", "incidence_start", "incidence", "tails", "heads",
+        "repr_order", "repr_rank",
     )
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -218,6 +222,8 @@ class EdgeIndex(Csr):
         self.nodes = nodes
         self.incidence_start = incidence_start
         self.incidence = incidence
+        self.tails = tails
+        self.heads = heads
         self.repr_order = repr_order
         self.repr_rank = repr_rank
 

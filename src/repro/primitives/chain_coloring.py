@@ -17,8 +17,12 @@ free color in ``{0, 1, 2}``.
 
 All chains of a call run at once, as in the paper: every round is one
 whole-array pass over the items of the chains still reducing, with
-flat color, successor and predecessor arrays.  The per-chain form it
-replaced lives on as ``tests/chain_coloring_oracle.py``;
+flat color, successor and predecessor arrays.
+:func:`three_color_walks` takes the chains in that flat form (one walk
+of items with per-chain lengths and cyclic flags, as the defective
+coloring builds them); :func:`three_color_chains` flattens
+:class:`Chain` objects into it.  The per-chain form the whole-array
+pass replaced lives on as ``tests/chain_coloring_oracle.py``;
 ``tests/test_primitives_chain_coloring.py`` checks on random chain sets
 that both agree in colors, rounds and errors.
 """
@@ -26,7 +30,7 @@ that both agree in colors, rounds and errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,14 +107,55 @@ def three_color_chains(
         start = [int(initial_colors[item]) for item in items]
     except KeyError as exc:
         raise InvalidInstanceError(f"missing initial color for {exc.args[0]!r}") from None
-    if min(start) < 0:
-        raise InvalidInstanceError("initial colors must be non-negative")
-
-    n = len(items)
     lengths = np.fromiter(map(len, chains), dtype=np.int64, count=len(chains))
     cyclic = np.fromiter(
         (chain.cyclic for chain in chains), dtype=bool, count=len(chains)
     )
+    colors, rounds = three_color_walks(
+        seed_array(start), lengths, cyclic, items.__getitem__
+    )
+    return dict(zip(items, colors.tolist())), rounds
+
+
+def seed_array(colors: list[int]) -> np.ndarray:
+    """Initial colors as an array for :func:`three_color_walks`: int64,
+    or Python ints when some color reaches ``2**62``.
+
+    Raises
+    ------
+    InvalidInstanceError
+        If some color is negative.
+    """
+    if min(colors) < 0:
+        raise InvalidInstanceError("initial colors must be non-negative")
+    return np.array(colors, dtype=np.int64 if max(colors) < 2**62 else object)
+
+
+def three_color_walks(
+    start: np.ndarray,
+    lengths: np.ndarray,
+    cyclic: np.ndarray,
+    name: Callable[[int], Hashable],
+) -> tuple[np.ndarray, int]:
+    """:func:`three_color_chains` on chains given as one flat walk.
+
+    Parameters
+    ----------
+    start:
+        The initial colors of the chains' items in path order,
+        concatenated (a :func:`seed_array`).
+    lengths / cyclic:
+        Each chain's length and cyclic flag.
+    name:
+        Flat position -> item, read only to name items in an error.
+
+    Returns
+    -------
+    tuple[np.ndarray, int]
+        The colors in ``{0, 1, 2}``, aligned with ``start``, and the
+        rounds.
+    """
+    n = len(start)
     firsts = np.cumsum(lengths) - lengths
     lasts = firsts + lengths - 1
     # Slot n holds the color -1: the missing neighbor at a path's end.
@@ -120,22 +165,22 @@ def three_color_chains(
     pred[firsts] = np.where(cyclic, lasts, n)
     is_tail = np.zeros(n, dtype=bool)
     is_tail[lasts[~cyclic]] = True
-    chain_of = np.repeat(np.arange(len(chains)), lengths)
+    chain_of = np.repeat(np.arange(len(lengths)), lengths)
 
     # Beyond int64 the first round is taken on Python ints.
-    colors = np.array(start + [-1], dtype=np.int64 if max(start) < 2**62 else object)
+    colors = np.append(start, -1)
     clash = np.flatnonzero(colors[:n] == colors[succ])
     if clash.size:
         left, right = int(clash[0]), int(succ[clash[0]])
         raise InvalidInstanceError(
-            f"initial coloring is not proper: {items[left]!r} and "
-            f"{items[right]!r} both have color {start[left]}"
+            f"initial coloring is not proper: {name(left)!r} and "
+            f"{name(right)!r} both have color {int(start[left])}"
         )
 
     # The bit-trick fixpoint is a palette of size 6 ({0..5}): with all
     # colors < 6 the lowest differing bit is at most 2, so new colors
     # stay below 6.  Each chain reduces until it is inside that fixpoint.
-    iterations = np.zeros(len(chains), dtype=np.int64)
+    iterations = np.zeros(len(lengths), dtype=np.int64)
     while True:
         live = np.maximum.reduceat(colors[:n], firsts) > 5
         if not live.any():
@@ -160,4 +205,4 @@ def three_color_chains(
             np.where((before != 1) & (after != 1), 1, 2),
         )
 
-    return dict(zip(items, colors[:n].tolist())), int(iterations.max()) + 3
+    return colors[:n], int(iterations.max()) + 3

@@ -26,16 +26,29 @@ arrays over edge ids.  The numbering filters the index's incidence
 lists to the instance's edges (a node numbers them in edge order), a
 pair index per edge comes from its two numbers, and the conflicts are
 the runs of a sort by (node, group, pair).  The chains are walked over
-edge ids in the index's ``repr`` rank order, so they come out exactly
-as :func:`repro.utils.chains.chains_from_adjacency` would list them.
-The per-edge dict version this replaced lives on as
-``tests/defective_oracle.py``; ``tests/test_primitives_defective_oracle.py``
-checks that both agree in colors, rounds, groups and errors.
+edge ids in the index's ``repr`` rank order into one flat walk
+(:func:`repro.utils.chains.chain_walks`), so they come out exactly as
+:func:`repro.utils.chains.chains_from_adjacency` would list them, and
+Cole-Vishkin colors that walk from the initial colors gathered by edge
+id (:func:`repro.primitives.chain_coloring.three_color_walks`); no
+per-chain or per-edge object is built.
+
+The output is id-aligned: :attr:`DefectiveColoringResult.labels` holds
+the color of each instance edge id, in instance order, which is all
+Lemma 4.2 reads.  The edge-keyed ``colors`` and the per-node
+``groups`` are built only when a caller reads them (the validators,
+the tests and the figure benches).  The per-edge dict version this
+replaced lives on as ``tests/defective_oracle.py``;
+``tests/test_primitives_defective_oracle.py`` checks that both agree in
+colors, rounds, groups and errors, and
+``tests/test_primitives_defective_labels.py`` that the labels are
+those colors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
@@ -44,18 +57,22 @@ import numpy as np
 from repro.errors import AlgorithmInvariantError, InvalidInstanceError, ParameterError
 from repro.graphs.edges import Edge
 from repro.graphs.index import EdgeIndex
-from repro.primitives.chain_coloring import three_color_chains
-from repro.utils.chains import chains_from_pairs
+from repro.primitives.chain_coloring import seed_array, three_color_walks
+from repro.utils.chains import chain_walks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectiveColoringResult:
     """Outcome of the defective edge coloring.
 
     Attributes
     ----------
-    colors:
-        Edge -> defective color (dense non-negative integers).
+    ids:
+        The instance's edge ids of ``index``, in instance order (the
+        order of the ``edges`` argument; all ids ascending by default).
+    labels:
+        ``labels[k]`` is the defective color of edge ``ids[k]`` (dense
+        non-negative integers, an int64 array).
     color_count:
         Number of *possible* colors for this β (the ``O(β²)`` bound;
         the number of colors actually used may be smaller).
@@ -65,17 +82,38 @@ class DefectiveColoringResult:
     beta:
         The β the coloring was built for (defect promise
         ``deg(e) / (2β)``).
+    index:
+        The compiled line graph the ids refer to.
+    colors:
+        Edge -> defective color, in instance order; built from
+        ``labels`` when first read.
     groups:
         Node -> edge -> group index for every node with an edge of the
-        instance, exposed for validation and the figure-reproduction
-        benches.
+        instance, for validation and the figure-reproduction benches;
+        built from the numbering when first read.
     """
 
-    colors: dict[Edge, int]
+    ids: Sequence[int]
+    labels: np.ndarray
     color_count: int
     rounds: int
     beta: int
-    groups: dict[Hashable, dict[Edge, int]]
+    index: EdgeIndex = field(repr=False)
+    #: ``(edge_ids, node_ids, group)`` of :func:`_number_edges`.
+    numbering: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False
+    )
+
+    @cached_property
+    def colors(self) -> dict[Edge, int]:
+        edges = self.index.edges
+        return {edges[i]: label for i, label in zip(self.ids, self.labels.tolist())}
+
+    @cached_property
+    def groups(self) -> dict[Hashable, dict[Edge, int]]:
+        if self.numbering is None:
+            return {}
+        return _groups_by_node(self.index, *self.numbering)
 
 
 def _number_edges(
@@ -216,49 +254,56 @@ def defective_edge_coloring(
     if index is None:
         index = EdgeIndex(graph)
     ids = range(len(index)) if edges is None else index.ids(edges)
-    edges = [index.edges[i] for i in ids]
-    missing = [e for e in edges if e not in initial_coloring]
-    if missing:
+    edges = list(map(index.edges.__getitem__, ids))
+    if not all(map(initial_coloring.__contains__, edges)):
+        missing = [e for e in edges if e not in initial_coloring]
         raise InvalidInstanceError(
             f"edges without an initial color: {missing[:3]!r}"
         )
     if not edges:
         return DefectiveColoringResult(
-            colors={}, color_count=0, rounds=0, beta=beta, groups={}
+            ids=ids, labels=np.zeros(0, dtype=np.int64), color_count=0,
+            rounds=0, beta=beta, index=index,
         )
+    seeds = list(map(int, map(initial_coloring.__getitem__, edges)))
 
     group_size = 4 * beta
     member = np.zeros(len(index), dtype=bool)
     member[ids] = True
     edge_ids, node_ids, group, numbers = _number_edges(index, member, group_size)
-    groups = _groups_by_node(index, edge_ids, node_ids, group)
 
     # Round 1: endpoints exchange their numbers; each edge forms its
     # temporary color (i, j) with i <= j.
     pairs = _pair_indices(edge_ids, numbers, len(index), group_size)
 
-    # Chains of conflicting edges, 3-colored in parallel (O(log* X)).
+    # Chains of conflicting edges, 3-colored in parallel (O(log* X)),
+    # as one flat walk of edge ids seeded by the initial colors.
     first, second = _conflict_pairs(index, edge_ids, node_ids, group, pairs)
-    chains = chains_from_pairs(
+    walk, lengths, cyclic = chain_walks(
         index.edges, np.flatnonzero(member), first, second, index.repr_rank
     )
-    chain_colors, chain_rounds = three_color_chains(chains, initial_coloring)
+    instance = np.asarray(ids, dtype=np.int64)
+    seed_of = seed_array(seeds)
+    seed_of_id = np.zeros(len(index), dtype=seed_of.dtype)
+    seed_of_id[instance] = seed_of
+    chain_colors, chain_rounds = three_color_walks(
+        seed_of_id[walk], lengths, cyclic, lambda k: index.edges[int(walk[k])]
+    )
 
     # Final color: dense encoding of the triple (i, j, chain color).
-    pair_of = pairs.tolist()
-    colors = {
-        edge: pair_of[i] * 3 + chain_colors[edge] for i, edge in zip(ids, edges)
-    }
-    color_count = _pair_count(group_size) * 3
+    chain_color_of = np.empty(len(index), dtype=np.int64)
+    chain_color_of[walk] = chain_colors
+    labels = pairs[instance] * 3 + chain_color_of[instance]
 
     # Rounds: 1 (exchange numbers) + chains (parallel) + 1 (publish).
-    rounds = 1 + chain_rounds + 1
     return DefectiveColoringResult(
-        colors=colors,
-        color_count=color_count,
-        rounds=rounds,
+        ids=ids,
+        labels=labels,
+        color_count=_pair_count(group_size) * 3,
+        rounds=1 + chain_rounds + 1,
         beta=beta,
-        groups=groups,
+        index=index,
+        numbering=(edge_ids, node_ids, group),
     )
 
 

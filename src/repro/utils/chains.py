@@ -7,8 +7,11 @@ union of paths and cycles.  The paper then 3-colors each chain in
 extracts the chains from an adjacency structure so the chain coloring
 primitive (:mod:`repro.primitives.chain_coloring`) can run on them:
 :func:`chains_from_adjacency` from a mapping over arbitrary items,
-:func:`chains_from_pairs` from conflict pairs over dense ids, in the
-same order.
+:func:`chain_walks` from conflict pairs over dense ids, in the same
+order, as one flat walk of ids with per-chain lengths and cyclic flags
+(the defective coloring's form: no :class:`Chain` object is built),
+and :func:`chains_from_pairs`, the same chains as :class:`Chain`
+objects.
 """
 
 from __future__ import annotations
@@ -140,19 +143,20 @@ def chains_from_adjacency(
     return chains
 
 
-def chains_from_pairs(
+def chain_walks(
     items: Sequence[Hashable],
     members: np.ndarray,
     first: np.ndarray,
     second: np.ndarray,
     rank: np.ndarray,
-) -> list[Chain]:
-    """:func:`chains_from_adjacency` on dense ids, with a given order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`chains_from_adjacency` on dense ids, as flat id walks.
 
     Parameters
     ----------
     items:
-        ``items[i]`` is the item with id ``i``.
+        ``items[i]`` is the item with id ``i``; read only to name an
+        item in an error.
     members:
         The distinct ids to cover.
     first / second:
@@ -163,71 +167,137 @@ def chains_from_pairs(
 
     Returns
     -------
-    list[Chain]
-        The chains :func:`chains_from_adjacency` returns for the same
-        graph when ``rank`` orders the items as ``repr`` does: the
-        paths by their rank-smaller endpoint, each walked from it, then
-        the cycles by their rank-smallest item, each walked from it
-        towards its rank-smaller neighbour.
+    tuple[np.ndarray, np.ndarray, np.ndarray]
+        ``(walk, lengths, cyclic)``: the ids of every chain in path
+        order, concatenated, then each chain's length and cyclic flag.
+        The chains are the ones :func:`chains_from_adjacency` returns
+        for the same graph when ``rank`` orders the items as ``repr``
+        does: the paths by their rank-smaller endpoint, each walked
+        from it, then the cycles by their rank-smallest item, each
+        walked from it towards its rank-smaller neighbour.  Members
+        without a neighbour, usually most of them, are length-1 paths
+        placed by array operations; only the others are walked one by
+        one.
 
     Raises
     ------
     InvalidInstanceError
         If some item has more than two neighbors.
     """
-    # Every id's neighbors in two lists, -1 where it has fewer.
     size = len(rank)
-    near, far = [-1] * size, [-1] * size
-    for one, other in zip(first.tolist(), second.tolist()):
-        for item, neighbor in ((one, other), (other, one)):
-            if near[item] < 0:
-                near[item] = neighbor
-            elif far[item] < 0:
-                far[item] = neighbor
-            else:
+    ends = np.concatenate([first, second])
+    others = np.concatenate([second, first])
+    degree = np.bincount(ends, minlength=size)
+    if ends.size and degree.max() > 2:
+        _raise_degree_above_two(items, first, second)
+    # Each item's neighbours, -1 where it has fewer than two.  Which one
+    # is ``near`` does not matter: a path is walked from an end, and a
+    # cycle towards its start's rank-smaller neighbour.
+    near = np.full(size, -1, dtype=np.int64)
+    near[ends] = others
+    sums = np.bincount(ends, weights=others, minlength=size).astype(np.int64)
+    far = np.where(degree == 2, sums - near, -1)
+
+    ordered = members[np.argsort(rank[members], kind="stable")]
+    # A path starts at every lone member and at the rank-smaller end of
+    # every longer path; paths are listed by their start's rank.  Only
+    # the members with a neighbour are walked, in rank order.
+    starts = degree[ordered] == 0
+    linked = ordered[~starts]
+    ids = linked.tolist()
+    near_of = dict(zip(ids, near[linked].tolist()))
+    far_of = dict(zip(ids, far[linked].tolist()))
+    visited: set[int] = set()
+    paths: dict[int, list[int]] = {}
+    cycles: list[list[int]] = []
+    for start in ids:
+        if start not in visited and far_of[start] < 0:
+            paths[start] = _walk_ids(start, near_of[start], near_of, far_of, visited)
+    for start in ids:
+        if start not in visited:
+            one, other = near_of[start], far_of[start]
+            step = one if rank[one] < rank[other] else other
+            cycles.append(_walk_ids(start, step, near_of, far_of, visited))
+
+    if paths:
+        position = np.empty(size, dtype=np.int64)
+        position[ordered] = np.arange(len(ordered))
+        starts[position[list(paths)]] = True
+    heads = ordered[starts]
+    lengths = np.ones(len(heads), dtype=np.int64)
+    longer = np.flatnonzero(degree[heads]).tolist()
+    for k in longer:
+        lengths[k] = len(paths[int(heads[k])])
+    offsets = np.cumsum(lengths) - lengths
+    walk = np.empty(len(ordered), dtype=np.int64)
+    walk[offsets] = heads
+    for k in longer:
+        walk[offsets[k] : offsets[k] + lengths[k]] = paths[int(heads[k])]
+    if cycles:
+        cycle_ids = [i for cycle in cycles for i in cycle]
+        walk[len(walk) - len(cycle_ids) :] = cycle_ids
+        lengths = np.concatenate([lengths, [len(cycle) for cycle in cycles]])
+    cyclic = np.zeros(len(lengths), dtype=bool)
+    cyclic[len(heads) :] = True
+    return walk, lengths, cyclic
+
+
+def _raise_degree_above_two(
+    items: Sequence[Hashable], first: np.ndarray, second: np.ndarray
+) -> None:
+    """Raise for the first item, in pair order, to meet a third neighbour."""
+    met: dict[int, int] = {}
+    for pair in zip(first.tolist(), second.tolist()):
+        for item in pair:
+            met[item] = met.get(item, 0) + 1
+            if met[item] > 2:
                 raise InvalidInstanceError(
                     f"item {items[item]!r} has more than two neighbors; "
                     "not a union of paths and cycles"
                 )
 
-    ordered = members[np.argsort(rank[members], kind="stable")].tolist()
-    visited = bytearray(size)
-    chains: list[Chain] = []
 
-    # Paths, each from its rank-smaller endpoint (the one met first).
-    for start in ordered:
-        if visited[start] or far[start] >= 0:
-            continue
-        visited[start] = 1
-        walk = [items[start]]
-        previous, current = -1, start
-        while True:
-            step = near[current]
-            if step == previous:
-                step = far[current]
-            if step < 0:
-                break
-            visited[step] = 1
-            walk.append(items[step])
-            previous, current = current, step
-        chains.append(Chain(tuple(walk), cyclic=False))
+def _walk_ids(
+    start: int,
+    step: int,
+    near: dict[int, int],
+    far: dict[int, int],
+    visited: set[int],
+) -> list[int]:
+    """Walk a chain from ``start`` through its neighbour ``step`` until
+    it ends or closes; marks the ids visited."""
+    visited.add(start)
+    walk = [start]
+    previous, current = start, step
+    while current >= 0 and current != start:
+        visited.add(current)
+        walk.append(current)
+        following = near[current]
+        if following == previous:
+            following = far[current]
+        previous, current = current, following
+    return walk
 
-    # Everything unvisited now lies on cycles.
-    for start in ordered:
-        if visited[start]:
-            continue
-        visited[start] = 1
-        walk = [items[start]]
-        one, other = near[start], far[start]
-        previous, current = start, one if rank[one] < rank[other] else other
-        while current != start:
-            visited[current] = 1
-            walk.append(items[current])
-            step = near[current]
-            if step == previous:
-                step = far[current]
-            previous, current = current, step
-        chains.append(Chain(tuple(walk), cyclic=True))
+
+def chains_from_pairs(
+    items: Sequence[Hashable],
+    members: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    rank: np.ndarray,
+) -> list[Chain]:
+    """The chains of :func:`chain_walks` as :class:`Chain` objects, in
+    the same order: exactly what :func:`chains_from_adjacency` returns
+    for the same graph when ``rank`` orders the items as ``repr`` does.
+    """
+    walk, lengths, cyclic = chain_walks(items, members, first, second, rank)
+    walk = walk.tolist()
+    chains = []
+    start = 0
+    for length, closed in zip(lengths.tolist(), cyclic.tolist()):
+        chain = tuple(items[i] for i in walk[start : start + length])
+        chains.append(Chain(chain, cyclic=closed))
+        start += length
     return chains
 
 

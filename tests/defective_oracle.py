@@ -10,6 +10,7 @@ colors, color count, rounds, groups and errors.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
@@ -18,8 +19,19 @@ from repro.errors import AlgorithmInvariantError, InvalidInstanceError, Paramete
 from repro.graphs.edges import Edge
 from repro.graphs.index import EdgeIndex
 from repro.primitives.chain_coloring import three_color_chains
-from repro.primitives.defective import DefectiveColoringResult, _pair_count, _pair_index
+from repro.primitives.defective import _pair_count, _pair_index
 from repro.utils.chains import chains_from_adjacency
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """The fields of a :class:`DefectiveColoringResult`, as plain dicts."""
+
+    colors: dict[Edge, int]
+    color_count: int
+    rounds: int
+    beta: int
+    groups: dict[Hashable, dict[Edge, int]]
 
 
 def assign_groups_and_numbers(
@@ -99,7 +111,7 @@ def defective_edge_coloring(
     *,
     index: EdgeIndex | None = None,
     edges: Sequence[Edge] | None = None,
-) -> DefectiveColoringResult:
+) -> OracleResult:
     """The Section 4.1 defective edge coloring, one edge at a time."""
     if beta < 1:
         raise ParameterError(f"beta must be >= 1, got {beta}")
@@ -113,7 +125,7 @@ def defective_edge_coloring(
             f"edges without an initial color: {missing[:3]!r}"
         )
     if not edges:
-        return DefectiveColoringResult(
+        return OracleResult(
             colors={}, color_count=0, rounds=0, beta=beta, groups={}
         )
 
@@ -128,7 +140,7 @@ def defective_edge_coloring(
     for edge in edges:
         i, j = temp_colors[edge]
         colors[edge] = _pair_index(i, j, group_size) * 3 + chain_colors[edge]
-    return DefectiveColoringResult(
+    return OracleResult(
         colors=colors,
         color_count=_pair_count(group_size) * 3,
         rounds=1 + chain_rounds + 1,

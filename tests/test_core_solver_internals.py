@@ -9,15 +9,24 @@ the depth guard.
 import networkx as nx
 import pytest
 
+from repro.coloring.edge_coloring import PartialEdgeColoring
 from repro.coloring.lists import ListAssignment, deg_plus_one_lists, uniform_lists
 from repro.coloring.palette import Palette
 from repro.coloring.verify import check_list_edge_coloring
 from repro.core.ledger import RoundLedger
-from repro.core.params import fixed_policy, scaled_policy
-from repro.core.solver import RecursiveSolver, compute_initial_edge_coloring
+from repro.core.params import fixed_policy, resolve_policy, scaled_policy
+from repro.core.solver import (
+    RecursiveSolver,
+    compute_initial_edge_coloring,
+    solve_edge_coloring,
+    solve_list_edge_coloring,
+)
 from repro.errors import InvalidInstanceError
 from repro.graphs.edges import edge_set
+from repro.graphs.families import build_family
 from repro.graphs.generators import complete_bipartite, random_regular
+from repro.graphs.index import EdgeIndex
+from repro.graphs.line_graph import line_graph_adjacency
 
 
 def _solver(graph, lists=None, policy=None, seed=3):
@@ -136,3 +145,63 @@ class TestCleanupLoop:
         coloring = solver.solve_internal()
         assert len(coloring) == graph.number_of_edges()
         check_list_edge_coloring(graph, lists, coloring)
+
+
+class TestNoLineGraphRows:
+    """The master coloring keeps one used-color mask per node, so a
+    solve never materialises the line graph's rows as Python lists."""
+
+    @pytest.fixture
+    def rows_calls(self, monkeypatch):
+        calls = []
+        rows = EdgeIndex.rows
+
+        def counted(self):
+            calls.append(self)
+            return rows(self)
+
+        monkeypatch.setattr(EdgeIndex, "rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("policy", ["scaled", "kuhn20", "machinery"])
+    def test_solve_on_a_held_index_never_builds_rows(self, rows_calls, policy):
+        graph = build_family("complete_bipartite", 25)
+        index = EdgeIndex(graph)
+        lists = uniform_lists(graph, Palette.of_size(49), index=index)
+        result = solve_list_edge_coloring(
+            graph, lists, policy=resolve_policy(policy), seed=1, index=index
+        )
+        check_list_edge_coloring(graph, lists, result.coloring)
+        if policy != "scaled":  # child solvers on Lemma 4.3 index instances
+            assert result.stats["lem43/reductions"] > 0
+        assert rows_calls == []
+
+    def test_neighbors_and_residual_degree_build_rows_on_demand(self, rows_calls):
+        graph = random_regular(4, 10, seed=2)
+        adjacency = line_graph_adjacency(graph)
+        index = EdgeIndex(graph)
+        rows_calls.clear()
+        coloring = PartialEdgeColoring(
+            graph, uniform_lists(graph, Palette.of_size(7)), index=index
+        )
+        edge = index.edges[0]
+        coloring.assign(adjacency[edge][0], 1)
+        assert rows_calls == []
+        assert coloring.neighbors(edge) == adjacency[edge]
+        assert coloring.residual_degree(edge) == len(adjacency[edge]) - 1
+        assert rows_calls == [index, index]
+
+
+def test_stats_list_counters_in_order_of_first_use():
+    """Conflict-free Lemma 4.2 classes add their base-case counter once
+    per iteration, flushed before any relaxed solve: on K_{11,11} a
+    conflict-free class precedes the first class that enters Lemma 4.3
+    directly, so ``base_case/relaxed bottom`` still comes first."""
+    policy = fixed_policy(2, 2, base_degree_threshold=1, base_palette_threshold=2)
+    graph = build_family("complete_bipartite", 11)
+    result = solve_edge_coloring(graph, policy=policy, seed=1)
+    assert list(result.stats) == [
+        "lem42/iterations", "max_depth_seen", "base_case/relaxed bottom",
+        "lem43/reductions", "lem43/deferred", "lem43/eq2_violations",
+        "dbar_trajectory", "betas", "relaxed_invocations",
+    ]

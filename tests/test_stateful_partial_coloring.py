@@ -5,8 +5,11 @@ residual queries and residual-instance extractions against an
 independent set-based model; the residual invariant and the
 blocked-color bookkeeping must hold after every step, whatever the
 order of operations.  The coloring keeps its state as bitmasks over
-the palette's sorted colors, so the palette is sometimes unordered and
-non-contiguous, and the masks are checked against the model's sets.
+the palette's sorted colors, one used-color mask per node, so the
+palette is sometimes unordered and non-contiguous, and the masks are
+checked against the model's sets.  ``blocked[i]`` is the union of the
+two endpoint masks of edge ``i``: for an uncolored edge its colored
+neighbors' colors, for a colored edge those and its own color.
 """
 
 import random
@@ -86,11 +89,23 @@ class PartialColoringMachine(RuleBasedStateMachine):
             allowed = self.lists.list_of(edge) - self._neighbor_colors(edge)
             bad = [c for c in palette if c not in allowed] + [max(palette) + 1]
         color = bad[choice % len(bad)]
-        blocked = list(self.coloring.blocked)
+        blocked = self.coloring.blocked
+        before = [blocked[i] for i in range(len(self.adjacency))]
         with pytest.raises(ColoringValidationError):
             self.coloring.assign(edge, color)
-        assert self.coloring.blocked == blocked
+        for i, mask in enumerate(before):
+            assert blocked[i] == mask
         assert self.coloring.color_of(edge) == self.model.get(edge)
+
+    @rule()
+    def blocked_of_a_colored_edge_holds_its_own_color(self):
+        """The node masks of a colored edge's endpoints include its
+        color, so its ``blocked`` mask is its neighbors' colors plus
+        its own."""
+        coloring, position = self.coloring, self.coloring.index.position
+        for edge, color in self.model.items():
+            expected = self._neighbor_colors(edge) | {color}
+            assert coloring.blocked[position[edge]] == coloring.mask_of(expected)
 
     @rule()
     def residual_instance_is_always_feasible(self):
