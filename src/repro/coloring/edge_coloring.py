@@ -246,16 +246,6 @@ class PartialEdgeColoring:
         used[tail] |= bit
         used[head] |= bit
 
-    def assign_batch(self, assignments: Iterable[tuple[Edge, int]]) -> None:
-        """Assign several colors; the batch must be conflict-free.
-
-        Algorithms that color a whole independent class "simultaneously"
-        (one simulated round) use this; conflicts inside the batch are
-        detected because :meth:`assign` updates blocked sets as it goes.
-        """
-        for edge, color in assignments:
-            self.assign(edge, color)
-
     # ------------------------------------------------------------------
     # Residual instance extraction
     # ------------------------------------------------------------------
@@ -286,11 +276,6 @@ class PartialEdgeColoring:
         for edge in other.colored_edges():
             self.assign(edge, other.color_of(edge))
 
-    def merge_dict(self, colors: dict[Edge, int]) -> None:
-        """Adopt a plain ``edge -> color`` mapping (deterministic order)."""
-        for edge in sorted(colors, key=repr):
-            self.assign(edge, colors[edge])
-
 
 class _BlockedMasks(Sequence[int]):
     """:attr:`PartialEdgeColoring.blocked`: per edge id, the colors
@@ -309,11 +294,6 @@ class _BlockedMasks(Sequence[int]):
     def __getitem__(self, i: int) -> int:  # type: ignore[override]
         used = self._used
         return used[self._tails[i]] | used[self._heads[i]]
-
-
-def empty_coloring(graph: nx.Graph, lists: ListAssignment) -> PartialEdgeColoring:
-    """Convenience constructor matching the library's naming style."""
-    return PartialEdgeColoring(graph, lists)
 
 
 def full_coloring_as_dict(

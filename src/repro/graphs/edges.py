@@ -102,12 +102,6 @@ def edges_subgraph(graph: nx.Graph, edges: Iterable[Edge]) -> nx.Graph:
     return sub
 
 
-def iter_canonical(edges: Iterable[tuple[Hashable, Hashable]]) -> Iterator[Edge]:
-    """Yield the canonical form of every pair in ``edges``."""
-    for u, v in edges:
-        yield edge_key(u, v)
-
-
 def edge_to_token(edge: Edge) -> str:
     """Serialise a canonical edge as ``"u--v"``.
 

@@ -28,11 +28,12 @@ directly:
   (one line-graph round costs O(1) rounds of the underlying graph,
   since both endpoints of an edge can relay for it).
 
-The *primitive* subroutines (Cole-Vishkin, the Linial color reduction
-step, the greedy class sweep) ship in two equivalent forms: a
+The Linial color reduction step ships in two equivalent forms: a
 message-passing :class:`NodeAlgorithm` that runs on this simulator, and
 a faster functional form used inside the recursive solver.  Tests
-cross-validate the two forms round-for-round on shared instances.
+cross-validate the two forms round-for-round on shared instances.  The
+scenario programs (:mod:`repro.scenarios.programs`) run it, and a class
+sweep after it, as the ``linial_greedy`` message-passing pipeline.
 """
 
 from repro.model.algorithm import NodeAlgorithm, NodeContext

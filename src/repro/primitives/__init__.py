@@ -20,9 +20,12 @@ multiplicative terms of the paper's bounds:
   ``O(β²)``-edge coloring of Section 4.1.
 
 Each functional primitive returns its result together with the number
-of LOCAL rounds it needs; message-passing twins in
-:mod:`repro.primitives.node_algorithms` run on the simulator and are
-cross-validated against the functional forms by the test suite.
+of LOCAL rounds it needs; the solver charges those rounds to its
+ledger without sending a message.  Linial's reduction also runs as a
+message-passing program (:mod:`repro.primitives.node_algorithms`),
+cross-validated against the functional form by the test suite; the
+``linial_greedy`` scenario program (:mod:`repro.scenarios.programs`)
+runs it with a class sweep after it on the simulator.
 """
 
 from repro.primitives.chain_coloring import ChainColoringResult, three_color_chain

@@ -1,14 +1,17 @@
 """Message-passing implementations of the primitive subroutines.
 
-The functional primitives (:mod:`repro.primitives.linial`,
-:mod:`repro.primitives.greedy_class`, ...) compute results plus round
-counts directly; the classes here are genuine
-:class:`~repro.model.algorithm.NodeAlgorithm` programs that run on the
+The functional primitive :mod:`repro.primitives.linial` computes its
+result plus round count directly; :class:`LinialColorReductionAlgorithm`
+is the same reduction as a genuine
+:class:`~repro.model.algorithm.NodeAlgorithm` that runs on the
 synchronous simulator of :mod:`repro.model`, exchanging real messages.
 Tests cross-validate the two forms: same proper colorings, and round
-counts matching the functional accounting.
+counts matching the functional accounting.  The class sweep's
+message-passing form is
+:class:`~repro.scenarios.programs.ResilientGreedySweepAlgorithm`, the
+second stage of the ``linial_greedy`` scenario program.
 
-All three algorithms are *uniform*: every node runs the same code and
+Both algorithms are *uniform*: every node runs the same code and
 decides everything from ``(n, Δ, unique_id, ports, messages)`` only, as
 the LOCAL model requires.
 """
@@ -125,59 +128,6 @@ class LinialColorReductionAlgorithm(NodeAlgorithm):
             ctx.halt()
 
     def output(self, ctx: NodeContext) -> int:
-        return ctx.state["color"]
-
-
-class GreedyClassSweepAlgorithm(NodeAlgorithm):
-    """The greedy class sweep as a message-passing program.
-
-    Intended to run on the *line graph* network: each simulated node is
-    an edge of the underlying graph.  Nodes are given a proper class
-    assignment and a color list; in round ``r`` the nodes of class
-    ``r`` pick the smallest list color not yet announced by a neighbor,
-    then announce it.  Rounds: ``class_count (+1 for the final
-    announcement of the last class)``.
-    """
-
-    def __init__(
-        self,
-        classes: Mapping[Any, int],
-        lists: Mapping[Any, frozenset[int]],
-        class_count: int,
-    ) -> None:
-        self._classes = dict(classes)
-        self._lists = dict(lists)
-        self._class_count = class_count
-
-    def initialize(self, ctx: NodeContext) -> None:
-        ctx.state["class"] = self._classes[ctx.node]
-        ctx.state["list"] = set(self._lists[ctx.node])
-        ctx.state["round"] = 0
-        ctx.state["color"] = None
-        ctx.state["announced"] = False
-
-    def compose_messages(self, ctx: NodeContext) -> Mapping[int, Any]:
-        if ctx.state["color"] is not None and not ctx.state["announced"]:
-            ctx.state["announced"] = True
-            return dict.fromkeys(range(ctx.degree), ctx.state["color"])
-        return {}
-
-    def receive_messages(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
-        for color in inbox.values():
-            ctx.state["list"].discard(color)
-        if ctx.state["round"] == ctx.state["class"]:
-            if not ctx.state["list"]:
-                raise AlgorithmInvariantError(
-                    f"node {ctx.unique_id} ran out of list colors"
-                )
-            ctx.state["color"] = min(ctx.state["list"])
-        ctx.state["round"] += 1
-        # One extra round after the last class lets the final picks be
-        # announced (an edge halts once nothing more can affect it).
-        if ctx.state["round"] > self._class_count:
-            ctx.halt()
-
-    def output(self, ctx: NodeContext) -> int | None:
         return ctx.state["color"]
 
 

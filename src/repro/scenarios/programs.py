@@ -25,9 +25,13 @@ Three programs ship:
     announcement usually arrives before it matters, so degradation
     under adversarial schedules is gradual and measurable.
 ``linial_greedy``
-    The two-stage [Lin87]-style pipeline (Linial color reduction, then
-    a class sweep) from :mod:`repro.primitives.distributed_pipeline`,
-    run stage after stage under *one* adversary timeline.  Linial's
+    The two-stage [Lin87]-style pipeline on the line graph:
+    :class:`~repro.primitives.node_algorithms.LinialColorReductionAlgorithm`
+    reduces the edge IDs to an ``O(Δ̄²)`` class assignment, then
+    :class:`ResilientGreedySweepAlgorithm` sweeps the classes with the
+    ``2Δ-1`` palette, stage after stage under *one* adversary timeline.
+    Under the identity model it takes stage-1 rounds plus one round
+    per class plus one announcement round.  Linial's
     reduction assumes its invariants hold round by round, so harsh
     schedules can abort it — the executor records the abort as an
     outcome instead of crashing the sweep (brittleness under
@@ -47,8 +51,8 @@ Three programs ship:
     proposal loss can finalize a conflict, recorded (like the sibling
     programs' conflicts) in ``conflicts_on_survivors``, not forbidden.
 
-Agents of both programs are the *edges* of the underlying graph, so
-"crash a node" at the model layer means "crash an edge-agent" here;
+Agents of all three programs are the *edges* of the underlying graph,
+so "crash a node" at the model layer means "crash an edge-agent" here;
 survivor-induced validation happens over the edges whose agents
 survived.
 """
@@ -131,16 +135,18 @@ class ScenarioProgram:
 class ResilientGreedySweepAlgorithm(NodeAlgorithm):
     """A class sweep that retransmits, built to degrade gracefully.
 
-    Like :class:`~repro.primitives.node_algorithms.GreedyClassSweepAlgorithm`
-    — in round ``r`` the agents of class ``r`` pick the smallest list
-    color no neighbor has announced — but hardened for adversarial
-    delivery: a colored agent rebroadcasts its color *every* round
-    until halting (so a single dropped announcement is not fatal), and
-    class assignments arrive from the launcher rather than over the
-    wire.  Under the identity model the sweep is exactly sequential
-    greedy in class order; under faults the only possible failure is a
-    *conflict* (two neighbors picking the same color after a lost
-    announcement), which the executor measures rather than forbids.
+    Runs on the line-graph network, one agent per edge: in round ``r``
+    the agents of class ``r`` pick the smallest list color no neighbor
+    has announced, and the sweep halts one announcement round after the
+    last class (``class_count + 1`` rounds).  It is hardened for
+    adversarial delivery: a colored agent rebroadcasts its color
+    *every* round until halting (so a single dropped announcement is
+    not fatal), and class assignments arrive from the launcher rather
+    than over the wire.  Under the identity model the sweep is exactly
+    sequential greedy in class order; under faults the only possible
+    failure is a *conflict* (two neighbors picking the same color after
+    a lost announcement), which the executor measures rather than
+    forbids.
     """
 
     def __init__(
@@ -219,7 +225,7 @@ def _run_greedy_sweep(
     graph: nx.Graph,
     *,
     seed: int,
-    hook: ScenarioHook,
+    hook: ScenarioHook | None,
     max_rounds: int = 100_000,
 ) -> ProgramOutcome:
     """Distributed sequential greedy (ID-rank sweep) under ``hook``."""
@@ -250,7 +256,7 @@ def _run_linial_pipeline(
     graph: nx.Graph,
     *,
     seed: int,
-    hook: ScenarioHook,
+    hook: ScenarioHook | None,
     max_rounds: int = 100_000,
 ) -> ProgramOutcome:
     """The two-stage Linial+sweep pipeline under one adversary timeline."""
@@ -386,7 +392,7 @@ def _run_randomized_luby(
     graph: nx.Graph,
     *,
     seed: int,
-    hook: ScenarioHook,
+    hook: ScenarioHook | None,
     max_rounds: int = 100_000,
     patience: int = 3,
 ) -> ProgramOutcome:

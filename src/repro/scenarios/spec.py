@@ -20,7 +20,7 @@ Fingerprint semantics mirror the rest of the spec layer:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import check_known_keys
@@ -79,10 +79,6 @@ class ScenarioSpec:
         )
         suffix = f"[{inside}]" if inside else ""
         return f"{self.model}{suffix}#s{self.seed}"
-
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        """A copy of this scenario with a different adversary seed."""
-        return replace(self, seed=seed)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (empty params dropped)."""

@@ -31,9 +31,9 @@ from repro.model.reference import reference_run
 from repro.model.scheduler import Scheduler, shared_arena
 from repro.primitives.node_algorithms import (
     FloodMaxAlgorithm,
-    GreedyClassSweepAlgorithm,
     LinialColorReductionAlgorithm,
 )
+from repro.scenarios.programs import ResilientGreedySweepAlgorithm
 
 
 class MixedSendPattern(NodeAlgorithm):
@@ -137,7 +137,7 @@ class TestFastPathMatchesReference:
         lists = {edge: palette for edge in edge_set(graph)}
         _assert_equivalent(
             network,
-            lambda: GreedyClassSweepAlgorithm(classes, lists, class_palette),
+            lambda: ResilientGreedySweepAlgorithm(classes, lists, class_palette),
             max_rounds=100_000,
         )
 

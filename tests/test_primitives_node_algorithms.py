@@ -14,10 +14,10 @@ from repro.model.scheduler import Scheduler, run_on_graph
 from repro.primitives.linial import linial_reduce
 from repro.primitives.node_algorithms import (
     FloodMaxAlgorithm,
-    GreedyClassSweepAlgorithm,
     LinialColorReductionAlgorithm,
     build_linial_schedule,
 )
+from repro.scenarios.programs import ResilientGreedySweepAlgorithm
 from repro.utils.logstar import log_star
 
 
@@ -127,7 +127,7 @@ class TestGreedyClassSweepMessagePassing:
         lists = {
             e: frozenset(range(1, 2 * delta)) for e in edge_set(g)
         }
-        algorithm = GreedyClassSweepAlgorithm(classes, lists, class_count)
+        algorithm = ResilientGreedySweepAlgorithm(classes, lists, class_count)
         result = Scheduler(net, max_rounds=class_count + 5).run(algorithm)
         coloring = dict(result.outputs)
         assert all(c is not None for c in coloring.values())

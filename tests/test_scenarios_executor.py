@@ -8,7 +8,9 @@ seed — serial == parallel, including via the on-disk cache.
 
 import dataclasses
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.harness import run_scenario_sweep
 from repro.api import (
@@ -21,8 +23,19 @@ from repro.api import (
     run_many,
     specs_for_scenarios,
 )
+from repro.baselines.linial_greedy import linial_greedy_coloring
 from repro.coloring.verify import check_proper_edge_coloring
 from repro.errors import ColoringValidationError, ScenarioError
+from repro.graphs.generators import (
+    complete_bipartite,
+    cycle_graph,
+    random_regular,
+    star_graph,
+)
+from repro.graphs.properties import assign_unique_ids, max_degree
+from repro.model.edge_network import line_graph_network
+from repro.model.scheduler import Scheduler
+from repro.primitives.node_algorithms import LinialColorReductionAlgorithm
 from repro.results import RunResult
 from repro.scenarios import (
     conflict_count,
@@ -31,6 +44,8 @@ from repro.scenarios import (
     scenario_registry,
     validate_scenario_result,
 )
+from repro.scenarios.programs import get_program
+from repro.utils.logstar import log_star
 
 
 @pytest.fixture(autouse=True)
@@ -203,6 +218,68 @@ class TestScenarioOutcomes:
         for spec in adversarial_specs():
             result = run(spec, cache=False)
             assert result.details["rounds_to_quiescence"] == result.rounds
+
+
+def run_linial_greedy(graph, seed):
+    return get_program("linial_greedy").runner(graph, seed=seed, hook=None)
+
+
+class TestLinialGreedyAccounting:
+    """The ``linial_greedy`` program without an adversary is the [Lin87]
+    accounting realised in messages: stage 1 (Linial, ``O(log* n)``
+    rounds) plus one round per class plus the final announcement."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda: cycle_graph(10),
+            lambda: star_graph(7),
+            lambda: complete_bipartite(4, 5),
+            lambda: random_regular(5, 14, seed=6),
+        ],
+        ids=["cycle10", "star7", "k45", "rr5_14"],
+    )
+    def test_rounds_decompose_as_linial_plus_classes(self, make_graph, seed):
+        graph = make_graph()
+        outcome = run_linial_greedy(graph, seed)
+        assert len(outcome.coloring) == graph.number_of_edges()
+        check_proper_edge_coloring(graph, outcome.coloring)
+        assert outcome.messages > 0
+
+        # Stage 1 on its own, on the same line-graph network.
+        network = line_graph_network(
+            graph, node_ids=assign_unique_ids(graph, seed=seed)
+        )
+        stage1 = Scheduler(network).run(
+            LinialColorReductionAlgorithm(id_space=network.max_id())
+        )
+        class_palette = outcome.extra["class_palette"]
+        assert class_palette == max(stage1.outputs.values()) + 1
+        assert outcome.rounds == stage1.rounds + class_palette + 1
+        functional = linial_greedy_coloring(graph, seed=seed)
+        assert abs(stage1.rounds - functional.details["linial_rounds"]) <= 1
+        dbar = 2 * max_degree(graph) - 2
+        assert class_palette <= 16 * (dbar + 2) ** 2
+
+    def test_stage1_rounds_logstar(self):
+        outcome = run_linial_greedy(cycle_graph(200), seed=4)
+        # With Δ̄ = 2 the class palette is tiny.
+        assert outcome.rounds <= log_star(200**4) + 30
+
+    def test_edgeless_graph_takes_no_rounds(self):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(3))
+        outcome = run_linial_greedy(graph, seed=0)
+        assert outcome.coloring == {}
+        assert outcome.rounds == 0
+
+    @settings(deadline=None, max_examples=8)
+    @given(st.integers(min_value=0, max_value=10**5))
+    def test_random_instances_are_proper(self, seed):
+        graph = random_regular(4, 12, seed=seed % 47)
+        outcome = run_linial_greedy(graph, seed % 13)
+        check_proper_edge_coloring(graph, outcome.coloring)
 
 
 class TestAbortedRuns:
