@@ -52,6 +52,30 @@ def test_paper_promises_hold(make_graph, beta):
     assert result.color_count == 3 * (4 * beta) * (4 * beta + 1) // 2
 
 
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: complete_graph(8),
+        lambda: complete_bipartite(5, 5),
+        lambda: star_graph(12),
+        lambda: random_regular(6, 16, seed=4),
+    ],
+    ids=["k8", "k55", "star12", "rr6_16"],
+)
+def test_defect_bounds_per_edge(make_graph, beta):
+    """Every edge's defect is at most deg(e)/2β, the id-aligned labels
+    cover the edge set once and stay inside the palette."""
+    graph = make_graph()
+    result = defective_edge_coloring(graph, beta, _initial(graph, seed=2))
+    assert len(result.ids) == len(result.labels) == graph.number_of_edges()
+    assert set(result.colors) == set(edge_set(graph))
+    assert all(0 <= c < result.color_count for c in result.labels)
+    defects = measure_defects(graph, result.colors)
+    for edge in edge_set(graph):
+        assert defects[edge] <= defect_bound(edge_degree(graph, edge), beta)
+
+
 class TestStructure:
     def test_groups_have_bounded_size(self):
         graph = complete_graph(10)
@@ -76,6 +100,14 @@ class TestStructure:
         result = defective_edge_coloring(graph, 1, initial)
         # 1 exchange + chain coloring (<= log* X + 3ish) + 1 publish
         assert result.rounds <= 2 + log_star(x) + 6
+
+    def test_rounds_flat_in_n(self):
+        rounds = []
+        for n in (16, 64, 128):
+            graph = random_regular(4, n, seed=7)
+            result = defective_edge_coloring(graph, 2, _initial(graph))
+            rounds.append(result.rounds)
+        assert max(rounds) - min(rounds) <= 3
 
     def test_empty_graph(self):
         graph = nx.Graph()
