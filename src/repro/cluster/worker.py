@@ -42,6 +42,7 @@ is still forced: prefer capture for unattended fleets.
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -258,7 +259,10 @@ def run_shard(
                         error_type=result.error_type,
                         attempts=result.attempts,
                     )
-                results[todo[index][0]] = result.to_dict()
+                # An executed result is already sealed with its memoized
+                # JSON text (the disk entry's): parse it rather than
+                # serialize the result a second time.
+                results[todo[index][0]] = json.loads(result.to_json())
                 executed += 1
                 if not queue.heartbeat(shard):
                     emit_event("shard_abandoned", events_dir, shard=shard)

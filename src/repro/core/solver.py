@@ -57,7 +57,6 @@ from repro.core.space_reduction import reduce_color_space
 from repro.graphs.edges import Edge
 from repro.graphs.index import Csr, EdgeIndex
 from repro.graphs.properties import assign_unique_ids, max_degree
-from repro.model.edge_network import edge_identifier
 from repro.primitives.color_reduction import kuhn_wattenhofer_reduction
 from repro.primitives.defective import defective_edge_coloring
 from repro.primitives.linial import linial_reduce
@@ -156,8 +155,16 @@ class RecursiveSolver:
 
     def _induced_degrees(self, ids: Sequence[int]) -> tuple[Csr, list[int]]:
         """The line graph induced by the edge ids ``ids`` and its degrees,
-        aligned with ``ids``."""
-        induced = self.index.induced(ids)
+        aligned with ``ids``.
+
+        When ``ids`` is every id in id order (a fresh solve's first
+        Lemma 4.2 iteration), that graph is the index itself.
+        """
+        index = self.index
+        if len(ids) == len(index) and list(ids) == list(range(len(ids))):
+            induced: Csr = index
+        else:
+            induced = index.induced(ids)
         return induced, induced.degrees.tolist()
 
     def _effective_mask(self, i: int, work: WorkMasks) -> int:
@@ -538,8 +545,16 @@ def compute_initial_edge_coloring(
     if index is None:
         index = EdgeIndex(graph)
     ids = assign_unique_ids(graph, seed=seed)
-    max_id = max(ids.values(), default=0)
-    edge_ids = [edge_identifier(edge, ids, max_id) for edge in index.edges]
+    # ``edge_identifier`` of every edge, over the index's end columns.
+    node_ids = [ids[node] for node in index.nodes]
+    base = max(ids.values(), default=0) + 1
+    edge_ids = [
+        a * base + b if a < b else b * base + a
+        for a, b in zip(
+            map(node_ids.__getitem__, index.tails.tolist()),
+            map(node_ids.__getitem__, index.heads.tolist()),
+        )
+    ]
     result = linial_reduce(index, edge_ids)
     if ledger is not None:
         ledger.charge("initial Linial edge coloring (O(log* n))", result.rounds)

@@ -73,7 +73,18 @@ def complete_bipartite(a: int, b: int) -> nx.Graph:
     """
     if a < 1 or b < 1:
         raise ParameterError(f"complete_bipartite requires a, b >= 1, got {a}, {b}")
-    return _relabel_to_integers(nx.complete_bipartite_graph(a, b))
+    # Built directly in the form ``_relabel_to_integers`` gives
+    # ``nx.complete_bipartite_graph(a, b)``: its node ``x`` (side 0 for
+    # ``x < a``) becomes the position of ``x`` in repr order, and nodes,
+    # edges and adjacency rows keep networkx's insertion orders.
+    n = a + b
+    label = {x: index for index, x in enumerate(sorted(range(n), key=repr))}
+    graph = nx.Graph(name=f"complete_bipartite_graph({a}, {b})")
+    graph.add_nodes_from((label[x], {"bipartite": int(x >= a)}) for x in range(n))
+    graph.add_edges_from(
+        (label[u], label[v]) for u in range(a) for v in range(a, n)
+    )
+    return graph
 
 
 def grid_graph(rows: int, cols: int) -> nx.Graph:

@@ -175,19 +175,29 @@ class EdgeIndex(Csr):
     def __init__(self, graph: nx.Graph) -> None:
         nodes = sorted(graph.nodes(), key=_sort_key)
         rank = {node: index for index, node in enumerate(nodes)}
-        pairs = []
-        for u, v in graph.edges():
-            if u == v:
-                raise InvalidInstanceError(
-                    f"self-loop edge ({u!r}, {v!r}) is not allowed"
-                )
-            ru, rv = rank[u], rank[v]
-            pairs.append((ru, rv) if ru < rv else (rv, ru))
-        pairs.sort()
-        m = len(pairs)
-        edges = [(nodes[a], nodes[b]) for a, b in pairs]
-        ends = np.array(pairs, dtype=np.int64).reshape(m, 2)
-        tails, heads = ends[:, 0], ends[:, 1]
+        n = len(nodes)
+        # One pass over the adjacency: each edge packed once, from its
+        # lower-ranked end, as ``tail * n + head``; sorting the packed
+        # ranks puts the edges in edge order.
+        ends = np.sort(np.array(
+            [
+                ru * n + rv
+                for u, neighbors in graph.adjacency()
+                for ru in (rank[u],)
+                for rv in map(rank.__getitem__, neighbors)
+                if ru <= rv
+            ],
+            dtype=np.int64,
+        ))
+        tails, heads = np.divmod(ends, max(n, 1))
+        if (tails == heads).any():
+            u = next(u for u, neighbors in graph.adjacency() if u in neighbors)
+            raise InvalidInstanceError(
+                f"self-loop edge ({u!r}, {u!r}) is not allowed"
+            )
+        m = len(ends)
+        tail_list, head_list = tails.tolist(), heads.tolist()
+        edges = [(nodes[a], nodes[b]) for a, b in zip(tail_list, head_list)]
 
         # Edge ids grouped by endpoint, each group in edge order: sort
         # the (node, edge) pairs, packed into one integer each.
@@ -206,8 +216,13 @@ class EdgeIndex(Csr):
         distinct = rows != cols
         rows, cols = rows[distinct], cols[distinct]
 
-        # Sort the pairs by row, then by the neighbor's repr rank.
-        reprs = [repr(edge) for edge in edges]
+        # Sort the pairs by row, then by the neighbor's repr rank; an
+        # edge's repr is ``repr((u, v))``, built from its nodes' reprs.
+        node_reprs = [repr(node) for node in nodes]
+        reprs = [
+            f"({node_reprs[a]}, {node_reprs[b]})"
+            for a, b in zip(tail_list, head_list)
+        ]
         repr_order = sorted(range(m), key=reprs.__getitem__)
         repr_rank = np.empty(m, dtype=np.int64)
         repr_rank[repr_order] = edge_ids
@@ -218,7 +233,7 @@ class EdgeIndex(Csr):
             _row_starts(np.bincount(rows, minlength=m)),
             np.array(repr_order, dtype=np.int64)[ranked],
         )
-        self.position = {edge: index for index, edge in enumerate(edges)}
+        self.position = dict(zip(edges, range(m)))
         self.nodes = nodes
         self.incidence_start = incidence_start
         self.incidence = incidence

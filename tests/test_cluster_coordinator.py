@@ -13,6 +13,8 @@ Pins the two acceptance claims of the subsystem:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import InstanceSpec, RunSpec, ScenarioSpec, run_many
@@ -28,8 +30,9 @@ from repro.cluster import (
     work_loop,
 )
 from repro.cluster.queue import ShardQueue, result_path
+from repro.cluster.worker import publish_shard_result
 from repro.errors import ClusterError
-from repro.results import canonical_json
+from repro.results import RunResult, canonical_json
 
 
 class FakeClock:
@@ -177,6 +180,42 @@ class TestCoordinator:
         assert payloads(merged) == payloads(serial)
         for shard in range(3):
             assert result_path(job, shard).read_bytes() == frozen[shard]
+
+    def test_shard_file_from_sealed_json_is_the_to_dict_file(
+        self, tmp_path, serial_baseline, monkeypatch
+    ):
+        """A drain takes each executed result's dict from the JSON text
+        the executor sealed it with; the shard's result file, seal
+        included, is byte for byte the one ``to_dict()`` gives, and no
+        executed result is serialized twice."""
+        specs, serial = serial_baseline
+        serialized = []
+        to_dict = RunResult.to_dict
+
+        def counted(self, **kwargs):
+            serialized.append(self)
+            return to_dict(self, **kwargs)
+
+        monkeypatch.setattr(RunResult, "to_dict", counted)
+        job = tmp_path / "job"
+        run_sharded(specs, job, shards=1)
+        executed = [result for result in serialized if not result.is_failure()]
+        assert executed
+        assert len(executed) == len(set(map(id, executed)))
+        monkeypatch.undo()
+
+        drained = result_path(job, 0).read_bytes()
+        reference = tmp_path / "reference"
+        publish_shard_result(
+            reference,
+            0,
+            json.loads(drained)["plan_fingerprint"],
+            {
+                spec.fingerprint(): result.to_dict()
+                for spec, result in zip(specs, serial)
+            },
+        )
+        assert result_path(reference, 0).read_bytes() == drained
 
     def test_duplicate_specs_share_one_immutable_result(self, tmp_path):
         spec = RunSpec(

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.coloring.lists import ListAssignment, uniform_lists
 from repro.coloring.palette import Palette
+from repro.coloring.verify import check_list_edge_coloring
 from repro.core.ledger import RoundLedger
 from repro.core.solver import RecursiveSolver, compute_initial_edge_coloring
 from repro.core.space_reduction import equation_2_bound, reduce_color_space
@@ -147,6 +148,62 @@ class TestReduceColorSpace:
             new_list = len(lists[edge] & outcome.subspaces[index].as_set)
             bound = equation_2_bound(q, p, len(lists[edge]), new_list, degrees[edge])
             assert same <= bound
+
+
+class TestFigure6Phase:
+    """E(1) through the real child solver: random_regular(10, 40) on
+    C = 80 uniform lists puts every edge on level 4 at p = 16, so one
+    Figure 6 phase runs (``bench_lem43``'s case)."""
+
+    GRAPH = dict(degree=10, n=40, seed=6)
+
+    def _reduce(self, p, seen):
+        graph = random_regular(**self.GRAPH)
+        edges, lists, palette, adjacency, degrees, initial = _make_instance(
+            graph, 80
+        )
+        child_solve = _recursive_index_solver()
+
+        def solve(instance_graph, instance_lists, instance_initial, tag):
+            degree = dict(instance_graph.degree())
+            if tag.startswith("phase"):
+                # Figure 6: each virtual copy has degree <= 2^{ℓ-2}.
+                level = int(tag.split("ℓ=")[1].split()[0])
+                assert max(degree.values()) <= 2 ** (level - 2)
+            for u, v in edge_set(instance_graph):
+                menu = instance_lists.list_of((u, v))
+                assert len(menu) >= degree[u] + degree[v] - 2 + 1
+            chosen = child_solve(
+                instance_graph, instance_lists, instance_initial, tag
+            )
+            check_list_edge_coloring(instance_graph, instance_lists, chosen)
+            seen.append((tag, instance_graph.number_of_edges()))
+            return chosen
+
+        return reduce_color_space(
+            edges, lists, palette, p, adjacency, degrees, initial, solve
+        )
+
+    def test_p16_runs_one_level_4_phase(self):
+        seen = []
+        outcome = self._reduce(16, seen)
+        assert outcome.phases_run == 1
+        assert set(outcome.level_histogram) == {4}
+        assert seen == [("phase ℓ=4 index assignment", 200)]
+        assert outcome.eq2_violations == 0
+        assert not outcome.deferred
+        assert len(outcome.assignment) == 200
+
+    def test_p32_runs_clean(self):
+        # Level 5 needs deg(e) >= 32 for E(1); every edge has 18, so
+        # the whole instance goes to E(2).
+        seen = []
+        outcome = self._reduce(32, seen)
+        assert outcome.phases_run == 0
+        assert seen == [("E(2) index assignment", 200)]
+        assert outcome.eq2_violations == 0
+        assert not outcome.deferred
+        assert len(outcome.assignment) == 200
 
 
 class TestEquation2Bound:
