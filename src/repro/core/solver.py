@@ -544,17 +544,7 @@ def compute_initial_edge_coloring(
     """
     if index is None:
         index = EdgeIndex(graph)
-    ids = assign_unique_ids(graph, seed=seed)
-    # ``edge_identifier`` of every edge, over the index's end columns.
-    node_ids = [ids[node] for node in index.nodes]
-    base = max(ids.values(), default=0) + 1
-    edge_ids = [
-        a * base + b if a < b else b * base + a
-        for a, b in zip(
-            map(node_ids.__getitem__, index.tails.tolist()),
-            map(node_ids.__getitem__, index.heads.tolist()),
-        )
-    ]
+    edge_ids = index.pair_ids(assign_unique_ids(graph, seed=seed))
     result = linial_reduce(index, edge_ids)
     if ledger is not None:
         ledger.charge("initial Linial edge coloring (O(log* n))", result.rounds)

@@ -39,6 +39,13 @@ def _row_starts(lengths: np.ndarray) -> np.ndarray:
     return row_start
 
 
+def split_rows(row_start: np.ndarray, neighbors: np.ndarray) -> list[list[int]]:
+    """CSR rows as Python lists, for per-item loops."""
+    flat = neighbors.tolist()
+    starts = row_start.tolist()
+    return [flat[start:end] for start, end in zip(starts, starts[1:])]
+
+
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(s, s + l)`` for every ``(s, l)`` pair."""
     total = int(lengths.sum())
@@ -89,11 +96,7 @@ class Csr:
     def rows(self) -> list[list[int]]:
         """The rows as Python lists, for per-item loops."""
         if self._rows is None:
-            flat = self.neighbors.tolist()
-            starts = self.row_start.tolist()
-            self._rows = [
-                flat[start:end] for start, end in zip(starts, starts[1:])
-            ]
+            self._rows = split_rows(self.row_start, self.neighbors)
         return self._rows
 
     def adjacency(self) -> dict[Hashable, list[Hashable]]:
@@ -246,6 +249,25 @@ class EdgeIndex(Csr):
     def edges(self) -> list[Edge]:
         """The canonical edges, by id (the same list as ``items``)."""
         return self.items
+
+    def pair_ids(self, node_ids: Mapping[Hashable, int]) -> list[int]:
+        """Per edge id, a unique positive id paired from its ends' ids.
+
+        Uses the injective pairing ``low * (max_id + 1) + high`` of the
+        two end ids, ``max_id`` being the largest value in ``node_ids``,
+        so distinct edges always receive distinct ids and the id space
+        stays polynomial.  The solver's Linial seeds and a line-graph
+        network's agent ids both come from here.
+        """
+        base = max(node_ids.values(), default=0) + 1
+        ends = [node_ids[node] for node in self.nodes]
+        return [
+            a * base + b if a < b else b * base + a
+            for a, b in zip(
+                map(ends.__getitem__, self.tails.tolist()),
+                map(ends.__getitem__, self.heads.tolist()),
+            )
+        ]
 
     def same_value_slots(self, assignment: Mapping[Edge, Hashable]) -> np.ndarray:
         """Per CSR slot: do the row's edge and this neighbor carry one value?

@@ -8,7 +8,8 @@ edge relays for it), so measuring rounds on the line-graph network
 preserves asymptotics exactly — this is the standard reduction and the
 paper uses it implicitly throughout.
 
-Edge IDs are derived from endpoint IDs via a pairing into the range
+Edge IDs are derived from endpoint IDs via a pairing
+(:meth:`~repro.graphs.index.EdgeIndex.pair_ids`) into the range
 ``{1, ..., (2 * max_id)^2}``, preserving the model's polynomial ID
 space (edge IDs are ``n^{O(1)}`` whenever node IDs are).
 
@@ -31,26 +32,10 @@ from typing import Hashable, Mapping
 
 import networkx as nx
 
-from repro.graphs.edges import Edge
 from repro.graphs.index import EdgeIndex
 from repro.graphs.line_graph import line_graph
 from repro.graphs.properties import sorted_nodes
 from repro.model.network import Network
-
-
-def edge_identifier(
-    edge: Edge, node_ids: Mapping[Hashable, int], max_id: int
-) -> int:
-    """Return a unique positive ID for ``edge`` from its endpoint IDs.
-
-    Uses the injective pairing ``min_id * (max_id + 1) + max_id_of_edge``
-    over the node-ID space, so distinct edges always receive distinct
-    IDs and the ID space stays polynomial.
-    """
-    u, v = edge
-    id_u, id_v = node_ids[u], node_ids[v]
-    low, high = min(id_u, id_v), max(id_u, id_v)
-    return low * (max_id + 1) + high
 
 
 def line_graph_network(
@@ -67,7 +52,7 @@ def line_graph_network(
         The underlying communication graph ``G``.
     node_ids:
         Node IDs of ``G``; defaults to the sorted assignment.  Edge IDs
-        are derived from them (see :func:`edge_identifier`).
+        are derived from them (see :meth:`EdgeIndex.pair_ids`).
     index:
         ``EdgeIndex(graph)``, if the caller already built it; avoids a
         second build.
@@ -77,9 +62,8 @@ def line_graph_network(
         node_ids = {node: rank + 1 for rank, node in enumerate(ordered)}
     if index is None:
         index = EdgeIndex(graph)
-    max_id = max(node_ids.values(), default=0)
     edges = index.items
-    ids = {edge: edge_identifier(edge, node_ids, max_id) for edge in edges}
+    ids = dict(zip(edges, index.pair_ids(node_ids)))
     # Network index k is the edge of repr rank k, and each index row,
     # ordered by the neighbors' repr ranks, maps to ascending ranks.
     repr_rank = index.repr_rank.tolist()

@@ -29,7 +29,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import AlgorithmInvariantError, InvalidInstanceError
-from repro.graphs.index import Csr
+from repro.graphs.index import Csr, split_rows
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,9 @@ def _kw_phases(graph: Csr, working: list[int]) -> tuple[list[int], list[int], in
             f"input coloring is improper: {graph.items[owner]!r} and "
             f"{neighbor!r} share color {working[owner]}"
         )
-    rows = graph.rows()
+    # Sliced here, not cached by ``graph.rows()``: ``graph`` may be a
+    # solve's whole EdgeIndex, which never holds its rows as lists.
+    rows = split_rows(graph.row_start, graph.neighbors)
     target = int(graph.degrees.max()) + 1
     bucket_span = 2 * target
     rounds = 0

@@ -5,23 +5,23 @@ over ``graph.adjacency()`` and builds edge reprs from node reprs, and
 :func:`repro.core.solver.compute_initial_edge_coloring` pairs node ids
 over the index's ``tails``/``heads`` columns.  These are the versions
 they replaced: a loop over ``graph.edges()`` building ``(rank, rank)``
-pairs, ``repr`` of every edge tuple, and one
-:func:`~repro.model.edge_network.edge_identifier` call per edge.
+pairs, ``repr`` of every edge tuple, and one :func:`edge_identifier`
+call per edge, the scalar form of :meth:`EdgeIndex.pair_ids`.
 ``test_graphs_compile_oracle.py`` checks that both sides agree.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import Hashable, Mapping
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import InvalidInstanceError
-from repro.graphs.edges import _sort_key
+from repro.graphs.edges import Edge, _sort_key
 from repro.graphs.index import EdgeIndex, _ranges, _row_starts
 from repro.graphs.properties import assign_unique_ids
-from repro.model.edge_network import edge_identifier
 from repro.primitives.linial import linial_reduce
 
 #: Every array and attribute an :class:`EdgeIndex` holds.
@@ -30,6 +30,17 @@ INDEX_FIELDS = (
     "incidence_start", "incidence", "tails", "heads", "repr_order",
     "repr_rank",
 )
+
+
+def edge_identifier(
+    edge: Edge, node_ids: Mapping[Hashable, int], max_id: int
+) -> int:
+    """A unique positive id for ``edge`` from its endpoint ids: the
+    pairing ``min_id * (max_id + 1) + max_id_of_edge``."""
+    u, v = edge
+    id_u, id_v = node_ids[u], node_ids[v]
+    low, high = min(id_u, id_v), max(id_u, id_v)
+    return low * (max_id + 1) + high
 
 
 def edge_index(graph: nx.Graph) -> SimpleNamespace:

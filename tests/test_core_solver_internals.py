@@ -176,6 +176,22 @@ class TestNoLineGraphRows:
             assert result.stats["lem43/reductions"] > 0
         assert rows_calls == []
 
+    @pytest.mark.parametrize("policy", ["scaled", "kuhn20"])
+    def test_small_degree_base_case_on_a_held_index_never_builds_rows(
+        self, rows_calls, policy
+    ):
+        # Δ̄ = 4 is at the base-case threshold: the whole instance, which
+        # is the held index itself, goes straight to the KW reduction.
+        graph = complete_bipartite(3, 3)
+        index = EdgeIndex(graph)
+        lists = uniform_lists(graph, Palette.of_size(5), index=index)
+        result = solve_list_edge_coloring(
+            graph, lists, policy=resolve_policy(policy), seed=1, index=index
+        )
+        check_list_edge_coloring(graph, lists, result.coloring)
+        assert any(key.startswith("base_case/") for key in result.stats)
+        assert rows_calls == []
+
     def test_neighbors_and_residual_degree_build_rows_on_demand(self, rows_calls):
         graph = random_regular(4, 10, seed=2)
         adjacency = line_graph_adjacency(graph)

@@ -8,36 +8,48 @@ from bisect import bisect_right
 import networkx as nx
 import pytest
 
+from compile_oracle import edge_identifier
 from repro.errors import InvalidInstanceError
 from repro.graphs.edges import edge_set
+from repro.graphs.index import EdgeIndex
 from repro.graphs.line_graph import edge_degree, line_graph
 from repro.graphs.properties import assign_unique_ids
 from repro.model.algorithm import NodeAlgorithm
-from repro.model.edge_network import edge_identifier, line_graph_network
+from repro.model.edge_network import line_graph_network
 from repro.model.network import Network
 from repro.model.reference import reference_run
 from repro.model.scheduler import Scheduler
 
 
 class TestEdgeIdentifier:
+    """Edge ids are ``EdgeIndex.pair_ids`` of the node ids."""
+
     def test_distinct_edges_get_distinct_ids(self):
         g = nx.complete_graph(6)
-        ids = {node: node + 1 for node in g.nodes()}
-        seen = set()
-        for edge in edge_set(g):
-            value = edge_identifier(edge, ids, 6)
-            assert value not in seen
-            seen.add(value)
+        ids = EdgeIndex(g).pair_ids({node: node + 1 for node in g.nodes()})
+        assert len(set(ids)) == len(ids) == 15
 
     def test_polynomial_id_space(self):
         g = nx.complete_graph(5)
-        ids = {node: node + 1 for node in g.nodes()}
-        for edge in edge_set(g):
-            assert 1 <= edge_identifier(edge, ids, 5) <= 6 * 5 + 5
+        ids = EdgeIndex(g).pair_ids({node: node + 1 for node in g.nodes()})
+        assert all(1 <= value <= 6 * 5 + 5 for value in ids)
 
     def test_order_independent(self):
-        ids = {0: 3, 1: 7}
-        assert edge_identifier((0, 1), ids, 7) == 3 * 8 + 7
+        # The lower id goes first whichever end ranks first in the index.
+        g = nx.Graph([(0, 1)])
+        assert EdgeIndex(g).pair_ids({0: 7, 1: 3}) == [3 * 8 + 7]
+        assert EdgeIndex(g).pair_ids({0: 3, 1: 7}) == [3 * 8 + 7]
+
+    def test_network_ids_are_pair_ids(self):
+        g = nx.petersen_graph()
+        node_ids = assign_unique_ids(g, seed=4)
+        index = EdgeIndex(g)
+        network = line_graph_network(g, node_ids=node_ids, index=index)
+        assert network.ids() == dict(zip(index.items, index.pair_ids(node_ids)))
+        max_id = max(node_ids.values())
+        assert index.pair_ids(node_ids) == [
+            edge_identifier(edge, node_ids, max_id) for edge in index.items
+        ]
 
 
 class InboxOrderRecorder(NodeAlgorithm):

@@ -4,11 +4,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from compile_oracle import edge_identifier
 from repro.errors import InvalidInstanceError
 from repro.graphs.generators import random_regular
 from repro.graphs.line_graph import line_graph_adjacency
 from repro.graphs.properties import assign_unique_ids
-from repro.model.edge_network import edge_identifier
 from repro.primitives.linial import (
     linial_fixpoint_palette,
     linial_reduce,
