@@ -42,7 +42,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro.errors import ParameterError, SpecTimeoutError
 
@@ -55,13 +55,6 @@ _sleep = time.sleep
 _PACKAGE_PREFIX = (
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
 )
-
-#: Keys a serialized FailurePolicy may carry.
-_POLICY_KEYS = frozenset(
-    {"on_error", "retries", "backoff_s", "max_backoff_s", "timeout_s",
-     "backoff_seed"}
-)
-
 
 @dataclass(frozen=True)
 class FailurePolicy:
@@ -123,32 +116,6 @@ class FailurePolicy:
     def attempts(self) -> int:
         """Total attempts this policy allows per spec."""
         return self.retries + 1
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (crosses the process-pool boundary)."""
-        return {
-            "on_error": self.on_error,
-            "retries": self.retries,
-            "backoff_s": self.backoff_s,
-            "max_backoff_s": self.max_backoff_s,
-            "timeout_s": self.timeout_s,
-            "backoff_seed": self.backoff_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FailurePolicy":
-        """Inverse of :meth:`to_dict` (unknown fields ignored-free)."""
-        from repro.errors import check_known_keys
-
-        check_known_keys(payload, _POLICY_KEYS, "FailurePolicy")
-        return cls(
-            on_error=payload.get("on_error", "raise"),
-            retries=int(payload.get("retries", 0)),
-            backoff_s=float(payload.get("backoff_s", 0.0)),
-            max_backoff_s=float(payload.get("max_backoff_s", 30.0)),
-            timeout_s=payload.get("timeout_s"),
-            backoff_seed=int(payload.get("backoff_seed", 0)),
-        )
 
 
 def resolve_policy(on_error: "str | FailurePolicy") -> FailurePolicy:

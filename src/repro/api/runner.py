@@ -5,7 +5,7 @@ The one front door for executing experiments.  Guarantees:
 * **Determinism** — a spec carries every input (family, size, seeds,
   algorithm, policy name), so the same spec produces the same
   :class:`~repro.results.RunResult` (byte-identical result
-  fingerprint) whether it runs serially, in a process pool, or in a
+  fingerprint) whether it runs serially, in a worker pool, or in a
   different session.
 * **Validation** — every coloring is re-checked independently
   (properness + palette bound; survivor claims for scenario results)
@@ -27,11 +27,12 @@ The one front door for executing experiments.  Guarantees:
   every hit, and :func:`prune_cache` (or ``cache_max_entries=`` on the
   entry points, or ``python -m repro cache-prune``) evicts
   least-recently-used entries beyond a budget.
-* **Fan-out** — ``parallel > 1`` distributes distinct specs over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Specs cross the
-  process boundary as plain dicts and results come back pickled; the
+* **Fan-out** — ``parallel > 1`` runs the distinct misses on
+  :meth:`~repro.api.pool.WorkerPool.map_unordered` (the service's
+  kind of pool) with ``min(parallel, distinct misses)`` workers; the
   per-spec seeding makes worker-side runs bit-identical to serial
-  ones.
+  ones.  A stream closed early, or a failure raised under
+  ``on_error="raise"``, kills the workers: the rest is not run.
 * **Streaming** — :func:`run_many_iter` yields ``(index, result)``
   pairs as runs finish (cache hits first, then completions), so
   long sweeps can report progress and persist incrementally;
@@ -60,7 +61,7 @@ import threading
 import time
 import traceback as traceback_module
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -78,6 +79,7 @@ from repro.api.failures import (
     resolve_policy,
     traceback_digest,
 )
+from repro.api.pool import WorkerPool
 from repro.api.registry import get_algorithm
 from repro.api.spec import InstanceSpec, RunSpec
 from repro.coloring.verify import check_palette_bound, check_proper_edge_coloring
@@ -501,32 +503,25 @@ def run(
 def _run_in_worker(
     payload: tuple[dict[str, Any], dict[str, Any], bool]
 ) -> RunResult | tuple[str, dict[str, Any], str]:
-    """Pool entry point: rebuild the spec from its dict form and run it.
+    """A pool worker's answer to a payload (see :mod:`repro.api.pool`).
 
-    ``payload`` is ``(spec_dict, options, as_json)``.  ``options`` are
-    :func:`run`'s keyword arguments, with the failure policy as its
-    dict: capture (and its retries/deadline) happens *inside* the
-    worker, so the traceback a failure record digests is the
-    algorithm's, identical to what a serial run would have captured.
-    The ledger directory rides along the same way (it is per-call
-    executor state, not spec state), so a pooled batch writes the same
-    rows a serial one does, stamped with the worker's own pid.
+    ``payload`` is ``(spec_dict, options, as_json)``, ``options`` being
+    :func:`run`'s keyword arguments.  The failure policy and the ledger
+    directory ride in them, so capture, retries and deadlines happen in
+    the worker (a failure record digests the algorithm's traceback, as
+    a serial run's does) and a pooled batch writes the rows a serial
+    one does, stamped with the worker's pid.
 
-    With ``as_json`` false the result comes back pickled, ledger tree
-    and all (``run_many(parallel=N)``).  With ``as_json`` true (the
-    service's solve workers) it comes back as ``(result.to_json(),
-    observed, result_fingerprint)``, where ``observed`` holds the
-    disposition, attempts and wall-clock of the resolution.  The JSON
-    text and the fingerprint are the ones ``disk_store`` already
-    computed here for the disk entry (a failure, which is not stored,
-    computes both from one ``to_dict()``): the caller rebuilds the
-    result from the text with :meth:`RunResult.from_dict` (the form a
-    disk-cache hit serves), adopts both as the result's memos, and
-    writes the ledger row itself.
+    With ``as_json`` false (``run_many(parallel=N)``) the result comes
+    back pickled, ledger tree and all.  With ``as_json`` true (the
+    service) it comes back as ``(result.to_json(), observed,
+    result_fingerprint)``: the text and seal ``disk_store`` computed
+    here for the disk entry (a failure, not stored, computes both from
+    one ``to_dict()``), and the disposition, attempts and wall-clock
+    the caller's ledger row records.  The caller rebuilds the result
+    from the text, the form a disk-cache hit serves, and adopts both.
     """
     spec_dict, options, as_json = payload
-    options = dict(options)
-    options["on_error"] = FailurePolicy.from_dict(options["on_error"])
     observed: dict[str, Any] = {}
     result = run(
         RunSpec.from_dict(spec_dict), cache=False, _observed=observed, **options
@@ -666,35 +661,22 @@ def _run_many_iter_inner(
                 raise
             yield from emissions(fingerprint, result)
     else:
-        workers = min(parallel, len(todo))
-        options = {
-            "on_error": policy.to_dict(),
-            "ledger_dir": ledger_dir,
-        }
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _run_in_worker,
-                    (
-                        spec.to_dict(),
-                        {**options, "_fingerprint": fingerprint},
-                        False,
-                    ),
-                ): fingerprint
-                for fingerprint, spec in todo.items()
-            }
-            for future in as_completed(futures):
-                fingerprint = futures[future]
-                try:
-                    result = future.result()
-                except Exception as exc:
+        options = {"on_error": policy, "ledger_dir": ledger_dir}
+        payloads = (
+            (key, (spec.to_dict(), {**options, "_fingerprint": key}, False))
+            for key, spec in todo.items()
+        )
+        replies = WorkerPool.map_unordered(min(parallel, len(todo)), payloads)
+        with closing(replies):
+            for fingerprint, ok, result in replies:
+                if not ok:
                     _annotate_spec_failure(
-                        exc,
+                        result,
                         indices_of[fingerprint][0],
                         todo[fingerprint],
                         fingerprint,
                     )
-                    raise
+                    raise result
                 if not result.is_failure():
                     if cache:
                         _cache_store(fingerprint, result)
@@ -739,6 +721,9 @@ def run_many(
         fingerprint attached to the exception; ``"capture"`` puts a
         :class:`~repro.results.FailedResult` in the failing spec's
         slot — byte-identical serial vs. parallel, failures included.
+        Under either, a worker that dies aborts a parallel batch with
+        :class:`~repro.errors.ServiceUnavailable`, annotated the same
+        way.
     """
     ordered = list(specs)
     results: list[RunResult | None] = [None] * len(ordered)

@@ -146,7 +146,9 @@ class ServiceUnavailable(ReproError, RuntimeError):
     """The service cannot take this run now; the client should retry.
 
     Raised by :meth:`repro.service.app.ReproService.run_one` when the
-    solve pool already holds its bound of in-flight runs, or when a
-    pool worker died under the run.  The HTTP layer answers **503**
-    with a ``Retry-After`` header.
+    solve pool already holds its bound of in-flight runs, and by the
+    worker pool (:mod:`repro.api.pool`) when a worker died under a run;
+    the HTTP layer answers **503** with a ``Retry-After`` header.  A
+    ``run_many(parallel=N)`` batch whose worker dies raises it too,
+    annotated with the spec it was running.
     """

@@ -29,27 +29,22 @@ disk cache holds none either, and a poison spec re-executes.
 
 **Solves run on forked workers.**  The solver is CPU-bound Python, so
 a solve on a handler thread would hold the GIL while cache hits wait.
-A leader's miss therefore goes to one of a fixed set of forked worker
-processes (one per CPU), started when the service is constructed, each
-reached over its own duplex pipe.  The leader's thread takes an idle
-worker (the most recently used first), sends the spec, waits in the
-pipe read, which releases the GIL, and gives the worker back; no relay
-thread stands between the two.  A worker builds, solves, validates and
-stores the disk-cache entry, and sends back the result's
-``to_json()`` text (the very text the disk entry embeds) and the
-result fingerprint it sealed the entry with; the server rebuilds the
-result from that text with :meth:`~repro.results.RunResult.from_dict`,
-the form a disk-cache hit serves, and adopts both, so the response
-embeds the worker's text and the result is serialized once on the way
-from solver to client.  A worker found dead when it is taken is
-replaced first; one that dies during a solve fails that run (and its
-followers) once with :class:`~repro.errors.ServiceUnavailable` and is
-replaced.  Coalescing, cache lookups, the run ledger and metrics stay
-in the server process.  At most ``INFLIGHT_PER_WORKER * workers`` runs
-are in flight (leaders beyond the worker count wait for an idle
-worker): a further miss is refused with
-:class:`~repro.errors.ServiceUnavailable` (HTTP 503), while hits and
-followers are always served.
+A leader's miss therefore goes to the service's
+:class:`~repro.api.pool.WorkerPool` (one worker per CPU, forked when
+the service is constructed): the leader's thread waits in the pipe
+read, which releases the GIL, and no relay thread stands between the
+two.  The worker solves, validates and stores the disk-cache entry,
+and sends back the entry's JSON text and result fingerprint; the
+server rebuilds the result from that text, the form a disk-cache hit
+serves, and adopts both, so the result is serialized once on its way
+from solver to client.  A worker that dies under a solve fails that
+run (and its followers) once with
+:class:`~repro.errors.ServiceUnavailable`, and the pool replaces it.
+Coalescing, cache lookups, the run ledger and metrics stay in the
+server process.  At most ``INFLIGHT_PER_WORKER * workers`` runs are in
+flight (leaders beyond the worker count wait for an idle worker): a
+further miss is refused with :class:`~repro.errors.ServiceUnavailable`
+(HTTP 503), while hits and followers are always served.
 
 **Jobs are identified by their plan fingerprint.**  ``submit_job``
 plans the batch with :func:`repro.cluster.planner.plan_shards` and
@@ -70,24 +65,15 @@ Everything is stdlib; the service adds no dependencies to the library.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import pickle
-import queue
-import signal
 import threading
 import time
-import traceback
-from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.api.failures import FailurePolicy
-from repro.api.runner import (
-    _cache_store,
-    _replay as _replay_cached,
-    _run_in_worker,
-)
+from repro.api.pool import WorkerPool
+from repro.api.runner import _cache_store, _replay as _replay_cached
 from repro.api.spec import RunSpec
 from repro.cluster.coordinator import job_status, run_sharded_iter
 from repro.cluster.planner import plan_shards
@@ -112,93 +98,6 @@ INFLIGHT_PER_WORKER = 2
 
 #: Seconds a refused client is told to wait (the ``Retry-After`` header).
 RETRY_AFTER_S = 1
-
-#: Seconds between a solve worker's checks that the server still lives.
-PARENT_POLL_S = 0.5
-
-_FORK = multiprocessing.get_context("fork")
-
-
-def _worker_init(server_pid: int) -> None:
-    """Solve worker set-up: ignore Ctrl-C, exit with the server.
-
-    A terminal's Ctrl-C reaches the whole process group; the server
-    alone handles it and stops the workers.  A forked worker holds
-    copies of the server's pipe ends, so if the server dies without
-    stopping it (``SIGKILL``), nothing would ever wake the worker; a
-    daemon thread polls the parent pid and exits instead.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def watch() -> None:
-        while os.getppid() == server_pid:
-            time.sleep(PARENT_POLL_S)
-        os._exit(0)
-
-    threading.Thread(target=watch, name="repro-server-watch", daemon=True).start()
-
-
-def _serve_solves(conn: Connection, server_pid: int) -> None:
-    """A solve worker's loop: answer each payload until ``None`` comes.
-
-    Each reply is ``(True, _run_in_worker(payload))``, or ``(False,
-    exc)`` for an exception the run raised, its traceback text added
-    as a note; an exception that cannot be pickled is sent as a
-    :class:`RuntimeError` naming it.
-    """
-    _worker_init(server_pid)
-    while True:
-        try:
-            payload = conn.recv()
-        except EOFError:
-            return
-        if payload is None:
-            return
-        try:
-            reply = (True, _run_in_worker(payload))
-        except Exception as exc:
-            exc.add_note(
-                f"in solve worker {os.getpid()}:\n{traceback.format_exc()}"
-            )
-            reply = (False, exc)
-        try:
-            conn.send(reply)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            error = reply[1]
-            conn.send((False, RuntimeError(f"{type(error).__name__}: {error}")))
-
-
-class _Worker:
-    """One forked solve worker and the server's end of its pipe."""
-
-    __slots__ = ("process", "conn")
-
-    def __init__(self) -> None:
-        self.conn, child = _FORK.Pipe()
-        self.process = _FORK.Process(
-            target=_serve_solves,
-            args=(child, os.getpid()),
-            name="repro-solve-worker",
-            daemon=True,
-        )
-        self.process.start()
-        # The worker holds the only other end: its death is an EOF here.
-        child.close()
-
-    def stop(self) -> None:
-        """Ask the worker to exit after its current solve; reap it."""
-        try:
-            self.conn.send(None)
-        except OSError:  # already dead
-            pass
-        self.process.join()
-        self.conn.close()
-
-    def kill(self) -> None:
-        """Kill the worker (if it still runs) and reap it."""
-        self.process.kill()
-        self.process.join()
-        self.conn.close()
 
 
 class _InFlight:
@@ -341,23 +240,14 @@ class ReproService:
         self._worker_options = {
             "cache_dir": str(self.cache_dir),
             "cache_max_entries": cache_max_entries,
-            "on_error": FailurePolicy(on_error="capture").to_dict(),
-            "ledger_dir": None,
+            "on_error": FailurePolicy(on_error="capture"),
         }
-        self._solving = 0
-        self._pool_lock = threading.Lock()
-        self._workers = [_Worker() for _ in range(self.workers)]
-        self._idle: queue.LifoQueue[_Worker] = queue.LifoQueue()
-        for worker in self._workers:
-            self._idle.put(worker)
+        self.pool = WorkerPool(self.workers)
 
     def close(self) -> None:
         """Stop every solve worker and wait for it to exit (a worker
         in a solve finishes it first)."""
-        with self._pool_lock:
-            workers, self._workers = self._workers, []
-        for worker in workers:
-            worker.stop()
+        self.pool.close()
 
     # -- single runs ----------------------------------------------------
 
@@ -430,7 +320,13 @@ class ReproService:
             result = self._from_cache(spec, fingerprint)
             source = "cache"
             if result is None:
-                result, observed = self._solve(spec, fingerprint)
+                options = {**self._worker_options, "_fingerprint": fingerprint}
+                reply = self.pool.run((spec.to_dict(), options, True))
+                text, observed, seal = reply
+                result = RunResult.from_dict(json.loads(text))
+                # The response embeds the worker's text, not a new dump.
+                object.__setattr__(result, "_json", text)
+                object.__setattr__(result, "_result_fingerprint", seal)
                 record_run(
                     self.ledger_dir,
                     spec=spec,
@@ -470,66 +366,6 @@ class ReproService:
         )
         return result
 
-    def _solve(
-        self, spec: RunSpec, fingerprint: str
-    ) -> tuple[RunResult, dict[str, Any]]:
-        """Solve one spec on an idle worker; returns ``(result, observed)``.
-
-        The one place a spec leaves the server process, and so the seam
-        tests wrap to count executions.  ``observed``
-        holds the disposition, attempts and wall-clock the ledger row
-        records; the result carries the JSON text and the result
-        fingerprint the worker computed.  A worker found dead when it
-        is taken is replaced before the spec is sent; a worker that
-        dies under this solve fails it (and its followers) once with
-        :class:`~repro.errors.ServiceUnavailable` and is replaced.  An
-        exception the run raised in the worker is raised here.
-        """
-        payload = (
-            spec.to_dict(),
-            {**self._worker_options, "_fingerprint": fingerprint},
-            True,
-        )
-        with self._pool_lock:
-            self._solving += 1
-        worker = self._idle.get()
-        try:
-            if not worker.process.is_alive():
-                worker = self._replace(worker)
-            try:
-                worker.conn.send(payload)
-                ok, reply = worker.conn.recv()
-            except (EOFError, OSError) as exc:
-                worker = self._replace(worker)
-                raise ServiceUnavailable(
-                    "a solve worker died during this run; retry"
-                ) from exc
-        finally:
-            self._idle.put(worker)
-            with self._pool_lock:
-                self._solving -= 1
-        if not ok:
-            raise reply
-        text, observed, seal = reply
-        result = RunResult.from_dict(json.loads(text))
-        # The worker's text and seal are this result's serializations:
-        # the response embeds the text instead of dumping it again.
-        object.__setattr__(result, "_json", text)
-        object.__setattr__(result, "_result_fingerprint", seal)
-        return result, observed
-
-    def _replace(self, dead: _Worker) -> _Worker:
-        """Reap a dead worker and fork its successor; after
-        :meth:`close`, refuse with
-        :class:`~repro.errors.ServiceUnavailable` instead."""
-        with self._pool_lock:
-            if dead not in self._workers:
-                raise ServiceUnavailable("the service is shutting down")
-            dead.kill()
-            fresh = _Worker()
-            self._workers[self._workers.index(dead)] = fresh
-        return fresh
-
     def _observe_run(self, source: str, result: RunResult) -> None:
         self.metrics.observe_run(source)
         if result.is_failure():
@@ -538,10 +374,10 @@ class ReproService:
     def inflight_waiters(self, fingerprint: str) -> int:
         """Followers currently blocked on this fingerprint's leader.
 
-        Observability for tests: a wrapper around
-        :meth:`_solve` can hold the leader open until the expected
-        crowd has gathered, making the exactly-one-execution assertion
-        deterministic.
+        Observability for tests: a wrapper around the pool's
+        :meth:`~repro.api.pool.WorkerPool.run` can hold the leader open
+        until the expected crowd has gathered, making the
+        exactly-one-execution assertion deterministic.
         """
         with self._inflight_lock:
             entry = self._inflight.get(fingerprint)
@@ -647,8 +483,6 @@ class ReproService:
             jobs = list(self._jobs.values())
         with self._inflight_lock:
             inflight = len(self._inflight)
-        with self._pool_lock:
-            solving = self._solving
         states: dict[str, int] = {}
         for job in jobs:
             snapshot = job.snapshot()
@@ -661,7 +495,7 @@ class ReproService:
             "inflight_runs": inflight,
             "pool": {
                 "workers": self.workers,
-                "solving": solving,
+                "solving": self.pool.solving,
                 "max_inflight": self.max_inflight,
             },
             "jobs": {"total": len(jobs), **states},

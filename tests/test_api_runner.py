@@ -4,6 +4,7 @@ the on-disk cache spill, and streaming run_many_iter."""
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import threading
 
@@ -25,7 +26,11 @@ from repro.api.diskcache import DISK_FORMAT
 from repro.api.registry import algorithm_names
 from repro.baselines.registry import BaselineResult, run_baseline
 from repro.core.solver import SolveResult, solve_edge_coloring
+from repro.errors import ServiceUnavailable
 from repro.results import RunResult, fingerprint_of
+from repro.telemetry.ledger import read_ledger_rows
+
+from tests.test_service_pool import children_of, needs_proc
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +53,14 @@ def twelve_spec_sweep() -> list[RunSpec]:
         RunSpec(instance=instance, algorithm=algorithm)
         for instance in instances
         for algorithm in algorithms
+    ]
+
+
+def twelve_slow_specs() -> list[RunSpec]:
+    """Twelve paper-solver specs of about 0.1 s each (Δ 40)."""
+    return [
+        RunSpec(InstanceSpec(family="random_regular", size=40, seed=seed))
+        for seed in range(12)
     ]
 
 
@@ -371,6 +384,54 @@ class TestRunManyIter:
         order = [index for index, _ in run_many_iter(specs)]
         assert order[0] == 5  # the hit surfaces first
         assert sorted(order) == list(range(12))
+
+    @needs_proc
+    def test_closing_a_parallel_stream_stops_the_batch(self, tmp_path):
+        specs = twelve_slow_specs()
+        before = set(children_of(os.getpid()))
+        stream = run_many_iter(
+            specs, parallel=2, cache=False, ledger_dir=tmp_path
+        )
+        next(stream)
+        stream.close()
+        assert len(read_ledger_rows(tmp_path)) < len(specs) / 2
+        assert set(children_of(os.getpid())) - before == set()
+
+    @needs_proc
+    def test_a_raised_failure_stops_a_parallel_batch(
+        self, tmp_path, monkeypatch
+    ):
+        specs = twelve_slow_specs()
+        poisoned = specs[0].fingerprint()
+
+        def hook(fingerprint, attempt):
+            if fingerprint == poisoned:
+                raise ValueError("poisoned")
+
+        monkeypatch.setattr(runner, "_FAULT_HOOK", hook)
+        before = set(children_of(os.getpid()))
+        with pytest.raises(ValueError) as excinfo:
+            run_many(specs, parallel=2, cache=False, ledger_dir=tmp_path)
+        assert excinfo.value.spec_index == 0
+        assert len(read_ledger_rows(tmp_path)) < len(specs) / 2
+        assert set(children_of(os.getpid())) - before == set()
+
+    @needs_proc
+    def test_a_dead_worker_fails_a_parallel_batch(self, monkeypatch):
+        specs = twelve_slow_specs()
+        doomed = specs[3].fingerprint()
+
+        def hook(fingerprint, attempt):
+            if fingerprint == doomed:
+                os._exit(1)
+
+        monkeypatch.setattr(runner, "_FAULT_HOOK", hook)
+        before = set(children_of(os.getpid()))
+        with pytest.raises(ServiceUnavailable) as excinfo:
+            run_many(specs, parallel=2, cache=False, on_error="capture")
+        assert excinfo.value.spec_index == 3
+        assert excinfo.value.spec_fingerprint == doomed
+        assert set(children_of(os.getpid())) - before == set()
 
     def test_duplicate_specs_share_one_immutable_result(self):
         spec = RunSpec(InstanceSpec(family="cycle", size=8, seed=1))

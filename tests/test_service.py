@@ -156,9 +156,10 @@ class TestIdempotentRuns:
         spec = RunSpec.from_dict(spec_payload())
         target = spec.fingerprint()
         executions = []
-        solve = service._solve
+        solve = service.pool.run
 
-        def counted(spec, fingerprint):
+        def counted(payload):
+            fingerprint = payload[1]["_fingerprint"]
             if fingerprint == target:
                 executions.append(fingerprint)
                 # Hold the solve open until every follower has joined,
@@ -170,7 +171,7 @@ class TestIdempotentRuns:
                     and time.time() < deadline
                 ):
                     time.sleep(0.005)
-            return solve(spec, fingerprint)
+            return solve(payload)
 
         responses = []
         lock = threading.Lock()
@@ -180,7 +181,7 @@ class TestIdempotentRuns:
             with lock:
                 responses.append(answer)
 
-        service._solve = counted
+        service.pool.run = counted
         try:
             threads = [
                 threading.Thread(target=post) for _ in range(clients)
@@ -190,7 +191,7 @@ class TestIdempotentRuns:
             for thread in threads:
                 thread.join()
         finally:
-            del service._solve
+            del service.pool.run
 
         assert len(executions) == 1
         assert [status for status, _, _ in responses] == [200] * clients

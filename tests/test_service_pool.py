@@ -15,10 +15,11 @@ here:
   followers are still answered, and ``GET /v1/healthz`` reports the
   pool.
 * **Lifecycle** — no worker outlives a ``repro serve`` process,
-  whether it is stopped with SIGINT or killed with SIGKILL; a killed
-  worker costs at most one 503, after which fresh specs solve, and one
-  killed while idle costs none; no executor relay thread runs in the
-  server.
+  whether it is stopped with SIGINT or killed with SIGKILL, nor a
+  process killed in a ``run_many(parallel=2)`` batch (the same pool);
+  a killed worker costs at most one 503, after which fresh specs
+  solve, and one killed while idle costs none; no executor relay
+  thread runs in the server.
 * **Memory layer** — a repeat within one server reads no disk entry
   and is recorded ``cache_memory``; a restarted server reads the disk
   once per spec; with the executor's cache budget below two results,
@@ -41,7 +42,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import InstanceSpec, RunSpec, ScenarioSpec, run
+from repro.api import (
+    FailurePolicy,
+    InstanceSpec,
+    RunSpec,
+    ScenarioSpec,
+    run,
+)
 from repro.api import runner
 from repro.results import RunResult, canonical_json
 from repro.service import ReproService, app, make_server
@@ -159,8 +166,23 @@ class TestPooledBytes:
     )
     def test_a_solve_adopts_the_workers_serializations(self, live, spec):
         service, _ = live
-        result, _ = service._solve(spec, spec.fingerprint())
+        replies = []
+        solve = service.pool.run
+
+        def captured(payload):
+            replies.append(solve(payload))
+            return replies[-1]
+
+        service.pool.run = captured
+        try:
+            _, result, source = service.run_one(spec)
+        finally:
+            del service.pool.run
+        assert source == "executed"
         # Set by the worker's values, not computed in the server.
+        [(text, _, seal)] = replies
+        assert result.__dict__["_json"] is text
+        assert result.__dict__["_result_fingerprint"] is seal
         adopted = result.__dict__["_result_fingerprint"]
         body = result.to_dict()
         assert result.__dict__["_json"] == json.dumps(
@@ -348,11 +370,11 @@ class TestSaturation:
             for i in range(bound + 1)
         ]
         release = threading.Event()
-        solve = service._solve
+        solve = service.pool.run
 
-        def hold(spec, fingerprint):
+        def hold(payload):
             release.wait(BARRIER_S)
-            return solve(spec, fingerprint)
+            return solve(payload)
 
         answers = []
         lock = threading.Lock()
@@ -362,7 +384,7 @@ class TestSaturation:
             with lock:
                 answers.append(answer)
 
-        service._solve = hold
+        service.pool.run = hold
         leaders = [
             threading.Thread(target=post, args=(spec,)) for spec in fresh[:-1]
         ]
@@ -398,7 +420,7 @@ class TestSaturation:
             release.set()
             for thread in leaders + [follower]:
                 thread.join()
-            del service._solve
+            del service.pool.run
         sources = sorted(body["source"] for _, body, _ in answers)
         assert sources == ["coalesced"] + ["executed"] * bound
         status, body, _ = request("POST", base + "/v1/run", fresh[-1].to_dict())
@@ -470,7 +492,7 @@ class TestWorkerDeath:
         spec = RunSpec(instance=INSTANCE, algorithm="bko20")
         try:
             # The idle stack hands out its last worker next.
-            victim = service._idle.queue[-1].process.pid
+            victim = service.pool._idle.queue[-1].process.pid
             os.kill(victim, signal.SIGKILL)
             wait_for(lambda: not alive(victim), "the killed worker to die")
             status, body, _ = request("POST", base + "/v1/run", spec.to_dict())
@@ -505,18 +527,25 @@ class TestWorkerDeath:
         spec = RunSpec(instance=INSTANCE, algorithm="greedy_sequential")
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
-        options = service._worker_options
-        service._worker_options = {**options, "cache_dir": str(blocker)}
+
+        def payload(cache_dir):
+            options = {
+                "cache_dir": str(cache_dir),
+                "on_error": FailurePolicy(on_error="capture"),
+                "_fingerprint": spec.fingerprint(),
+            }
+            return spec.to_dict(), options, True
+
         with pytest.raises(OSError) as excinfo:
-            service._solve(spec, spec.fingerprint())
+            service.pool.run(payload(blocker))
         assert any(
             note.startswith("in solve worker")
             for note in excinfo.value.__notes__
         )
-        service._worker_options = options
-        result, observed = service._solve(spec, spec.fingerprint())
+        text, observed, seal = service.pool.run(payload(service.cache_dir))
         assert observed["disposition"] == "executed"
-        assert result.result_fingerprint() == run(
+        result = RunResult.from_dict(json.loads(text))
+        assert result.result_fingerprint() == seal == run(
             spec, cache=False
         ).result_fingerprint()
 
@@ -583,12 +612,53 @@ class TestNoOrphans:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
-        wait_for(
-            lambda: not any(alive(pid) for pid in workers),
-            f"pool workers to exit after signal {signum}",
-        )
-        for pid in workers:  # adopted ones only; the server reaped the rest
+        wait_for_exit(workers, f"pool workers to exit after signal {signum}")
+
+
+def wait_for_exit(workers: list[int], what: str) -> None:
+    """Wait until no pid of ``workers`` runs, and reap the adopted ones
+    (killing any that outlived the wait, so a failure leaks none)."""
+    try:
+        wait_for(lambda: not any(alive(pid) for pid in workers), what)
+    finally:
+        for pid in workers:  # adopted ones only; the parent reaped the rest
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
             try:
                 os.waitpid(pid, 0)
             except ChildProcessError:
                 pass
+
+
+#: A ``run_many(parallel=2)`` batch far longer than the test.
+BATCH = """
+from repro.api import InstanceSpec, RunSpec, run_many
+specs = [
+    RunSpec(InstanceSpec(family="random_regular", size=40, seed=seed))
+    for seed in range(500)
+]
+run_many(specs, parallel=2, cache=False)
+"""
+
+
+@needs_proc
+@pytest.mark.usefixtures("subreaper")
+class TestNoOrphanedBatchWorkers:
+    """A ``run_many(parallel=N)`` child's pool workers die with it."""
+
+    def test_no_worker_survives_a_killed_batch(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen([sys.executable, "-c", BATCH], cwd=ROOT, env=env)
+        try:
+            wait_for(
+                lambda: len(children_of(proc.pid)) == 2, "the batch's workers"
+            )
+            workers = children_of(proc.pid)
+            assert all(alive(pid) for pid in workers)
+            proc.kill()
+            proc.wait(timeout=BARRIER_S)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        wait_for_exit(workers, "batch workers to exit after SIGKILL")
